@@ -1,10 +1,10 @@
 // Shared helpers for the per-table / per-figure benchmark harnesses.
 //
 // Every bench prints the rows/series of one paper table or figure.
-// Absolute numbers differ from the paper (simulated-MPI substrate on
-// one core; see DESIGN.md §2) — the *shape* (who wins, by what factor,
-// where crossovers fall) is the reproduction target. EXPERIMENTS.md
-// records paper-vs-measured per experiment.
+// Absolute numbers differ from the paper (simulated-MPI substrate: every
+// rank is a thread on one 4-vCPU host; see DESIGN.md §2) — the *shape*
+// (who wins, by what factor, where crossovers fall) is the reproduction
+// target. EXPERIMENTS.md records paper-vs-measured per experiment.
 #pragma once
 
 #include <cstdio>
@@ -27,10 +27,10 @@ struct RunResult {
   double init_seconds = 0.0;
   count_t comm_bytes = 0;     ///< summed over ranks
   /// Max per-rank share of adjacency work, relative to perfect balance
-  /// (1.0 = ideal). On this single-core substrate wall-clock cannot
-  /// show parallel speedup, so the scaling figures report this work
-  /// distribution: the quantity that actually halves per rank doubling
-  /// on real hardware.
+  /// (1.0 = ideal). The simulated ranks share one host's 4 vCPUs, so
+  /// wall-clock cannot show speedup past 4 ranks; the scaling figures
+  /// report this work distribution: the quantity that actually halves
+  /// per rank doubling on real hardware.
   double work_balance = 1.0;
   /// Max per-rank adjacency bytes resident in memory during the run:
   /// the full CSR arrays in-core, or the segment-cache frame pool when

@@ -53,8 +53,8 @@ int main() {
     }
   }
   std::printf(
-      "\nNote: one physical core underlies all simulated ranks, so wall\n"
-      "time cannot drop with rank count here; 'work-imb' is the max\n"
+      "\nNote: all simulated ranks are threads on one 4-vCPU host, so wall\n"
+      "time cannot drop past 4 ranks here; 'work-imb' is the max\n"
       "per-rank share of adjacency work relative to perfect balance --\n"
       "the quantity whose near-1.0 flatness makes the paper's strong\n"
       "scaling possible (RMAT's hub skew shows up directly).\n");

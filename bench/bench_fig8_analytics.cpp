@@ -193,11 +193,11 @@ int main() {
   }
   std::printf(
       "\n'total' includes partitioning time, as in the paper's end-to-end\n"
-      "comparison. On this one-core substrate computation dominates, so\n"
-      "analytic times differ by less than the comm column; on the paper's\n"
-      "cluster communication dominates and the comm-volume ordering above\n"
-      "(XtraPuLP < blocks < random) is what becomes the ~30%% end-to-end\n"
-      "win. Partitioning time here is also ~nranks x a real cluster's\n"
-      "(all ranks share the core).\n");
+      "comparison. The simulated ranks are threads on one 4-vCPU host, so\n"
+      "computation dominates and analytic times differ by less than the\n"
+      "comm column; on the paper's cluster communication dominates and the\n"
+      "comm-volume ordering above (XtraPuLP < blocks < random) is what\n"
+      "becomes the ~30%% end-to-end win. Partitioning time here is also\n"
+      "above a real cluster's: ranks beyond 4 take turns on the vCPUs.\n");
   return 0;
 }

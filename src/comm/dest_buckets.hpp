@@ -1,29 +1,22 @@
-// DestBuckets — the two-pass stamp/count/prefix-sum/fill bucketing
-// engine behind every point-to-point exchange (Algorithm 3's send-side
+// DestBuckets — the two-pass count/prefix-sum/fill bucketing engine
+// behind every point-to-point exchange (Algorithm 3's send-side
 // structure, generalized from the partitioner's ExchangeUpdates).
 //
 // Builds an alltoallv-ready send buffer: records destined for rank r
 // laid out contiguously, in destination-rank order. All scratch —
-// per-destination counts, prefix-summed offsets, fill cursors, the
-// toSend stamp mask, and the record buffer itself — is owned by the
-// object and reused across calls, so steady-state use (one exchange per
-// label-propagation iteration) allocates nothing.
+// per-destination counts, prefix-summed offsets, fill cursors, and the
+// record buffer itself — is owned by the object and reused across
+// calls, so steady-state use (one exchange per label-propagation
+// iteration) allocates nothing.
 //
 // Protocol per exchange:
 //   begin(nranks);
-//   pass 1: count(dest) / count_once(dest, key) per record;
+//   pass 1: count(dest) per record;
 //   commit();
-//   pass 2 (same traversal order): push(dest, rec) / push_once(...);
+//   pass 2 (same traversal order): push(dest, rec);
 // then hand records()/counts() to an Exchanger.
-//
-// count_once/push_once implement the paper's toSend mask: for a given
-// key (e.g. the queue index of the vertex being broadcast) at most one
-// record per destination is admitted; the mask is "cleared" in O(1) by
-// stamping with the key instead of re-zeroing. Keys must be distinct
-// per logical item and != ~std::size_t(0).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -35,25 +28,15 @@ namespace xtra::comm {
 template <typename T>
 class DestBuckets {
  public:
-  /// Start a new exchange: zero the counts, clear the stamp mask.
+  /// Start a new exchange: zero the counts.
   void begin(int nranks) {
     counts_.assign(static_cast<std::size_t>(nranks), 0);
-    stamp_.assign(static_cast<std::size_t>(nranks), kNoStamp);
   }
 
   void count(int dest) { ++counts_[static_cast<std::size_t>(dest)]; }
 
-  /// Count at most once per (dest, key); returns whether it counted.
-  bool count_once(int dest, std::size_t key) {
-    const auto d = static_cast<std::size_t>(dest);
-    if (stamp_[d] == key) return false;
-    stamp_[d] = key;
-    ++counts_[d];
-    return true;
-  }
-
   /// Finish the count pass: prefix-sum the offsets, size the record
-  /// buffer, rewind the cursors and the stamp mask for the fill pass.
+  /// buffer, rewind the cursors for the fill pass.
   void commit() {
     offsets_.resize(counts_.size() + 1);
     count_t running = 0;
@@ -63,7 +46,6 @@ class DestBuckets {
     }
     offsets_[counts_.size()] = running;
     cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-    std::fill(stamp_.begin(), stamp_.end(), kNoStamp);
     buf_.resize(static_cast<std::size_t>(running));
   }
 
@@ -76,15 +58,6 @@ class DestBuckets {
     XTRA_DEBUG_ASSERT(slot < offsets_[d + 1]);
     buf_[static_cast<std::size_t>(slot)] = rec;
     return slot;
-  }
-
-  /// Place at most once per (dest, key); must mirror the count pass.
-  bool push_once(int dest, std::size_t key, const T& rec) {
-    const auto d = static_cast<std::size_t>(dest);
-    if (stamp_[d] == key) return false;
-    stamp_[d] = key;
-    push(dest, rec);
-    return true;
   }
 
   /// The grouped send buffer (valid once every record is pushed).
@@ -105,12 +78,9 @@ class DestBuckets {
   }
 
  private:
-  static constexpr std::size_t kNoStamp = ~std::size_t(0);
-
   std::vector<count_t> counts_;   ///< records per destination
   std::vector<count_t> offsets_;  ///< exclusive prefix sums of counts
   std::vector<count_t> cursor_;   ///< next free slot per destination
-  std::vector<std::size_t> stamp_;///< toSend mask, keyed not cleared
   std::vector<T> buf_;            ///< grouped records
 };
 

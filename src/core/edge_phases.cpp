@@ -2,7 +2,6 @@
 
 #include "core/exchange.hpp"
 #include "core/phases.hpp"
-#include "core/sweep.hpp"
 #include "util/assert.hpp"
 
 namespace xtra::core {
@@ -14,26 +13,6 @@ double ratio_weight(double target, double est_size) {
   return std::max(target / denom - 1.0, 0.0);
 }
 
-/// Apply the cut-size deltas of moving v from x to w: for each incident
-/// edge (v,u), the edge's cut state may flip, which changes the
-/// per-part incident-cut counts of x, w, and parts(u).  (Sc(i) counts
-/// cut edges with an endpoint in part i; see DESIGN.md.)
-void apply_cut_deltas(const graph::DistGraph& g,
-                      const std::vector<part_t>& parts, lid_t v, part_t x,
-                      part_t w, std::vector<count_t>& change_c) {
-  for (const lid_t u : g.arcs(v)) {
-    const part_t pu = parts[u];
-    if (pu != x) {  // was cut: remove from both sides
-      --change_c[static_cast<std::size_t>(x)];
-      --change_c[static_cast<std::size_t>(pu)];
-    }
-    if (pu != w) {  // is cut now: add to both sides
-      ++change_c[static_cast<std::size_t>(w)];
-      ++change_c[static_cast<std::size_t>(pu)];
-    }
-  }
-}
-
 }  // namespace
 
 void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
@@ -43,7 +22,6 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
   std::vector<double> weight_e(static_cast<std::size_t>(p), 0.0);
   std::vector<double> weight_c(static_cast<std::size_t>(p), 0.0);
   NeighborCounts counts(p);
-  PhaseScan scan;
   std::vector<lid_t> queue;
 
   // R_e/R_c schedule (§III-E): while the edge-balance constraint is
@@ -78,14 +56,13 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
           ratio_weight(static_cast<double>(max_c), st.est_c(i));
     }
 
-    scan.scan(g, parts, p, PhaseScan::Weight::kDegree);
     queue.clear();
     for (lid_t v = 0; v < g.n_local(); ++v) {
       const part_t x = parts[v];
       if (!st.can_leave(x))
         continue;  // never empty a part (see vert_phases.cpp)
       const count_t dv = g.degree(v);
-      scan.load(g, parts, v, counts);
+      counts.count(g, parts, v, /*by_degree=*/true);
 
       part_t best = x;
       double best_score = 0.0;
@@ -114,10 +91,9 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
         ++st.change_v[static_cast<std::size_t>(best)];
         st.change_e[static_cast<std::size_t>(x)] -= dv;
         st.change_e[static_cast<std::size_t>(best)] += dv;
-        apply_cut_deltas(g, parts, v, x, best, st.change_c);
+        apply_cut_deltas(counts, x, best, g.out_degree(v), st.change_c);
         parts[v] = best;
         queue.push_back(v);
-        scan.mark_moved(g, v);
         weight_e[static_cast<std::size_t>(x)] =
             ratio_weight(static_cast<double>(st.imb_e), st.est_e(x));
         weight_e[static_cast<std::size_t>(best)] =
@@ -143,7 +119,6 @@ void edge_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
                        const Params& params) {
   const part_t p = st.nparts;
   NeighborCounts counts(p);
-  PhaseScan scan;
   std::vector<lid_t> queue;
 
   for (int iter = 0; iter < params.ref_iters; ++iter) {
@@ -156,14 +131,13 @@ void edge_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
     const count_t max_c =
         *std::max_element(st.size_c.begin(), st.size_c.end());
 
-    scan.scan(g, parts, p, PhaseScan::Weight::kUnit);
     queue.clear();
     for (lid_t v = 0; v < g.n_local(); ++v) {
       const part_t x = parts[v];
       if (!st.can_leave(x))
         continue;  // never empty a part (see vert_phases.cpp)
       const count_t dv = g.degree(v);
-      scan.load(g, parts, v, counts);
+      counts.count(g, parts, v, /*by_degree=*/false);
 
       part_t best = x;
       double best_score = counts.get(x);
@@ -191,10 +165,9 @@ void edge_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
         ++st.change_v[static_cast<std::size_t>(best)];
         st.change_e[static_cast<std::size_t>(x)] -= dv;
         st.change_e[static_cast<std::size_t>(best)] += dv;
-        apply_cut_deltas(g, parts, v, x, best, st.change_c);
+        apply_cut_deltas(counts, x, best, g.out_degree(v), st.change_c);
         parts[v] = best;
         queue.push_back(v);
-        scan.mark_moved(g, v);
       }
     }
     st.exchanger.start(comm, g, parts, queue);

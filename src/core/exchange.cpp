@@ -4,6 +4,12 @@
 
 namespace xtra::core {
 
+void UpdateExchanger::configure(const Params& params) {
+  ex_.set_max_send_bytes(params.max_exchange_bytes);
+  ex_.set_shard_policy(params.shard_policy);
+  ex_.set_backend(params.backend);
+}
+
 void UpdateExchanger::run(sim::Comm& comm, const graph::DistGraph& g,
                           std::vector<part_t>& parts,
                           const std::vector<lid_t>& queue) {
@@ -14,32 +20,18 @@ void UpdateExchanger::run(sim::Comm& comm, const graph::DistGraph& g,
 void UpdateExchanger::start(sim::Comm& comm, const graph::DistGraph& g,
                             const std::vector<part_t>& parts,
                             const std::vector<lid_t>& queue) {
-  const int me = comm.rank();
-
-  // Pass 1 (Alg 3): count records per destination, at most one per
-  // (queued vertex, destination) — the stamp key is the queue index.
+  // Pass 1 (Alg 3): count one record per (queued vertex, toSend rank).
   buckets_.begin(comm.size());
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const lid_t v = queue[qi];
+  for (const lid_t v : queue) {
     XTRA_DEBUG_ASSERT(g.is_owned(v));
-    for (const lid_t u : g.arcs(v)) {
-      const int task = g.owner_of(u);
-      if (task == me) continue;
-      buckets_.count_once(task, qi);
-    }
+    for (const int task : g.send_ranks(v)) buckets_.count(task);
   }
   buckets_.commit();
 
   // Pass 2: fill the send buffer at prefix-summed offsets.
-  for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-    const lid_t v = queue[qi];
-    const gid_t gid = g.gid_of(v);
-    const part_t part = parts[v];
-    for (const lid_t u : g.arcs(v)) {
-      const int task = g.owner_of(u);
-      if (task == me) continue;
-      buckets_.push_once(task, qi, {gid, part});
-    }
+  for (const lid_t v : queue) {
+    const PartUpdate rec{g.gid_of(v), parts[v]};
+    for (const int task : g.send_ranks(v)) buckets_.push(task, rec);
   }
 
   // buckets_ is not touched again until the next start()'s begin(),
@@ -59,13 +51,6 @@ void UpdateExchanger::finish(sim::Comm& comm, const graph::DistGraph& g,
                     "part update for a vertex that is not a local ghost");
     parts[l] = rec.part;
   }
-}
-
-void exchange_updates(sim::Comm& comm, const graph::DistGraph& g,
-                      std::vector<part_t>& parts,
-                      const std::vector<lid_t>& queue) {
-  UpdateExchanger scratch;
-  scratch.run(comm, g, parts, queue);
 }
 
 }  // namespace xtra::core

@@ -3,11 +3,12 @@
 //
 // Each rank queues owned vertices whose part label changed this
 // superstep. For every queued vertex we send (gid, new_part) to each
-// *distinct* rank appearing in its neighborhood (the comm layer's
-// stamp mask is the paper's toSend mask), then apply the incoming
-// records to our ghost labels. The two passes over the queue around
-// prefix-summed offsets mirror Algorithm 3 exactly — they live in
-// comm::DestBuckets; the wire trip (optionally phased under a
+// *distinct* rank owning one of its neighbors — the paper's toSend set,
+// which depends only on the graph, so graph::build_dist_graph
+// precomputes it per vertex (DistGraph::send_ranks) — then apply the
+// incoming records to our ghost labels. The two passes over the queue
+// around prefix-summed offsets mirror Algorithm 3 exactly — they live
+// in comm::DestBuckets; the wire trip (optionally phased under a
 // max_send_bytes budget, per the paper's memory-bounded multi-phase
 // communication) lives in comm::Exchanger.
 #pragma once
@@ -16,6 +17,7 @@
 
 #include "comm/dest_buckets.hpp"
 #include "comm/exchanger.hpp"
+#include "core/params.hpp"
 #include "graph/dist_graph.hpp"
 #include "mpisim/comm.hpp"
 #include "util/types.hpp"
@@ -58,23 +60,26 @@ class UpdateExchanger {
   void finish(sim::Comm& comm, const graph::DistGraph& g,
               std::vector<part_t>& parts);
 
+  /// Apply the exchange knobs of `params`: max_exchange_bytes,
+  /// shard_policy and backend. Results are identical for any values.
+  void configure(const Params& params);
+
   void set_max_send_bytes(count_t bytes) { ex_.set_max_send_bytes(bytes); }
   void set_shard_policy(comm::ShardPolicy policy) {
     ex_.set_shard_policy(policy);
   }
   void set_backend(comm::Backend backend) { ex_.set_backend(backend); }
   const comm::ExchangeStats& stats() const { return ex_.stats(); }
+  /// The last start()'s send buffer: records grouped by destination,
+  /// and per-destination counts.
+  const comm::DestBuckets<PartUpdate>& send_buffer() const {
+    return buckets_;
+  }
   void reset_stats() { ex_.reset_stats(); }
 
  private:
   comm::DestBuckets<PartUpdate> buckets_;
   comm::Exchanger ex_;
 };
-
-/// One-shot convenience wrapper (init paths, tests): builds a scratch
-/// UpdateExchanger per call. Hot loops should hold a persistent one.
-void exchange_updates(sim::Comm& comm, const graph::DistGraph& g,
-                      std::vector<part_t>& parts,
-                      const std::vector<lid_t>& queue);
 
 }  // namespace xtra::core

@@ -12,10 +12,12 @@ namespace {
 
 /// Label every ghost from its owner (queue all owned vertices once).
 void sync_all_ghosts(sim::Comm& comm, const graph::DistGraph& g,
-                     std::vector<part_t>& parts) {
+                     const Params& params, std::vector<part_t>& parts) {
   std::vector<lid_t> all(g.n_local());
   for (lid_t v = 0; v < g.n_local(); ++v) all[v] = v;
-  exchange_updates(comm, g, parts, all);
+  UpdateExchanger exchanger;
+  exchanger.configure(params);
+  exchanger.run(comm, g, parts, all);
 }
 
 }  // namespace
@@ -56,9 +58,9 @@ std::vector<part_t> init_bfs_growing(sim::Comm& comm,
     }
   }
   // Growth loops every superstep; keep one exchanger so its buffers
-  // are reused across iterations (and honor the configured cap).
-  UpdateExchanger exchanger(params.max_exchange_bytes);
-  exchanger.set_backend(params.backend);
+  // are reused across iterations.
+  UpdateExchanger exchanger;
+  exchanger.configure(params);
   exchanger.run(comm, g, parts, queue);
 
   Rng rng(params.seed, 0xB0075 + static_cast<std::uint64_t>(comm.rank()));
@@ -122,7 +124,7 @@ std::vector<part_t> init_random(sim::Comm& comm, const graph::DistGraph& g,
   for (lid_t v = 0; v < g.n_local(); ++v)
     parts[v] = static_cast<part_t>(hash_to_bucket(
         g.gid_of(v), params.seed ^ 0xAB5, static_cast<std::uint64_t>(params.nparts)));
-  sync_all_ghosts(comm, g, parts);
+  sync_all_ghosts(comm, g, params, parts);
   return parts;
 }
 
@@ -135,7 +137,7 @@ std::vector<part_t> init_block(sim::Comm& comm, const graph::DistGraph& g,
     parts[v] = std::min<part_t>(static_cast<part_t>(frac * params.nparts),
                                 params.nparts - 1);
   }
-  sync_all_ghosts(comm, g, parts);
+  sync_all_ghosts(comm, g, params, parts);
   return parts;
 }
 

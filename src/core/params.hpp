@@ -84,7 +84,7 @@ struct Params {
   int coalesce_every = 0;
 
   /// Intra-rank worker threads (the "+X" of MPI+X) for the chunked
-  /// deterministic sweeps: the partitioner's vert/edge phases and the
+  /// deterministic sweeps: the partitioner's cut recount and the
   /// engine-run analytics. Results are byte-identical for any value
   /// (see util/parallel.hpp for the determinism contract); clamped to
   /// [1, par::kMaxThreads]. Same value required on every rank only for

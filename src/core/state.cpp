@@ -1,6 +1,11 @@
 #include "core/state.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+#include <utility>
+
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace xtra::core {
 
@@ -32,12 +37,32 @@ std::vector<count_t> compute_cut_sizes(sim::Comm& comm,
                                        const graph::DistGraph& g,
                                        const std::vector<part_t>& parts,
                                        part_t nparts) {
-  std::vector<count_t> sizes(static_cast<std::size_t>(nparts), 0);
-  for (lid_t v = 0; v < g.n_local(); ++v) {
-    const part_t pv = parts[v];
-    for (const lid_t u : g.arcs(v))
-      if (parts[u] != pv) ++sizes[static_cast<std::size_t>(pv)];
+  const auto np = static_cast<std::size_t>(nparts);
+  const auto n = static_cast<count_t>(g.n_local());
+  // One row of per-part counts per chunk, folded in chunk order.
+  std::vector<count_t> partials(
+      static_cast<std::size_t>(par::chunk_count(n)) * np, 0);
+  const auto count_chunk = [&](count_t c, count_t lo, count_t hi) {
+    count_t* row = partials.data() + static_cast<std::size_t>(c) * np;
+    for (count_t i = lo; i < hi; ++i) {
+      const lid_t v = static_cast<lid_t>(i);
+      const part_t pv = parts[v];
+      count_t cut = 0;
+      for (const lid_t u : g.arcs(v)) cut += parts[u] != pv;
+      row[static_cast<std::size_t>(pv)] += cut;
+    }
+  };
+  if (g.out_of_core()) {
+    // Segment borrows may issue substrate calls (remote backing),
+    // which must stay on the rank thread. Integer counts sum the same
+    // in any grouping, so one row takes every vertex.
+    count_chunk(0, 0, n);
+  } else {
+    par::for_chunks(n, count_chunk);
   }
+  std::vector<count_t> sizes(np, 0);
+  for (std::size_t off = 0; off < partials.size(); off += np)
+    for (std::size_t i = 0; i < np; ++i) sizes[i] += partials[off + i];
   comm.allreduce_sum(sizes);
   return sizes;
 }
@@ -61,7 +86,10 @@ void fold_changes(sim::Comm& comm, PhaseState& st) {
 
 void refresh_cut_sizes(sim::Comm& comm, const graph::DistGraph& g,
                        const std::vector<part_t>& parts, PhaseState& st) {
-  st.size_c = compute_cut_sizes(comm, g, parts, st.nparts);
+  std::vector<count_t> fresh = compute_cut_sizes(comm, g, parts, st.nparts);
+  for (std::size_t i = 0; i < fresh.size(); ++i)
+    st.cut_drift += std::abs(st.size_c[i] + st.change_c[i] - fresh[i]);
+  st.size_c = std::move(fresh);
   std::fill(st.change_c.begin(), st.change_c.end(), 0);
 }
 

@@ -31,6 +31,12 @@ struct PhaseState {
   std::vector<count_t> size_v, size_e, size_c;      ///< Sv, Se, Sc
   std::vector<count_t> change_v, change_e, change_c;///< Cv, Ce, Cc (local)
 
+  /// Sum over every refresh_cut_sizes of |Sc(i) + Cc(i) - recount(i)|
+  /// over parts: how far the tracked cut had drifted from the truth.
+  /// Always 0 on one rank, where the local deltas are exact; other
+  /// ranks' concurrent moves make it nonzero. Diagnostic only.
+  count_t cut_drift = 0;
+
   /// Persistent ExchangeUpdates engine: bucketing scratch and the
   /// (optionally memory-bounded) exchanger survive across every
   /// balance/refine iteration instead of being rebuilt per call.
@@ -113,35 +119,78 @@ std::vector<count_t> compute_cut_sizes(sim::Comm& comm,
 /// (see state.cpp for why). Collective.
 void fold_changes(sim::Comm& comm, PhaseState& st);
 
-/// Recompute Sc exactly from the post-exchange labels and clear Cc.
-/// Collective.
+/// Recompute Sc exactly from the post-exchange labels, add the gap to
+/// the tracked Sc + Cc to st.cut_drift, and clear Cc. Collective.
 void refresh_cut_sizes(sim::Comm& comm, const graph::DistGraph& g,
                        const std::vector<part_t>& parts, PhaseState& st);
 
-/// Scratch for the per-vertex neighbor-part counting loop: a dense
-/// counts array plus the list of touched parts, reset in O(touched).
+/// Scratch for the per-vertex neighbor-part counting loop: per part a
+/// (possibly degree-weighted) count plus the plain arc count, and the
+/// list of touched parts in first-touch order, reset in O(touched).
+/// Zero-weight adds are ignored: the phases' weights (1 or a
+/// neighbor's degree, >= 1 for any neighbor) are always positive.
 class NeighborCounts {
  public:
   explicit NeighborCounts(part_t nparts)
-      : counts_(static_cast<std::size_t>(nparts), 0.0) {}
+      : slots_(static_cast<std::size_t>(nparts)) {}
 
   void add(part_t p, double w) {
-    auto i = static_cast<std::size_t>(p);
-    if (counts_[i] == 0.0 && w != 0.0) touched_.push_back(p);
-    counts_[i] += w;
+    if (w == 0.0) return;
+    Slot& s = slots_[static_cast<std::size_t>(p)];
+    if (s.units == 0) touched_.push_back(p);
+    s.weight += w;
+    ++s.units;
   }
 
-  double get(part_t p) const { return counts_[static_cast<std::size_t>(p)]; }
+  double get(part_t p) const {
+    return slots_[static_cast<std::size_t>(p)].weight;
+  }
+  /// Number of arcs into part p (unweighted).
+  count_t units(part_t p) const {
+    return slots_[static_cast<std::size_t>(p)].units;
+  }
   const std::vector<part_t>& touched() const { return touched_; }
 
+  /// Reset, then count owned vertex v's neighbor labels live: each arc
+  /// adds the neighbor's degree when `by_degree` (Alg 4's weighting),
+  /// 1 otherwise.
+  void count(const graph::DistGraph& g, const std::vector<part_t>& parts,
+             lid_t v, bool by_degree) {
+    reset();
+    if (by_degree) {
+      for (const lid_t u : g.arcs(v))
+        add(parts[u], static_cast<double>(g.degree(u)));
+    } else {
+      for (const lid_t u : g.arcs(v)) add(parts[u], 1.0);
+    }
+  }
+
   void reset() {
-    for (const part_t p : touched_) counts_[static_cast<std::size_t>(p)] = 0.0;
+    for (const part_t p : touched_) slots_[static_cast<std::size_t>(p)] = {};
     touched_.clear();
   }
 
  private:
-  std::vector<double> counts_;
+  struct Slot {
+    double weight = 0.0;
+    count_t units = 0;
+  };
+  std::vector<Slot> slots_;
   std::vector<part_t> touched_;
 };
+
+/// Cut-size deltas of moving owned vertex v from part x to part w, in
+/// O(1) from v's neighbor counts against the pre-move labels. Per arc
+/// (v,u) with u in part q, the cut edge leaves x and q (if q != x) and
+/// joins w and q (if q != w). Summed over v's arcs, with
+/// a_q = counts.units(q) and dv = out_degree(v) = sum_q a_q, that nets
+/// to Sc(x) += 2*a_x - dv and Sc(w) += dv - 2*a_w; every other part's
+/// -1/+1 cancel. Exact with duplicate arcs.
+inline void apply_cut_deltas(const NeighborCounts& counts, part_t x,
+                             part_t w, count_t dv,
+                             std::vector<count_t>& change_c) {
+  change_c[static_cast<std::size_t>(x)] += 2 * counts.units(x) - dv;
+  change_c[static_cast<std::size_t>(w)] += dv - 2 * counts.units(w);
+}
 
 }  // namespace xtra::core

@@ -2,7 +2,6 @@
 
 #include "core/exchange.hpp"
 #include "core/phases.hpp"
-#include "core/sweep.hpp"
 #include "util/assert.hpp"
 
 namespace xtra::core {
@@ -24,7 +23,6 @@ void vert_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
   const part_t p = st.nparts;
   std::vector<double> weight(static_cast<std::size_t>(p), 0.0);
   NeighborCounts counts(p);
-  PhaseScan scan;
   std::vector<lid_t> queue;
 
   for (int iter = 0; iter < params.bal_iters; ++iter) {
@@ -35,12 +33,6 @@ void vert_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
       weight[static_cast<std::size_t>(i)] =
           balance_weight(static_cast<double>(st.imb_v), st.est_v(i));
 
-    // Parallel read-only pass against the sweep-start labels.
-    // Algorithm 4 weights each neighbor by its degree: moving next to
-    // heavy vertices is worth more cut reduction later.
-    scan.scan(g, parts, p,
-              params.degree_weighted_balance ? PhaseScan::Weight::kDegree
-                                             : PhaseScan::Weight::kUnit);
     queue.clear();
     for (lid_t v = 0; v < g.n_local(); ++v) {
       const part_t x = parts[v];
@@ -50,7 +42,9 @@ void vert_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
       // W_v of a near-empty part re-grows it from its boundary.
       if (!st.can_leave(x))
         continue;
-      scan.load(g, parts, v, counts);
+      // Algorithm 4 weights each neighbor by its degree: moving next
+      // to heavy vertices is worth more cut reduction later.
+      counts.count(g, parts, v, params.degree_weighted_balance);
       part_t best = x;
       double best_score = 0.0;
       for (const part_t i : counts.touched()) {
@@ -72,7 +66,6 @@ void vert_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
             balance_weight(static_cast<double>(st.imb_v), st.est_v(best));
         parts[v] = best;
         queue.push_back(v);
-        scan.mark_moved(g, v);
       }
     }
     // Stall escape (extension beyond the paper's pseudocode, mirroring
@@ -123,20 +116,18 @@ void vert_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
                        const Params& params) {
   const part_t p = st.nparts;
   NeighborCounts counts(p);
-  PhaseScan scan;
   std::vector<lid_t> queue;
 
   for (int iter = 0; iter < params.ref_iters; ++iter) {
     const count_t max_v =
         std::max(*std::max_element(st.size_v.begin(), st.size_v.end()),
                  st.imb_v);
-    scan.scan(g, parts, p, PhaseScan::Weight::kUnit);
     queue.clear();
     for (lid_t v = 0; v < g.n_local(); ++v) {
       const part_t x = parts[v];
       if (!st.can_leave(x))
         continue;  // never empty a part (see balance phase)
-      scan.load(g, parts, v, counts);
+      counts.count(g, parts, v, /*by_degree=*/false);
       // Start from the current part: a move needs a strictly better
       // same-part neighbor count, which is exactly "fewer cut edges".
       part_t best = x;
@@ -159,7 +150,6 @@ void vert_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
         ++st.change_v[static_cast<std::size_t>(best)];
         parts[v] = best;
         queue.push_back(v);
-        scan.mark_moved(g, v);
       }
     }
     st.exchanger.start(comm, g, parts, queue);

@@ -31,6 +31,11 @@ void validate(const graph::DistGraph& g, const Params& params) {
     throw std::invalid_argument("iteration counts out of range");
   if (params.mult_x < 0 || params.mult_y < 0)
     throw std::invalid_argument("multiplier endpoints must be >= 0");
+  // ExchangeUpdates ships labels along out-arcs only, so a directed
+  // graph's in-neighbor ghosts would never be labelled.
+  if (g.directed())
+    throw std::invalid_argument(
+        "partition() needs an undirected graph (graph::symmetrized)");
 }
 
 }  // namespace
@@ -40,8 +45,8 @@ PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
   validate(g, params);
   PartitionResult result;
   result.nparts = params.nparts;
-  // Ambient thread width for the phases' parallel scan passes
-  // (core/sweep.hpp). Results are byte-identical at any width.
+  // Ambient thread width for the chunk-parallel cut recount
+  // (compute_cut_sizes). Results are byte-identical at any width.
   par::ThreadScope threads(params.num_threads);
   const count_t bytes_before = comm.stats().bytes_sent;
   Timer total;
@@ -54,9 +59,7 @@ PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
   PhaseState st;
   st.nparts = params.nparts;
   st.nprocs = comm.size();
-  st.exchanger.set_max_send_bytes(params.max_exchange_bytes);
-  st.exchanger.set_shard_policy(params.shard_policy);
-  st.exchanger.set_backend(params.backend);
+  st.exchanger.configure(params);
   st.x = params.mult_x;
   st.y = params.mult_y;
   st.i_tot = std::max(params.outer_iters *

@@ -23,6 +23,8 @@ namespace xtra::core {
 /// Run the full XtraPuLP pipeline (init, Iouter x (vertex balance +
 /// refine), then Iouter x (edge balance + refine) unless disabled).
 /// Collective; every rank receives its local view of the partition.
+/// Throws std::invalid_argument on a directed graph (symmetrize first)
+/// or out-of-range params.
 PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
                           const Params& params);
 

@@ -171,12 +171,35 @@ DistGraph build_dist_graph(sim::Comm& comm, const EdgeList& el,
   if (el.directed) build_csr(my_in, g.n_local_, intern, g.in_offsets_, g.in_adj_);
   g.n_ghost_ = static_cast<lid_t>(g.lid_to_gid_.size()) - g.n_local_;
 
-  // 4. Global edge/arc count.
+  // 4. Owner of every ghost, then each owned vertex's toSend ranks
+  //    (distinct remote owners of its out-neighbors, deduplicated by a
+  //    per-vertex stamp). The list has at most min(arcs, n_local *
+  //    (nranks - 1)) entries; reserving that bound avoids regrowth.
+  std::vector<int> ghost_owner(g.n_ghost_);
+  for (lid_t v = g.n_local_; v < g.n_total(); ++v)
+    ghost_owner[v - g.n_local_] = dist.owner(g.lid_to_gid_[v]);
+  g.send_ranks_.reserve(std::min(
+      g.adj_.size(), static_cast<std::size_t>(g.n_local_) * (p - 1)));
+  g.send_offsets_.assign(static_cast<std::size_t>(g.n_local_) + 1, 0);
+  std::vector<lid_t> stamp(p, kInvalidLid);
+  for (lid_t v = 0; v < g.n_local_; ++v) {
+    for (count_t a = g.offsets_[v]; a < g.offsets_[v + 1]; ++a) {
+      const lid_t u = g.adj_[static_cast<std::size_t>(a)];
+      if (u < g.n_local_) continue;
+      const int r = ghost_owner[u - g.n_local_];
+      if (stamp[static_cast<std::size_t>(r)] == v) continue;
+      stamp[static_cast<std::size_t>(r)] = v;
+      g.send_ranks_.push_back(r);
+    }
+    g.send_offsets_[v + 1] = static_cast<count_t>(g.send_ranks_.size());
+  }
+
+  // 5. Global edge/arc count.
   const count_t local_arcs = static_cast<count_t>(g.adj_.size());
   count_t total_arcs = comm.allreduce_sum(local_arcs);
   g.m_global_ = el.directed ? total_arcs : total_arcs / 2;
 
-  // 5. Degrees: owned vertices know theirs locally; ghost degrees are
+  // 6. Degrees: owned vertices know theirs locally; ghost degrees are
   //    fetched from their owners (one query + one response exchange).
   //    The vertex-balance phase needs degree(u) for ghost u.
   g.degree_.assign(g.n_total(), 0);
@@ -189,13 +212,12 @@ DistGraph build_dist_graph(sim::Comm& comm, const EdgeList& el,
   // responses (which come back in identical order) can be scattered.
   comm::DestBuckets<gid_t> queries;
   queries.begin(comm.size());
-  for (lid_t v = g.n_local_; v < g.n_total(); ++v)
-    queries.count(dist.owner(g.lid_to_gid_[v]));
+  for (const int owner : ghost_owner) queries.count(owner);
   queries.commit();
   std::vector<lid_t> query_lid(g.n_ghost_);
   for (lid_t v = g.n_local_; v < g.n_total(); ++v) {
     const count_t slot =
-        queries.push(dist.owner(g.lid_to_gid_[v]), g.lid_to_gid_[v]);
+        queries.push(ghost_owner[v - g.n_local_], g.lid_to_gid_[v]);
     query_lid[static_cast<std::size_t>(slot)] = v;
   }
   const std::span<const count_t> responses = comm::query_reply(

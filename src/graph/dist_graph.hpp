@@ -106,6 +106,17 @@ class DistGraph {
                              in_base_ + in_offsets_[l + 1]);
   }
 
+  /// Algorithm 3's toSend set of an owned vertex: the distinct ranks
+  /// other than this one that own an out-neighbor, in first-arc order.
+  /// It depends only on the graph, so the build computes it once and
+  /// ExchangeUpdates iterates it instead of hashing owners per arc.
+  std::span<const int> send_ranks(lid_t l) const {
+    XTRA_DEBUG_ASSERT(l < n_local_);
+    return {send_ranks_.data() + send_offsets_[l],
+            static_cast<std::size_t>(send_offsets_[l + 1] -
+                                     send_offsets_[l])};
+  }
+
   count_t in_degree(lid_t l) const {
     if (!directed_) return out_degree(l);
     return in_offsets_[l + 1] - in_offsets_[l];
@@ -168,6 +179,9 @@ class DistGraph {
   std::vector<lid_t> in_adj_;
 
   std::vector<count_t> degree_;  // n_local + n_ghost, global degrees
+
+  std::vector<count_t> send_offsets_;  // n_local + 1
+  std::vector<int> send_ranks_;
 
   // Out-of-core state: when segcache_ is set, adj_/in_adj_ are empty
   // and live in the cache's backing as the concatenation

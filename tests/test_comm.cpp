@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <string_view>
 #include <vector>
@@ -64,24 +65,6 @@ TEST(DestBuckets, GroupsRecordsByDestinationInOrder) {
   EXPECT_EQ(b.counts(), (std::vector<count_t>{1, 0, 2}));
   EXPECT_EQ(b.records(), (std::vector<int>{1, 20, 21}));
   EXPECT_EQ(b.total(), 3);
-}
-
-TEST(DestBuckets, StampDedupAdmitsOnePerDestinationPerKey) {
-  DestBuckets<int> b;
-  b.begin(2);
-  // Key 0 touches dest 1 three times -> one record; key 1 touches it
-  // again -> a second record (different key, not deduped).
-  EXPECT_TRUE(b.count_once(1, 0));
-  EXPECT_FALSE(b.count_once(1, 0));
-  EXPECT_FALSE(b.count_once(1, 0));
-  EXPECT_TRUE(b.count_once(1, 1));
-  b.commit();
-  EXPECT_TRUE(b.push_once(1, 0, 7));
-  EXPECT_FALSE(b.push_once(1, 0, 8));
-  EXPECT_FALSE(b.push_once(1, 0, 9));
-  EXPECT_TRUE(b.push_once(1, 1, 10));
-  EXPECT_EQ(b.counts(), (std::vector<count_t>{0, 2}));
-  EXPECT_EQ(b.records(), (std::vector<int>{7, 10}));
 }
 
 TEST(DestBuckets, EmptyBuildYieldsEmptyBuffers) {
@@ -832,6 +815,100 @@ TEST(BoundedExchange, UpdateExchangerSplitMatchesRun) {
                                           << " iter=" << it;
       }
     });
+  }
+}
+
+/// Algorithm 3's send side as a per-arc walk: hash the owner of every
+/// arc of every queued vertex and admit one record per (queue slot,
+/// remote rank) through a stamp mask — what UpdateExchanger did before
+/// the toSend ranks were precomputed (DistGraph::send_ranks).
+void per_arc_send_buffer(const graph::DistGraph& g, int me, int nranks,
+                         const std::vector<part_t>& parts,
+                         const std::vector<lid_t>& queue,
+                         DestBuckets<core::PartUpdate>& out) {
+  std::vector<std::size_t> stamp;
+  const auto walk = [&](auto&& emit) {
+    stamp.assign(static_cast<std::size_t>(nranks), ~std::size_t(0));
+    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+      const lid_t v = queue[qi];
+      for (const lid_t u : g.arcs(v)) {
+        const int task = g.owner_of(u);
+        if (task == me || stamp[static_cast<std::size_t>(task)] == qi)
+          continue;
+        stamp[static_cast<std::size_t>(task)] = qi;
+        emit(task, core::PartUpdate{g.gid_of(v), parts[v]});
+      }
+    }
+  };
+  out.begin(nranks);
+  walk([&](int task, const core::PartUpdate&) { out.count(task); });
+  out.commit();
+  walk([&](int task, const core::PartUpdate& rec) { out.push(task, rec); });
+}
+
+// The precomputed toSend ranks must reproduce the per-arc owner walk
+// exactly: same send records in the same slots, same per-destination
+// counts, same wire ledger, on every distribution kind and width.
+TEST(UpdateExchangerSendRanks, SendBufferMatchesPerArcOwnerWalk) {
+  const graph::EdgeList el = gen::community_graph(700, 9, 0.6, 2.3, 37);
+  for (const int nranks : {1, 2, 4, 8}) {
+    auto owners = std::make_shared<std::vector<int>>(el.n);
+    for (gid_t v = 0; v < el.n; ++v)
+      (*owners)[v] = static_cast<int>((v * 7 + v / 5) %
+                                      static_cast<gid_t>(nranks));
+    const graph::VertexDist dists[] = {
+        graph::VertexDist::random(el.n, nranks, 3),
+        graph::VertexDist::block(el.n, nranks),
+        graph::VertexDist::explicit_map(el.n, nranks, owners)};
+    for (const graph::VertexDist& dist : dists) {
+      for (const count_t bound : {count_t(0), count_t(64)}) {
+        sim::run_world(nranks, [&](sim::Comm& comm) {
+          const auto g = graph::build_dist_graph(comm, el, dist);
+          core::UpdateExchanger ex(bound);
+          Exchanger ref_ex(bound);
+          std::vector<part_t> parts(g.n_total(), 0);
+          std::vector<part_t> ref_parts(g.n_total(), 0);
+          DestBuckets<core::PartUpdate> ref;
+          for (int it = 0; it < 3; ++it) {
+            std::vector<lid_t> queue;
+            for (lid_t v = static_cast<lid_t>(it); v < g.n_local(); v += 2)
+              queue.push_back(v);
+            if (!queue.empty()) queue.push_back(queue.front());  // repeat
+            for (const lid_t v : queue)
+              parts[v] = ref_parts[v] =
+                  static_cast<part_t>((g.gid_of(v) + it) % 6);
+            ex.run(comm, g, parts, queue);
+
+            per_arc_send_buffer(g, comm.rank(), nranks, ref_parts, queue,
+                                ref);
+            ref_ex.start_inplace(comm, ref);
+            for (const core::PartUpdate& rec :
+                 ref_ex.finish<core::PartUpdate>(comm))
+              ref_parts[g.lid_of(rec.gid)] = rec.part;
+
+            const auto& sent = ex.send_buffer();
+            ASSERT_EQ(sent.counts(), ref.counts());
+            ASSERT_EQ(sent.records().size(), ref.records().size());
+            for (std::size_t i = 0; i < ref.records().size(); ++i) {
+              ASSERT_EQ(sent.records()[i].gid, ref.records()[i].gid);
+              ASSERT_EQ(sent.records()[i].part, ref.records()[i].part);
+            }
+            ASSERT_EQ(parts, ref_parts);
+          }
+          const comm::ExchangeStats& a = ex.stats();
+          const comm::ExchangeStats& b = ref_ex.stats();
+          EXPECT_EQ(a.exchanges, b.exchanges);
+          EXPECT_EQ(a.phases, b.phases);
+          EXPECT_EQ(a.records_sent, b.records_sent);
+          EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+          EXPECT_EQ(a.inter_node_bytes, b.inter_node_bytes);
+          EXPECT_EQ(a.intra_node_bytes, b.intra_node_bytes);
+          EXPECT_EQ(a.inter_node_msgs, b.inter_node_msgs);
+          EXPECT_EQ(a.overlapped, b.overlapped);
+          EXPECT_EQ(a.max_inflight_bytes, b.max_inflight_bytes);
+        });
+      }
+    }
   }
 }
 

@@ -54,7 +54,7 @@ TEST_P(CoreRanks, ExchangeUpdatesSyncsGhosts) {
       parts[v] = static_cast<part_t>(g.gid_of(v));
       queue.push_back(v);
     }
-    exchange_updates(comm, g, parts, queue);
+    UpdateExchanger().run(comm, g, parts, queue);
     for (lid_t v = g.n_local(); v < g.n_total(); ++v)
       EXPECT_EQ(parts[v], static_cast<part_t>(g.gid_of(v)));
   });
@@ -67,7 +67,7 @@ TEST_P(CoreRanks, ExchangeWithEmptyQueueIsANoOp) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::block(el.n, nranks));
     std::vector<part_t> parts(g.n_total(), 3);
-    exchange_updates(comm, g, parts, {});
+    UpdateExchanger().run(comm, g, parts, {});
     for (const part_t p : parts) EXPECT_EQ(p, 3);
   });
 }
@@ -86,7 +86,7 @@ TEST_P(CoreRanks, ExchangeSendsOnlyChangedVertices) {
       parts[l2] = 1;
       queue.push_back(l2);
     }
-    exchange_updates(comm, g, parts, queue);
+    UpdateExchanger().run(comm, g, parts, queue);
     // Vertex 2's ghost copies see 1; everything else stays 0.
     for (lid_t v = g.n_local(); v < g.n_total(); ++v)
       EXPECT_EQ(parts[v], g.gid_of(v) == 2 ? 1 : 0);
@@ -107,6 +107,48 @@ TEST_P(CoreRanks, BfsInitAssignsEveryVertexAValidConsistentPart) {
     const auto parts = init_bfs_growing(comm, g, params);
     EXPECT_TRUE(check_partition_consistent(comm, g, parts, params.nparts));
   });
+}
+
+// Every init exchange honors the Params exchange knobs: under a
+// one-record max_exchange_bytes each exchange runs in many phases (more
+// collectives than unbounded), and the one-sided backend issues gets.
+// Labels are identical either way.
+TEST(Init, ExchangesHonorParamsKnobs) {
+  const EdgeList el = gen::community_graph(600, 8, 0.6, 2.3, 5);
+  for (const InitStrategy init : {InitStrategy::kBfsGrowing,
+                                  InitStrategy::kRandom,
+                                  InitStrategy::kBlock}) {
+    sim::run_world(3, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, 3, 5));
+      Params params;
+      params.nparts = 4;
+      params.init = init;
+      const auto run = [&](const Params& p) {
+        const sim::CommStats before = comm.stats();
+        std::vector<part_t> parts = initialize_parts(comm, g, p);
+        sim::CommStats used = comm.stats();
+        used.collectives -= before.collectives;
+        used.one_sided_gets -= before.one_sided_gets;
+        return std::pair{parts, used};
+      };
+      const auto [plain_parts, plain] = run(params);
+      Params phased_params = params;
+      phased_params.max_exchange_bytes = sizeof(PartUpdate);
+      const auto [phased_parts, phased] = run(phased_params);
+      Params pull_params = params;
+      pull_params.backend = comm::Backend::kOneSided;
+      const auto [pull_parts, pull] = run(pull_params);
+
+      const int which = static_cast<int>(init);
+      EXPECT_EQ(phased_parts, plain_parts) << "init " << which;
+      EXPECT_EQ(pull_parts, plain_parts) << "init " << which;
+      EXPECT_GT(phased.collectives, plain.collectives) << "init " << which;
+      EXPECT_EQ(plain.one_sided_gets, 0) << "init " << which;
+      EXPECT_GT(comm.allreduce_sum(pull.one_sided_gets), 0)
+          << "init " << which;
+    });
+  }
 }
 
 TEST_P(CoreRanks, BfsInitCoversAllPartsOnConnectedGraph) {
@@ -348,6 +390,23 @@ TEST(Partition, InvalidParamsThrow) {
     params.outer_iters = 0;
     EXPECT_THROW(partition(comm, g, params), std::invalid_argument);
   });
+}
+
+// ExchangeUpdates ships labels along out-arcs only, so on a directed
+// graph the in-neighbor ghosts would keep kNoPart and the sweeps would
+// index their counts with it: partition() must refuse the graph.
+TEST(Partition, DirectedGraphThrows) {
+  const EdgeList el = gen::webcrawl(2000, 16, 6);
+  ASSERT_TRUE(el.directed);
+  for (const int nranks : {1, 2}) {
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 3));
+      Params params;
+      params.nparts = 4;
+      EXPECT_THROW(partition(comm, g, params), std::invalid_argument);
+    });
+  }
 }
 
 TEST(Partition, DeterministicForFixedSeedAndRanks) {

@@ -101,7 +101,7 @@ TEST(Exchange, DoubleQueuedVertexIsIdempotent) {
       queue.push_back(v);
       queue.push_back(v);  // duplicates must not corrupt ghosts
     }
-    core::exchange_updates(comm, g, parts, queue);
+    core::UpdateExchanger().run(comm, g, parts, queue);
     for (lid_t v = g.n_local(); v < g.n_total(); ++v)
       EXPECT_EQ(parts[v], static_cast<part_t>(g.gid_of(v)));
   });

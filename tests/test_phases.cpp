@@ -14,6 +14,7 @@
 #include "graph/dist_graph.hpp"
 #include "metrics/quality.hpp"
 #include "mpisim/comm.hpp"
+#include "util/rng.hpp"
 
 namespace xtra::core {
 namespace {
@@ -206,10 +207,10 @@ TEST_P(PhaseRanks, NoPhaseEverEmptiesAPart) {
   });
 }
 
-// MPI+X thread determinism: the partitioner's scan/commit split
-// (core/sweep.hpp) makes the thread width a pure throughput knob — the
-// full driver must emit byte-identical labels and identical wire
-// traffic at threads = 1, 2, 8 (8 oversubscribes this container).
+// MPI+X thread determinism: the sweeps count live in vertex order and
+// only the cut recount is chunk-parallel, so the thread width is a pure
+// throughput knob — the full driver must emit byte-identical labels and
+// identical wire traffic at threads = 1, 2, 8.
 TEST(PhaseThreads, PartitionBitIdenticalAcrossThreadCounts) {
   const EdgeList el = gen::community_graph(3000, 10, 0.7, 2.3, 7);
   std::vector<part_t> ref;
@@ -246,18 +247,117 @@ TEST(NeighborCountsScratch, AccumulatesAndResets) {
   EXPECT_DOUBLE_EQ(counts.get(3), 3.0);
   EXPECT_DOUBLE_EQ(counts.get(5), 4.0);
   EXPECT_DOUBLE_EQ(counts.get(0), 0.0);
-  EXPECT_EQ(counts.touched().size(), 2u);
+  EXPECT_EQ(counts.units(3), 2);
+  EXPECT_EQ(counts.units(5), 1);
+  EXPECT_EQ(counts.touched(), (std::vector<part_t>{3, 5}));
   counts.reset();
   EXPECT_DOUBLE_EQ(counts.get(3), 0.0);
+  EXPECT_EQ(counts.units(3), 0);
   EXPECT_TRUE(counts.touched().empty());
   counts.add(1, 1.5);
   EXPECT_DOUBLE_EQ(counts.get(1), 1.5);
+  EXPECT_EQ(counts.units(1), 1);
 }
 
 TEST(NeighborCountsScratch, ZeroWeightDoesNotTouch) {
   NeighborCounts counts(4);
   counts.add(2, 0.0);
   EXPECT_TRUE(counts.touched().empty());
+  EXPECT_EQ(counts.units(2), 0);
+}
+
+/// `el` plus random duplicates of its edges, in both orientations.
+EdgeList with_duplicates(EdgeList el, std::uint64_t seed) {
+  Rng rng(seed, 0xD0B);
+  const std::size_t m = el.edges.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    const graph::Edge e = el.edges[i];
+    if (rng.next_below(4) == 0) el.edges.push_back(e);
+    if (rng.next_below(8) == 0) el.edges.push_back({e.v, e.u});
+  }
+  return el;
+}
+
+/// The per-arc cut-delta walk that apply_cut_deltas' closed form
+/// replaced: each arc's cut edge leaves x's side and joins w's.
+void arc_walk_cut_deltas(const DistGraph& g, const std::vector<part_t>& parts,
+                         lid_t v, part_t x, part_t w,
+                         std::vector<count_t>& change_c) {
+  for (const lid_t u : g.arcs(v)) {
+    const part_t pu = parts[u];
+    if (pu != x) {
+      --change_c[static_cast<std::size_t>(x)];
+      --change_c[static_cast<std::size_t>(pu)];
+    }
+    if (pu != w) {
+      ++change_c[static_cast<std::size_t>(w)];
+      ++change_c[static_cast<std::size_t>(pu)];
+    }
+  }
+}
+
+TEST(CutDeltas, ClosedFormMatchesArcWalkWithDuplicateEdges) {
+  constexpr part_t kParts = 7;
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    const EdgeList el = with_duplicates(gen::erdos_renyi(500, 6, seed), seed);
+    for (const int nranks : {1, 2}) {
+      sim::run_world(nranks, [&](sim::Comm& comm) {
+        const DistGraph g = build_dist_graph(
+            comm, el, VertexDist::random(el.n, nranks, seed));
+        Rng rng(seed, static_cast<std::uint64_t>(comm.rank()));
+        std::vector<part_t> parts(g.n_total());
+        for (part_t& p : parts)
+          p = static_cast<part_t>(rng.next_below(kParts));
+        NeighborCounts counts(kParts);
+        std::vector<count_t> closed(kParts, 0);
+        std::vector<count_t> walked(kParts, 0);
+        count_t dup_arcs = 0;
+        for (lid_t v = 0; v < g.n_local(); ++v) {
+          const part_t x = parts[v];
+          const auto w = static_cast<part_t>(
+              (x + 1 + static_cast<part_t>(rng.next_below(kParts - 1))) %
+              kParts);
+          counts.count(g, parts, v, /*by_degree=*/true);
+          apply_cut_deltas(counts, x, w, g.out_degree(v), closed);
+          arc_walk_cut_deltas(g, parts, v, x, w, walked);
+          ASSERT_EQ(closed, walked) << "seed=" << seed << " v=" << v;
+          std::vector<lid_t> nbrs(g.arcs(v).begin(), g.arcs(v).end());
+          std::sort(nbrs.begin(), nbrs.end());
+          dup_arcs += static_cast<count_t>(
+              nbrs.end() - std::unique(nbrs.begin(), nbrs.end()));
+          parts[v] = w;  // later vertices see the move, as in a sweep
+        }
+        EXPECT_GT(dup_arcs, 0) << "the graph must carry duplicate edges";
+      });
+    }
+  }
+}
+
+// On one rank no other rank moves a neighbor concurrently, so the
+// tracked Sc + Cc must equal the recount at every refresh.
+TEST(CutDeltas, TrackedCutEqualsRecountAfterEverySweepOnOneRank) {
+  const EdgeList el =
+      with_duplicates(gen::community_graph(3000, 8, 0.6, 2.3, 21), 21);
+  sim::run_world(1, [&](sim::Comm& comm) {
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::block(el.n, 1));
+    Params params;
+    params.nparts = 8;
+    auto parts = init_random(comm, g, params);
+    const std::vector<part_t> initial = parts;
+    PhaseState st = make_state(comm, g, parts, 8, params);
+    st.size_e = compute_edge_sizes(comm, g, parts, 8);
+    st.size_c = compute_cut_sizes(comm, g, parts, 8);
+    st.change_e.assign(8, 0);
+    st.change_c.assign(8, 0);
+    for (int outer = 0; outer < 2; ++outer) {
+      edge_balance_phase(comm, g, parts, st, params);
+      EXPECT_EQ(st.cut_drift, 0) << "edge balance, outer " << outer;
+      edge_refine_phase(comm, g, parts, st, params);
+      EXPECT_EQ(st.cut_drift, 0) << "edge refine, outer " << outer;
+    }
+    EXPECT_NE(parts, initial) << "the sweeps must move vertices";
+  });
 }
 
 TEST(CanLeave, WorstCaseBound) {
