@@ -13,9 +13,9 @@
 // every transport knob (shard policy, chunk size, pipeline depth,
 // coalescing) uniformly. The entry points below are kept as thin
 // wrappers — bit-identical to engine::run at their default knobs —
-// for callers of the historical per-kernel signatures; composite
-// kernels (harmonic centrality, SCC) additionally take an
-// engine::Config overload, which is their engine-native form.
+// for callers of the historical per-kernel signatures; the composite
+// and engine-native kernels (harmonic centrality, SCC, SSSP, triangle
+// count) take a trailing `const engine::Config& cfg = {}`.
 //
 // Each run reports wall seconds and the bytes this rank sent (callers
 // aggregate via Comm::global_bytes_sent-style reductions).
@@ -107,12 +107,11 @@ KCoreResult kcore_approx(sim::Comm& comm, const graph::DistGraph& g,
                          int rounds = 20, int pipeline_depth = 0);
 
 /// Harmonic centrality (HC) of `num_sources` sampled vertices:
-/// HC(v) = sum_u 1/d(u,v). All sources run as ONE batched
-/// multi-source BFS (MultiBfsProgram slots — one sweep and one
-/// exchange per level for the whole sample, bit-identical to the
-/// retired per-source loop). The Config overload is the engine-native
-/// form: cfg routes the shared notification exchange (shard policy,
-/// chunk size).
+/// HC(v) = sum_u 1/d(u,v). All sources run as slots of ONE
+/// MultiBfsProgram run — one sweep and one exchange per level for the
+/// whole sample, bit-identical to a per-source loop. cfg routes the
+/// shared notification exchange (shard policy, chunk size). An empty
+/// graph yields empty `sources` and `centrality`.
 struct HarmonicResult {
   RunInfo info;
   std::vector<gid_t> sources;
@@ -120,26 +119,21 @@ struct HarmonicResult {
 };
 HarmonicResult harmonic_centrality(sim::Comm& comm,
                                    const graph::DistGraph& g,
-                                   int num_sources, std::uint64_t seed,
-                                   const engine::Config& cfg);
-HarmonicResult harmonic_centrality(sim::Comm& comm,
-                                   const graph::DistGraph& g,
                                    int num_sources = 16,
-                                   std::uint64_t seed = 1);
+                                   std::uint64_t seed = 1,
+                                   const engine::Config& cfg = {});
 
 /// Largest strongly connected component extraction (SCC) on a
 /// *directed* graph: trim + forward/backward BFS from a max-degree
-/// pivot (the MultiStep scheme of [29], first stage). The Config
-/// overload is the engine-native form: cfg routes the trim's halo
-/// refresh and both BFS notification exchanges.
+/// pivot (the MultiStep scheme of [29], first stage). cfg routes the
+/// trim's halo refresh and both BFS notification exchanges.
 struct SccResult {
   RunInfo info;
   std::vector<std::uint8_t> in_scc;  ///< size n_total, 1 if in largest SCC
   count_t scc_size = 0;
 };
 SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g,
-                      const engine::Config& cfg);
-SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g);
+                      const engine::Config& cfg = {});
 
 /// Delta-capped single-source shortest paths (SSSP) over the
 /// deterministic synthetic edge weights of
@@ -147,7 +141,9 @@ SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g);
 /// superstep expands only frontier vertices within the current
 /// distance threshold (bucket width `delta`), deferring the rest — a
 /// delta-stepping-style cap on per-superstep relaxation work. dist is
-/// kInfDist (see programs.hpp) for unreachable vertices.
+/// kInfDist (see programs.hpp) for unreachable vertices. Throws
+/// std::invalid_argument (on every rank, before any collective) for
+/// delta < 1, max_weight < 1 or root >= n_global().
 struct SsspResult {
   RunInfo info;
   std::vector<count_t> dist;  ///< size n_total (ghost entries best-known)

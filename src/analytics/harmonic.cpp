@@ -13,6 +13,10 @@ HarmonicResult harmonic_centrality(sim::Comm& comm,
   HarmonicResult result;
   detail::Meter meter(comm, result.info);
 
+  // An empty graph has nothing to sample (and no modulus to sample
+  // with); n_global is rank-uniform, so every rank returns here.
+  if (g.n_global() == 0) return result;
+
   // Deterministic source sample every rank can compute without
   // communication.
   result.sources.reserve(static_cast<std::size_t>(num_sources));
@@ -45,12 +49,6 @@ HarmonicResult harmonic_centrality(sim::Comm& comm,
   // that source ran); keep the field's meaning across the migration.
   for (const count_t e : bfs.ecc) result.info.supersteps += e;
   return result;
-}
-
-HarmonicResult harmonic_centrality(sim::Comm& comm,
-                                   const graph::DistGraph& g,
-                                   int num_sources, std::uint64_t seed) {
-  return harmonic_centrality(comm, g, num_sources, seed, engine::Config{});
 }
 
 }  // namespace xtra::analytics

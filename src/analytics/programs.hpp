@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "comm/dest_buckets.hpp"
@@ -358,81 +360,40 @@ struct SccTrimProgram {
 };
 
 // ---------------------------------------------------------------------------
-// BFS — frontier program behind harmonic centrality and SCC's masked
-// forward/backward reachability: unit-distance levels, optional
-// active-subgraph mask, optional in-edge traversal.
+// BFS — the frontier program behind harmonic centrality's sampled
+// sources (N roots) and SCC's masked forward/backward reachability
+// (one root): unit-distance levels, one dense slot per root, optional
+// active-subgraph mask, optional in-edge traversal. All roots advance
+// one level per superstep through a single sweep and a single
+// exchange; slot s's level plane is bit-identical to a one-root run
+// from roots[s] — slots never interact — but the whole batch costs
+// one termination allreduce per level instead of one per root.
+//
+// `Record` is the wire record. graph::SlotGid (the default) names its
+// slot and serves any number of roots; a bare gid_t serves exactly one
+// root (slot 0) at half the bytes per notification.
 
-struct BfsProgram {
-  using Notify = gid_t;
-  using Ctx = engine::FrontierContext<BfsProgram>;
+template <typename Record = graph::SlotGid>
+struct MultiBfsProgram {
+  using Notify = Record;
+  using Ctx = engine::FrontierContext<MultiBfsProgram>;
+  static constexpr bool kSlotted = !std::is_same_v<Record, gid_t>;
 
-  gid_t root = 0;
+  std::vector<gid_t> roots;  ///< one per slot, slot id = index
   bool use_in_edges = false;
   const std::vector<std::uint8_t>* active = nullptr;  ///< optional mask
 
-  std::vector<count_t> levels;  ///< size n_total; kInfDist = unreached
-  count_t max_level = 0;        ///< local deepest level reached
-  count_t ecc = 0;              ///< global eccentricity (finish)
-
-  bool eligible(lid_t l) const { return !active || (*active)[l]; }
-  bool try_mark(Ctx& ctx, lid_t u) {
-    if (levels[u] != kInfDist || !eligible(u)) return false;
-    levels[u] = ctx.superstep + 1;
-    return true;
-  }
-
-  void init(Ctx& ctx) {
-    levels.assign(ctx.g.n_total(), kInfDist);
-    if (ctx.g.owner_of_gid(root) == ctx.comm.rank()) {
-      const lid_t l = ctx.g.lid_of(root);
-      XTRA_ASSERT(l != kInvalidLid);
-      if (eligible(l)) {
-        levels[l] = 0;
-        ctx.frontier.push_back(l);
-      }
-    }
-  }
-  graph::NeighborRef nbrs(Ctx& ctx, lid_t v) const {
-    return use_in_edges ? ctx.g.in_arcs(v) : ctx.g.arcs(v);
-  }
-  bool improves(Ctx&, lid_t /*v*/, lid_t u) const {
-    return levels[u] == kInfDist && eligible(u);
-  }
-  bool relax(Ctx& ctx, lid_t /*v*/, lid_t u) { return try_mark(ctx, u); }
-  Notify make_notify(Ctx& ctx, lid_t l) const { return ctx.g.gid_of(l); }
-  lid_t receive(Ctx& ctx, const Notify& gid) {
-    const lid_t l = ctx.g.lid_of(gid);
-    XTRA_ASSERT(l != kInvalidLid && ctx.g.is_owned(l));
-    // Arrivals land within the level that reached them: ctx.superstep
-    // has not advanced yet, so the mark is level superstep + 1.
-    return try_mark(ctx, l) ? l : kInvalidLid;
-  }
-  void post_level(Ctx& ctx) {
-    if (!ctx.next.empty()) max_level = ctx.superstep;
-  }
-  void finish(Ctx& ctx) { ecc = ctx.comm.allreduce_max(max_level); }
-};
-
-// ---------------------------------------------------------------------------
-// Batched multi-source BFS — N roots, one dense slot each, advancing
-// one level per superstep through a single sweep and a single
-// exchange (engine::run_multi_frontier). Slot s's level array is
-// bit-identical to a lone BfsProgram run from roots[s] — slots never
-// interact — but the whole batch costs one termination allreduce per
-// level instead of one per source per level. This is what retired
-// harmonic centrality's per-source loop.
-
-struct MultiBfsProgram {
-  using Notify = gid_t;
-  using Ctx = engine::MultiFrontierContext<MultiBfsProgram>;
-
-  std::vector<gid_t> roots;  ///< one per slot, slot id = index
-
-  /// Slot-major levels: slot s's plane is [s * stride, (s+1) * stride).
+  /// Slot-major levels: slot s's plane is [s * stride, (s+1) * stride);
+  /// kInfDist = unreached (masked-out vertices included).
   std::vector<count_t> levels;
   std::vector<count_t> max_level;  ///< per-slot local deepest level
   std::vector<count_t> ecc;        ///< per-slot global eccentricity (finish)
   lid_t stride = 0;                ///< n_total
+
+  /// Level of a masked-out vertex during the run: any value other than
+  /// kInfDist fails improves() and try_mark(), so the mask costs the
+  /// per-edge test nothing. finish() turns it back into kInfDist.
+  static constexpr count_t kMasked = -1;
 
   count_t level_of(count_t slot, lid_t l) const {
     return levels[static_cast<std::size_t>(slot) * stride + l];
@@ -445,21 +406,33 @@ struct MultiBfsProgram {
   }
 
   void init(Ctx& ctx) {
+    // Rank-uniform checks ahead of any collective: every rank throws.
+    if (!kSlotted && roots.size() > 1)
+      throw std::invalid_argument("MultiBfsProgram<gid_t>: one root only");
+    for (const gid_t root : roots)
+      if (root >= ctx.g.n_global())
+        throw std::invalid_argument("MultiBfsProgram: root out of range");
     ctx.num_slots = static_cast<count_t>(roots.size());
     stride = ctx.g.n_total();
     levels.assign(roots.size() * static_cast<std::size_t>(stride), kInfDist);
+    if (active)
+      for (std::size_t base = 0; base < levels.size(); base += stride)
+        for (lid_t l = 0; l < stride; ++l)
+          if (!(*active)[l]) levels[base + l] = kMasked;
     max_level.assign(roots.size(), 0);
     for (count_t s = 0; s < ctx.num_slots; ++s) {
       const gid_t root = roots[static_cast<std::size_t>(s)];
       if (ctx.g.owner_of_gid(root) != ctx.comm.rank()) continue;
       const lid_t l = ctx.g.lid_of(root);
       XTRA_ASSERT(l != kInvalidLid);
-      levels[static_cast<std::size_t>(s) * stride + l] = 0;
+      count_t& lv = levels[static_cast<std::size_t>(s) * stride + l];
+      if (lv == kMasked) continue;
+      lv = 0;
       ctx.frontier.push_back({s, l});
     }
   }
   graph::NeighborRef nbrs(Ctx& ctx, count_t /*slot*/, lid_t v) const {
-    return ctx.g.arcs(v);
+    return use_in_edges ? ctx.g.in_arcs(v) : ctx.g.arcs(v);
   }
   bool improves(Ctx&, count_t slot, lid_t /*v*/, lid_t u) const {
     return level_of(slot, u) == kInfDist;
@@ -467,19 +440,33 @@ struct MultiBfsProgram {
   bool relax(Ctx& ctx, count_t slot, lid_t /*v*/, lid_t u) {
     return try_mark(ctx, slot, u);
   }
-  Notify make_notify(Ctx& ctx, count_t /*slot*/, lid_t l) const {
-    return ctx.g.gid_of(l);
+  Notify make_notify(Ctx& ctx, count_t slot, lid_t l) const {
+    if constexpr (kSlotted)
+      return {slot, ctx.g.gid_of(l)};
+    else
+      return ctx.g.gid_of(l);
   }
-  lid_t receive(Ctx& ctx, count_t slot, const Notify& gid) {
+  graph::SlotVertex receive(Ctx& ctx, const Notify& n) {
+    count_t slot = 0;
+    gid_t gid = 0;
+    if constexpr (kSlotted) {
+      slot = n.slot;
+      gid = n.gid;
+    } else {
+      gid = n;
+    }
     const lid_t l = ctx.g.lid_of(gid);
     XTRA_ASSERT(l != kInvalidLid && ctx.g.is_owned(l));
-    return try_mark(ctx, slot, l) ? l : kInvalidLid;
+    // Arrivals land within the level that reached them: ctx.superstep
+    // has not advanced yet, so the mark is level superstep + 1.
+    return {slot, try_mark(ctx, slot, l) ? l : kInvalidLid};
   }
   void post_level(Ctx& ctx) {
     for (const graph::SlotVertex& e : ctx.next)
       max_level[static_cast<std::size_t>(e.slot)] = ctx.superstep;
   }
   void finish(Ctx& ctx) {
+    if (active) std::replace(levels.begin(), levels.end(), kMasked, kInfDist);
     ecc = max_level;
     ctx.comm.allreduce_max(ecc);
   }
@@ -492,7 +479,8 @@ struct MultiBfsProgram {
 // only expands vertices within the current distance threshold,
 // deferring the rest to a pending pool that post_level() releases
 // bucket by bucket as the threshold advances. Relaxations are
-// monotone, so re-expansion after a later improvement is safe.
+// monotone, so re-expansion after a later improvement is safe. One
+// root, so one slot: every frontier entry and arrival is slot 0.
 
 struct SsspNotify {
   gid_t gid;
@@ -504,7 +492,7 @@ struct DeltaSsspProgram {
   using Ctx = engine::FrontierContext<DeltaSsspProgram>;
 
   gid_t root = 0;
-  count_t delta = 8;        ///< bucket width (distance units)
+  count_t delta = 8;        ///< bucket width (distance units), >= 1
   count_t max_weight = 16;  ///< edge weights are in [1, max_weight]
   std::uint64_t weight_seed = 1;
 
@@ -519,6 +507,12 @@ struct DeltaSsspProgram {
   }
 
   void init(Ctx& ctx) {
+    // Rank-uniform checks ahead of any collective: every rank throws.
+    if (delta < 1) throw std::invalid_argument("DeltaSsspProgram: delta < 1");
+    if (max_weight < 1)
+      throw std::invalid_argument("DeltaSsspProgram: max_weight < 1");
+    if (root >= ctx.g.n_global())
+      throw std::invalid_argument("DeltaSsspProgram: root out of range");
     dist.assign(ctx.g.n_total(), kInfDist);
     in_pending.assign(ctx.g.n_total(), 0);
     threshold = delta;
@@ -526,42 +520,42 @@ struct DeltaSsspProgram {
       const lid_t l = ctx.g.lid_of(root);
       XTRA_ASSERT(l != kInvalidLid);
       dist[l] = 0;
-      ctx.frontier.push_back(l);
+      ctx.frontier.push_back({0, l});
     }
   }
-  graph::NeighborRef nbrs(Ctx& ctx, lid_t v) const {
+  graph::NeighborRef nbrs(Ctx& ctx, count_t /*slot*/, lid_t v) const {
     return ctx.g.arcs(v);
   }
-  bool improves(Ctx& ctx, lid_t v, lid_t u) const {
+  bool improves(Ctx& ctx, count_t /*slot*/, lid_t v, lid_t u) const {
     return dist[v] + weight(ctx, v, u) < dist[u];
   }
-  bool relax(Ctx& ctx, lid_t v, lid_t u) {
+  bool relax(Ctx& ctx, count_t /*slot*/, lid_t v, lid_t u) {
     const count_t nd = dist[v] + weight(ctx, v, u);
     if (nd >= dist[u]) return false;
     dist[u] = nd;
     return true;
   }
-  Notify make_notify(Ctx& ctx, lid_t l) const {
+  Notify make_notify(Ctx& ctx, count_t /*slot*/, lid_t l) const {
     return {ctx.g.gid_of(l), dist[l]};
   }
-  lid_t receive(Ctx& ctx, const Notify& n) {
+  graph::SlotVertex receive(Ctx& ctx, const Notify& n) {
     const lid_t l = ctx.g.lid_of(n.gid);
     XTRA_ASSERT(l != kInvalidLid && ctx.g.is_owned(l));
-    if (n.dist >= dist[l]) return kInvalidLid;
+    if (n.dist >= dist[l]) return {0, kInvalidLid};
     dist[l] = n.dist;
-    return l;
+    return {0, l};
   }
   void post_level(Ctx& ctx) {
     // Keep the current bucket; defer the rest. A vertex can sit in
     // both `next` and `pending` after a late improvement — the
     // re-expansion is a no-op, so correctness only needs monotonicity.
     std::size_t w = 0;
-    for (const lid_t l : ctx.next) {
-      if (dist[l] <= threshold)
-        ctx.next[w++] = l;
-      else if (!in_pending[l]) {
-        in_pending[l] = 1;
-        pending.push_back(l);
+    for (const graph::SlotVertex& e : ctx.next) {
+      if (dist[e.v] <= threshold)
+        ctx.next[w++] = e;
+      else if (!in_pending[e.v]) {
+        in_pending[e.v] = 1;
+        pending.push_back(e.v);
       }
     }
     ctx.next.resize(w);
@@ -581,7 +575,7 @@ struct DeltaSsspProgram {
       for (const lid_t l : pending) {
         if (dist[l] <= threshold) {
           in_pending[l] = 0;
-          ctx.next.push_back(l);
+          ctx.next.push_back({0, l});
         } else {
           pending[keep++] = l;
         }

@@ -37,9 +37,10 @@ SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g,
   const gid_t pivot = comm.allreduce_min(best_gid);
 
   // --- Forward/backward reachability from the pivot over the active
-  // subgraph; the SCC is the intersection (MultiStep stage 2).
-  BfsProgram fw, bw;
-  fw.root = bw.root = pivot;
+  // subgraph; the SCC is the intersection (MultiStep stage 2). One
+  // root each, so the notifications are bare gids.
+  MultiBfsProgram<gid_t> fw, bw;
+  fw.roots = bw.roots = {pivot};
   fw.active = bw.active = &active;
   bw.use_in_edges = true;
   result.info.supersteps += engine::run(comm, g, fw, cfg).supersteps;
@@ -55,10 +56,6 @@ SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g,
   }
   result.scc_size = comm.allreduce_sum(local_size);
   return result;
-}
-
-SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g) {
-  return largest_scc(comm, g, engine::Config{});
 }
 
 }  // namespace xtra::analytics

@@ -91,15 +91,6 @@ struct Params {
   /// like-for-like timing — correctness never depends on it.
   int num_threads = 1;
 
-  /// Out-of-core segment-cache budget in bytes for graphs whose
-  /// adjacency has been moved behind graph::SegmentCache
-  /// (DistGraph::enable_out_of_core). 0 = in-core (no cache). The
-  /// budget is advisory plumbing for benches/tools — enabling the
-  /// cache is an explicit collective on the graph, not something the
-  /// partitioner does behind the caller's back; results are
-  /// bit-identical for any budget.
-  count_t cache_budget_bytes = 0;
-
   std::uint64_t seed = 1;
 };
 

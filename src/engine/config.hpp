@@ -67,14 +67,6 @@ struct Config {
   /// never changes what goes on the wire, only who computes it.
   int num_threads = 1;
 
-  /// Segment-cache budget in bytes when the graph runs out-of-core
-  /// (graph::SegmentCache; 0 = in-core). Carried here so benches and
-  /// tools size the cache from the same knob bag they size everything
-  /// else from; the engine itself reads the graph's out_of_core()
-  /// state (enabling is an explicit collective on the graph). Results
-  /// are bit-identical for any budget.
-  count_t cache_budget_bytes = 0;
-
   /// Superstep cap. kUnbounded (the default) runs change-converging
   /// programs to convergence; fixed-iteration programs must set a
   /// non-negative cap (0 runs no supersteps at all — init and finish
@@ -92,7 +84,6 @@ struct Config {
     cfg.pipeline_depth = p.pipeline_depth;
     cfg.coalesce_every = p.coalesce_every;
     cfg.num_threads = p.num_threads;
-    cfg.cache_budget_bytes = p.cache_budget_bytes;
     return cfg;
   }
 };

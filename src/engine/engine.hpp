@@ -16,10 +16,10 @@
 //    refreshed through HaloPlan/SuperstepPipeline — or, at
 //    cfg.coalesce_every > 0, as sparse changed-value records batched
 //    in a CoalescingExchanger. See engine/dense.hpp.
-//  * frontier (typename P::Notify): level-synchronous expansion of an
-//    active set through graph::FrontierStepper, ghost relaxations
-//    travelling as program-defined wire records. See
-//    engine/frontier.hpp.
+//  * frontier (typename P::Notify): level-synchronous expansion of N
+//    slot-keyed active sets (one slot for a single-source kernel)
+//    through graph::FrontierStepper, ghost relaxations travelling as
+//    program-defined wire records. See engine/frontier.hpp.
 //
 // Both return engine::Stats — RunInfo's triple merged with the
 // aggregated ExchangeStats ledger of every wire engine the run owned,
@@ -48,26 +48,13 @@ concept DenseVertexProgram =
       p.update(ctx, v);
     };
 
-/// Frontier mode: expands an active set, shipping P::Notify records.
+/// Frontier mode: expands N slot-keyed active sets (one slot for a
+/// single-source kernel) in one sweep and one exchange per level,
+/// shipping P::Notify records; receive() names the (slot, vertex) an
+/// arrival admits.
 template <typename P>
 concept FrontierVertexProgram =
-    requires(P p, FrontierContext<P>& ctx, lid_t v,
-             const typename P::Notify& n) {
-      typename P::Notify;
-      p.init(ctx);
-      p.nbrs(ctx, v);
-      { p.improves(ctx, v, v) } -> std::convertible_to<bool>;
-      { p.relax(ctx, v, v) } -> std::convertible_to<bool>;
-      { p.make_notify(ctx, v) } -> std::convertible_to<typename P::Notify>;
-      { p.receive(ctx, n) } -> std::convertible_to<lid_t>;
-    };
-
-/// Batched multi-source frontier mode: N slot-tagged sources expand in
-/// one sweep and one exchange per level. Hooks carry a leading slot
-/// argument; frontier entries are (slot, lid) pairs.
-template <typename P>
-concept MultiSourceVertexProgram =
-    requires(P p, MultiFrontierContext<P>& ctx, count_t s, lid_t v,
+    requires(P p, FrontierContext<P>& ctx, count_t s, lid_t v,
              const typename P::Notify& n) {
       typename P::Notify;
       p.init(ctx);
@@ -75,7 +62,7 @@ concept MultiSourceVertexProgram =
       { p.improves(ctx, s, v, v) } -> std::convertible_to<bool>;
       { p.relax(ctx, s, v, v) } -> std::convertible_to<bool>;
       { p.make_notify(ctx, s, v) } -> std::convertible_to<typename P::Notify>;
-      { p.receive(ctx, s, n) } -> std::convertible_to<lid_t>;
+      { p.receive(ctx, n) } -> std::convertible_to<graph::SlotVertex>;
     };
 
 /// Collective: execute a vertex program under cfg's transport knobs.
@@ -91,12 +78,6 @@ template <FrontierVertexProgram P>
 Stats run(sim::Comm& comm, const graph::DistGraph& g, P& p,
           const Config& cfg = {}) {
   return run_frontier(comm, g, p, cfg);
-}
-
-template <MultiSourceVertexProgram P>
-Stats run(sim::Comm& comm, const graph::DistGraph& g, P& p,
-          const Config& cfg = {}) {
-  return run_multi_frontier(comm, g, p, cfg);
 }
 
 }  // namespace xtra::engine

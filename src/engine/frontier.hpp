@@ -1,25 +1,32 @@
 // Frontier vertex-program driver: the one level-synchronous loop
-// behind BFS-style traversals (harmonic centrality's sampled BFS,
-// SCC's masked forward/backward reachability, delta-capped SSSP).
+// behind every BFS-style traversal (harmonic centrality's sampled
+// sources, SCC's masked forward/backward reachability, delta-capped
+// SSSP).
 //
-// A frontier program owns a frontier of active owned vertices; each
-// superstep the engine expands it one level through
-// graph::FrontierStepper — ghost relaxations staged and shipped as
-// `Notify` records while the owned relaxations run mid-flight — and
-// the program's hooks define what "relax" means. Every transport knob
-// in engine::Config (shard policy, chunk size) applies to the
-// notification exchange with no per-kernel plumbing.
+// A frontier program owns a frontier of (slot, active owned vertex)
+// entries — N independent traversals, one per dense slot id, with
+// single-source programs using slot 0 only. Each superstep the engine
+// expands every slot one level through graph::FrontierStepper in a
+// single sweep and a single exchange — ghost relaxations staged and
+// shipped as the program's `Notify` records while the owned
+// relaxations run mid-flight — and the program's hooks define what
+// "relax" means. Every transport knob in engine::Config (shard policy,
+// chunk size, backend) applies to the notification exchange with no
+// per-kernel plumbing.
 //
-// Program shape (see analytics/programs.hpp for the concrete three):
+// Program shape (see analytics/programs.hpp for the concrete two):
 //
 //   struct P {
-//     using Notify = ...;            // trivially copyable wire record
-//     void init(Ctx&);               // seed data + ctx.frontier
-//     graph::NeighborRef nbrs(Ctx&, lid_t v);  // via g.arcs()/in_arcs()
-//     bool improves(Ctx&, lid_t v, lid_t u);   // read-only edge test
-//     bool relax(Ctx&, lid_t v, lid_t u);      // apply; true = improved
-//     Notify make_notify(Ctx&, lid_t ghost);   // post-scan wire record
-//     lid_t receive(Ctx&, const Notify&);      // on owner; kInvalidLid
+//     using Notify = ...;   // trivially copyable wire record; a
+//                           //   multi-slot program carries its slot
+//     void init(Ctx&);      // seed data, ctx.num_slots, ctx.frontier
+//     graph::NeighborRef nbrs(Ctx&, count_t s, lid_t v);
+//     bool improves(Ctx&, count_t s, lid_t v, lid_t u);  // read-only
+//     bool relax(Ctx&, count_t s, lid_t v, lid_t u);     // true =
+//                                                        //   improved
+//     Notify make_notify(Ctx&, count_t s, lid_t ghost);  // post-scan
+//     graph::SlotVertex receive(Ctx&, const Notify&);    // on owner;
+//                                    //   v = kInvalidLid: no admission
 //     void post_level(Ctx&);         // optional: runs after each level
 //                                    //   (may rewrite ctx.next — the
 //                                    //   delta-cap hook); collective-
@@ -27,13 +34,14 @@
 //     void finish(Ctx&);             // optional epilogue
 //   };
 //
-// The loop terminates when every rank's frontier is empty (one
-// allreduce per level, exactly the PR-4 BFS contract) or at
-// cfg.max_supersteps. During a level's hooks ctx.superstep is the
+// The loop terminates when every slot's frontier is empty on every
+// rank (one allreduce per level for the whole batch, not per slot) or
+// at cfg.max_supersteps. During a level's hooks ctx.superstep is the
 // level being expanded (root = level 0); it increments before
 // post_level, so post_level sees the number of completed levels.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -47,10 +55,11 @@
 
 namespace xtra::engine {
 
-/// Everything a frontier program's hooks see. The engine swaps
-/// `frontier` and `next` after post_level; programs seed `frontier`
-/// in init() and may rewrite `next` in post_level() (defer vertices,
-/// refill from a program-owned pool).
+/// Everything a frontier program's hooks see. Frontier entries are
+/// (slot, owned lid) pairs; init() sets num_slots (default one) and
+/// seeds the entries of the sources this rank owns. The engine swaps
+/// `frontier` and `next` after post_level; programs may rewrite `next`
+/// in post_level() (defer vertices, refill from a program-owned pool).
 template <typename P>
 struct FrontierContext {
   FrontierContext(sim::Comm& comm_, const graph::DistGraph& g_,
@@ -61,15 +70,18 @@ struct FrontierContext {
   const graph::DistGraph& g;
   const Config& cfg;
 
-  std::vector<lid_t> frontier;
-  std::vector<lid_t> next;
+  std::vector<graph::SlotVertex> frontier;
+  std::vector<graph::SlotVertex> next;
+  count_t num_slots = 1;  ///< slot ids are [0, num_slots); set by init()
   count_t superstep = 0;  ///< levels completed; current level in hooks
 };
 
-/// Collective: execute a frontier vertex program until the frontier
-/// empties on every rank (or the superstep cap) under cfg's transport
-/// knobs. Result state lives in the program object; the return value
-/// is the unified measurement.
+/// Collective: execute a frontier vertex program until every slot's
+/// frontier empties on every rank (or the superstep cap) under cfg's
+/// transport knobs. Per-slot results are bit-identical to one-slot
+/// runs from each source because slots never interact. Result state
+/// lives in the program object; the return value is the unified
+/// measurement.
 template <typename P>
 Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
                    const Config& cfg) {
@@ -82,83 +94,7 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
 
   const graph::SegCacheStats seg_start = g.segcache_stats();
   FrontierContext<P> ctx{comm, g, cfg};
-  graph::FrontierStepper<typename P::Notify> stepper(cfg.max_exchange_bytes,
-                                                     cfg.shard_policy,
-                                                     cfg.backend);
-  p.init(ctx);
-
-  std::vector<count_t> plan;  // out-of-core: per-level prefetch order
-  const count_t limit = detail::superstep_limit(cfg);
-  while (ctx.superstep < limit && comm.allreduce_or(!ctx.frontier.empty())) {
-    if (g.out_of_core()) {
-      // The stepper scans exactly the frontier, in order — that IS
-      // the prefetch plan for this level.
-      plan.clear();
-      for (const lid_t v : ctx.frontier) g.append_arc_segments(v, plan);
-      g.set_prefetch_plan(plan);
-    }
-    stepper.step(
-        comm, g, ctx.frontier, ctx.next,
-        [&](lid_t v) { return p.nbrs(ctx, v); },
-        [&](lid_t v, lid_t u) { return p.improves(ctx, v, u); },
-        [&](lid_t v, lid_t u) { return p.relax(ctx, v, u); },
-        [&](lid_t l) { return p.make_notify(ctx, l); },
-        [&](const typename P::Notify& n) { return p.receive(ctx, n); });
-    ++ctx.superstep;
-    if constexpr (requires { p.post_level(ctx); }) p.post_level(ctx);
-    std::swap(ctx.frontier, ctx.next);
-  }
-
-  if constexpr (requires { p.finish(ctx); }) p.finish(ctx);
-
-  stats.supersteps = ctx.superstep;
-  merge(stats.exchange, stepper.exchanger().stats());
-  detail::fold_segcache_delta(stats.exchange, seg_start, g.segcache_stats());
-  stats.seconds = timer.seconds();
-  stats.comm_bytes = comm.stats().bytes_sent - start_bytes;
-  return stats;
-}
-
-/// Everything a multi-source frontier program's hooks see. Frontier
-/// entries are (slot, owned lid) pairs; init() sets num_slots and
-/// seeds one entry per slot whose source this rank owns. The engine
-/// swaps `frontier` and `next` after post_level, exactly the
-/// single-source loop.
-template <typename P>
-struct MultiFrontierContext {
-  MultiFrontierContext(sim::Comm& comm_, const graph::DistGraph& g_,
-                       const Config& cfg_)
-      : comm(comm_), g(g_), cfg(cfg_) {}
-
-  sim::Comm& comm;
-  const graph::DistGraph& g;
-  const Config& cfg;
-
-  std::vector<graph::SlotVertex> frontier;
-  std::vector<graph::SlotVertex> next;
-  count_t num_slots = 0;  ///< slot ids are [0, num_slots); set by init()
-  count_t superstep = 0;  ///< levels completed; current level in hooks
-};
-
-/// Collective: execute a batched multi-source frontier program — N
-/// sources advance one level per superstep through a single
-/// graph::MultiSourceStepper sweep and a single exchange — until every
-/// slot's frontier empties on every rank (one termination allreduce
-/// per level TOTAL, not per source; that amortization is the mode's
-/// reason to exist). Per-slot results are bit-identical to N separate
-/// run_frontier executions because slots never interact.
-template <typename P>
-Stats run_multi_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
-                         const Config& cfg) {
-  Stats stats;
-  par::ThreadScope threads(cfg.num_threads);
-  stats.num_threads = par::num_threads();
-  const count_t start_bytes = comm.stats().bytes_sent;
-  Timer timer;
-
-  const graph::SegCacheStats seg_start = g.segcache_stats();
-  MultiFrontierContext<P> ctx{comm, g, cfg};
-  graph::MultiSourceStepper<typename P::Notify> stepper(
+  graph::FrontierStepper<typename P::Notify> stepper(
       cfg.max_exchange_bytes, cfg.shard_policy, cfg.backend);
   p.init(ctx);
 
@@ -167,9 +103,10 @@ Stats run_multi_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   const count_t limit = detail::superstep_limit(cfg);
   while (ctx.superstep < limit && comm.allreduce_or(!ctx.frontier.empty())) {
     if (g.out_of_core()) {
-      // The sweep visits each distinct frontier vertex's segments once
-      // per level no matter how many slots activate it — plan the
-      // first occurrence only, in frontier order.
+      // The stepper scans exactly the frontier, in order, and visits
+      // each distinct vertex's segments once per level no matter how
+      // many slots activate it — the first occurrences, in frontier
+      // order, ARE the prefetch plan for this level.
       plan.clear();
       planned.assign(static_cast<std::size_t>(g.n_local()), 0);
       for (const graph::SlotVertex& e : ctx.frontier)
@@ -185,9 +122,7 @@ Stats run_multi_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
         [&](count_t s, lid_t v, lid_t u) { return p.improves(ctx, s, v, u); },
         [&](count_t s, lid_t v, lid_t u) { return p.relax(ctx, s, v, u); },
         [&](count_t s, lid_t l) { return p.make_notify(ctx, s, l); },
-        [&](count_t s, const typename P::Notify& n) {
-          return p.receive(ctx, s, n);
-        });
+        [&](const typename P::Notify& n) { return p.receive(ctx, n); });
     ++ctx.superstep;
     if constexpr (requires { p.post_level(ctx); }) p.post_level(ctx);
     std::swap(ctx.frontier, ctx.next);

@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "comm/dest_buckets.hpp"
-#include "comm/exchanger.hpp"
 #include "graph/frontier.hpp"
 
 namespace xtra::graph {
@@ -12,12 +10,13 @@ count_t bfs_levels(sim::Comm& comm, const DistGraph& g, gid_t root,
                    std::vector<count_t>& levels, bool use_in_edges) {
   levels.assign(g.n_total(), kUnreached);
 
-  std::vector<lid_t> frontier;
+  // One root, one slot: slot 0 is the only traversal of the stepper.
+  std::vector<SlotVertex> frontier;
   if (g.owner_of_gid(root) == comm.rank()) {
     const lid_t l = g.lid_of(root);
     XTRA_ASSERT(l != kInvalidLid);
     levels[l] = 0;
-    frontier.push_back(l);
+    frontier.push_back({0, l});
   }
 
   // Persistent across levels: the stepper's notification bucketing
@@ -26,7 +25,7 @@ count_t bfs_levels(sim::Comm& comm, const DistGraph& g, gid_t root,
   // starts as soon as the ghost pass staged it and drains after the
   // owned-frontier expansion.
   FrontierStepper<gid_t> stepper;
-  std::vector<lid_t> next;
+  std::vector<SlotVertex> next;
 
   count_t level = 0;
   count_t max_level = 0;
@@ -37,17 +36,19 @@ count_t bfs_levels(sim::Comm& comm, const DistGraph& g, gid_t root,
   };
   while (comm.allreduce_or(!frontier.empty())) {
     stepper.step(
-        comm, g, frontier, next,
-        [&](lid_t v) {
+        comm, g, /*num_slots=*/1, frontier, next,
+        [&](count_t /*slot*/, lid_t v) {
           return use_in_edges ? g.in_arcs(v) : g.arcs(v);
         },
-        [&](lid_t /*v*/, lid_t u) { return levels[u] == kUnreached; },
-        [&](lid_t /*v*/, lid_t u) { return try_mark(u); },
-        [&](lid_t l) { return g.gid_of(l); },
+        [&](count_t /*slot*/, lid_t /*v*/, lid_t u) {
+          return levels[u] == kUnreached;
+        },
+        [&](count_t /*slot*/, lid_t /*v*/, lid_t u) { return try_mark(u); },
+        [&](count_t /*slot*/, lid_t l) { return g.gid_of(l); },
         [&](const gid_t gid) {
           const lid_t l = g.lid_of(gid);
           XTRA_ASSERT(l != kInvalidLid && g.is_owned(l));
-          return try_mark(l) ? l : kInvalidLid;
+          return SlotVertex{0, try_mark(l) ? l : kInvalidLid};
         });
     if (!next.empty()) max_level = level + 1;
     std::swap(frontier, next);

@@ -2,7 +2,7 @@
 //
 // A query is one tenant request against the partitioned graph. Every
 // kind rides the same machinery — a slot of the batched multi-source
-// frontier (graph::MultiSourceStepper) driven superstep by superstep
+// frontier (graph::FrontierStepper) driven superstep by superstep
 // by serve::Scheduler — differing only in its level cap and in how
 // the per-level global mark counts fold into a result:
 //

@@ -57,9 +57,9 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
   stats_.num_queries = n;
   if (n == 0) return results;
 
-  graph::MultiSourceStepper<gid_t> stepper(cfg_.engine.max_exchange_bytes,
-                                           cfg_.engine.shard_policy,
-                                           cfg_.engine.backend);
+  graph::FrontierStepper<graph::SlotGid> stepper(
+      cfg_.engine.max_exchange_bytes, cfg_.engine.shard_policy,
+      cfg_.engine.backend);
   const lid_t stride = g.n_total();
   // Slot-major level planes, reset per admission (slot reuse).
   std::vector<count_t> levels(
@@ -189,14 +189,17 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
             lv = slots[static_cast<std::size_t>(slot)].level + 1;
             return true;
           },
-          [&](count_t /*slot*/, lid_t l) { return g.gid_of(l); },
-          [&](count_t slot, const gid_t& gid) {
-            const lid_t l = g.lid_of(gid);
+          [&](count_t slot, lid_t l) {
+            return graph::SlotGid{slot, g.gid_of(l)};
+          },
+          [&](const graph::SlotGid& rec) {
+            const lid_t l = g.lid_of(rec.gid);
             XTRA_ASSERT(l != kInvalidLid && g.is_owned(l));
-            count_t& lv = levels[level_cell(slot, l)];
-            if (lv != kUncapped) return kInvalidLid;
-            lv = slots[static_cast<std::size_t>(slot)].level + 1;
-            return l;
+            count_t& lv = levels[level_cell(rec.slot, l)];
+            if (lv != kUncapped)
+              return graph::SlotVertex{rec.slot, kInvalidLid};
+            lv = slots[static_cast<std::size_t>(rec.slot)].level + 1;
+            return graph::SlotVertex{rec.slot, l};
           });
       edges = stepper.scanned_edges();
     } else {

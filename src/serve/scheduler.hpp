@@ -3,7 +3,7 @@
 //
 // The scheduler turns the batch engine into a serving system: an
 // admission queue of open-loop queries (serve::Query, arrival-ordered)
-// is packed into shared supersteps of ONE graph::MultiSourceStepper,
+// is packed into shared supersteps of ONE graph::FrontierStepper,
 // up to `slot_budget` concurrent slots. Each packed superstep is one
 // adjacency sweep + one exchange for every in-flight traversal, then
 // one ledger allreduce that carries, for every slot, the number of

@@ -228,9 +228,10 @@ TEST_P(AnalyticsRanks, HarmonicCentralityOnStar) {
 
 // Pin the multi-source migration: harmonic_centrality retired its
 // per-source BFS loop for one batched MultiBfsProgram run, and this
-// regression replays the retired loop (one BfsProgram per source, a
-// scalar allreduce per centrality) expecting bit-identical output —
-// same lid-order partial sums, same rank-order allreduce fold.
+// regression replays the retired loop (one one-root MultiBfsProgram
+// per source, a scalar allreduce per centrality) expecting
+// bit-identical output — same lid-order partial sums, same rank-order
+// allreduce fold.
 TEST_P(AnalyticsRanks, HarmonicBitIdenticalToRetiredPerSourceLoop) {
   const int nranks = GetParam();
   const EdgeList el = gen::erdos_renyi(500, 6, 13);
@@ -242,15 +243,15 @@ TEST_P(AnalyticsRanks, HarmonicBitIdenticalToRetiredPerSourceLoop) {
     ASSERT_EQ(r.centrality.size(), 6u);
     count_t supersteps = 0;
     for (std::size_t i = 0; i < r.sources.size(); ++i) {
-      BfsProgram bfs;
-      bfs.root = r.sources[i];
+      MultiBfsProgram<gid_t> bfs;
+      bfs.roots = {r.sources[i]};
       engine::run(comm, g, bfs, cfg);
       double local = 0.0;
       for (lid_t v = 0; v < g.n_local(); ++v)
         if (bfs.levels[v] > 0 && bfs.levels[v] != kInfDist)
           local += 1.0 / static_cast<double>(bfs.levels[v]);
       EXPECT_EQ(r.centrality[i], comm.allreduce_sum(local));
-      supersteps += bfs.ecc;
+      supersteps += bfs.ecc[0];
     }
     EXPECT_EQ(r.info.supersteps, supersteps);
   });

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "analytics/analytics.hpp"
+#include "analytics/programs.hpp"
 #include "baseline/partitioners.hpp"
 #include "core/xtrapulp.hpp"
+#include "engine/engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/io.hpp"
@@ -143,6 +146,49 @@ TEST(DegenerateAnalytics, EdgelessGraph) {
     const auto scc = analytics::largest_scc(comm, g);
     EXPECT_LE(scc.scc_size, 1);
   });
+}
+
+// An empty graph has no vertex to sample a harmonic source from: the
+// result is empty rather than a modulus by n_global() == 0.
+TEST(DegenerateAnalytics, EmptyGraphHarmonic) {
+  EdgeList el;
+  el.n = 0;
+  sim::run_world(2, [&](sim::Comm& comm) {
+    const auto g = graph::build_dist_graph(
+        comm, el, VertexDist::block(el.n, 2));
+    const auto hc = analytics::harmonic_centrality(comm, g, 4, 1);
+    EXPECT_TRUE(hc.sources.empty());
+    EXPECT_TRUE(hc.centrality.empty());
+  });
+}
+
+// Frontier programs check their parameters in init(), ahead of any
+// collective, so every rank throws alike and the world stays in
+// lockstep: delta or max_weight below 1 would divide by zero, and a
+// root past n_global() names no vertex.
+TEST(DegenerateAnalytics, FrontierProgramsRejectBadParameters) {
+  const EdgeList el = gen::erdos_renyi(200, 4, 3);
+  for (const int nranks : {1, 2}) {
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const auto g = graph::build_dist_graph(
+          comm, el, VertexDist::random(el.n, nranks, 3));
+      EXPECT_THROW(analytics::sssp(comm, g, 0, /*delta=*/0),
+                   std::invalid_argument);
+      EXPECT_THROW(analytics::sssp(comm, g, 0, 8, /*max_weight=*/0),
+                   std::invalid_argument);
+      EXPECT_THROW(analytics::sssp(comm, g, /*root=*/el.n),
+                   std::invalid_argument);
+      analytics::MultiBfsProgram bfs;
+      bfs.roots = {1, el.n};
+      EXPECT_THROW(engine::run(comm, g, bfs), std::invalid_argument);
+      // A bare-gid record cannot name a second slot.
+      analytics::MultiBfsProgram<gid_t> one_root;
+      one_root.roots = {1, 2};
+      EXPECT_THROW(engine::run(comm, g, one_root), std::invalid_argument);
+      // The rejected runs issued no collective: the next run agrees.
+      EXPECT_GT(analytics::sssp(comm, g, 0).reached, 1);
+    });
+  }
 }
 
 TEST(DegenerateAnalytics, SelfLoopOnlyGraphActsEdgeless) {

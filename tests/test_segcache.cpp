@@ -485,8 +485,8 @@ TEST(SegCacheFrontier, BfsBitIdenticalUnderPressure) {
         opt.budget_bytes = working_set_bytes(g) / 4;
         g.enable_out_of_core(comm, opt);
       }
-      analytics::BfsProgram p;
-      p.root = 1;
+      analytics::MultiBfsProgram<gid_t> p;
+      p.roots = {1};
       const engine::Stats st = engine::run(comm, g, p, engine::Config{});
       auto levels = p.levels;
       levels.resize(g.n_local());  // owned only: ghosts differ by rank
