@@ -19,9 +19,6 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
                         std::vector<part_t>& parts, PhaseState& st,
                         const Params& params) {
   const part_t p = st.nparts;
-  std::vector<double> weight_e(static_cast<std::size_t>(p), 0.0);
-  std::vector<double> weight_c(static_cast<std::size_t>(p), 0.0);
-  NeighborCounts counts(p);
   std::vector<lid_t> queue;
 
   // R_e/R_c schedule (§III-E): while the edge-balance constraint is
@@ -49,61 +46,62 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
       r_e += 1.0;
     }
 
-    for (part_t i = 0; i < p; ++i) {
-      weight_e[static_cast<std::size_t>(i)] =
-          ratio_weight(static_cast<double>(st.imb_e), st.est_e(i));
-      weight_c[static_cast<std::size_t>(i)] =
-          ratio_weight(static_cast<double>(max_c), st.est_c(i));
-    }
+    sweep_deciders(g, parts, st, queue, [&](Decider& d) {
+      for (part_t i = 0; i < p; ++i) {
+        d.weight_e[static_cast<std::size_t>(i)] =
+            ratio_weight(static_cast<double>(st.imb_e), d.est_e(i));
+        d.weight_c[static_cast<std::size_t>(i)] =
+            ratio_weight(static_cast<double>(max_c), d.est_c(i));
+      }
+      for (lid_t v = d.lo; v < d.hi; ++v) {
+        const part_t x = d.labels[v];
+        if (!d.can_leave(x))
+          continue;  // never empty a part (see vert_phases.cpp)
+        const count_t dv = g.degree(v);
+        d.counts.count(g, d.labels, v, /*by_degree=*/true);
 
-    queue.clear();
-    for (lid_t v = 0; v < g.n_local(); ++v) {
-      const part_t x = parts[v];
-      if (!st.can_leave(x))
-        continue;  // never empty a part (see vert_phases.cpp)
-      const count_t dv = g.degree(v);
-      counts.count(g, parts, v, /*by_degree=*/true);
-
-      part_t best = x;
-      double best_score = 0.0;
-      for (const part_t i : counts.touched()) {
-        if (i == x) continue;
-        // The vertex cap is a pure constraint here -> strict gate
-        // (overshoot would ratchet the cap up permanently); edges are
-        // the objective being balanced -> the paper's optimistic
-        // mult-based estimate (overshoot self-corrects through W_e).
-        if (st.est_v_strict(i) + static_cast<double>(st.nprocs) >
-            static_cast<double>(max_v))
-          continue;
-        if (st.est_e(i) + static_cast<double>(dv) >
-            static_cast<double>(max_e))
-          continue;
-        const double score =
-            counts.get(i) * (r_e * weight_e[static_cast<std::size_t>(i)] +
-                             r_c * weight_c[static_cast<std::size_t>(i)]);
-        if (score > best_score) {
-          best_score = score;
-          best = i;
+        part_t best = x;
+        double best_score = 0.0;
+        for (const part_t i : d.counts.touched()) {
+          if (i == x) continue;
+          // The vertex cap is a pure constraint here -> strict gate
+          // (overshoot would ratchet the cap up permanently); edges are
+          // the objective being balanced -> the paper's optimistic
+          // mult-based estimate (overshoot self-corrects through W_e).
+          if (d.est_v_strict(i) + static_cast<double>(d.deciders) >
+              static_cast<double>(max_v))
+            continue;
+          if (d.est_e(i) + static_cast<double>(dv) >
+              static_cast<double>(max_e))
+            continue;
+          const double score =
+              d.counts.get(i) *
+              (r_e * d.weight_e[static_cast<std::size_t>(i)] +
+               r_c * d.weight_c[static_cast<std::size_t>(i)]);
+          if (score > best_score) {
+            best_score = score;
+            best = i;
+          }
+        }
+        if (best != x && best_score > 0.0) {
+          --d.change_v[static_cast<std::size_t>(x)];
+          ++d.change_v[static_cast<std::size_t>(best)];
+          d.change_e[static_cast<std::size_t>(x)] -= dv;
+          d.change_e[static_cast<std::size_t>(best)] += dv;
+          apply_cut_deltas(d.counts, x, best, g.out_degree(v), d.change_c);
+          d.labels[v] = best;
+          d.queue.push_back(v);
+          d.weight_e[static_cast<std::size_t>(x)] =
+              ratio_weight(static_cast<double>(st.imb_e), d.est_e(x));
+          d.weight_e[static_cast<std::size_t>(best)] =
+              ratio_weight(static_cast<double>(st.imb_e), d.est_e(best));
+          d.weight_c[static_cast<std::size_t>(x)] =
+              ratio_weight(static_cast<double>(max_c), d.est_c(x));
+          d.weight_c[static_cast<std::size_t>(best)] =
+              ratio_weight(static_cast<double>(max_c), d.est_c(best));
         }
       }
-      if (best != x && best_score > 0.0) {
-        --st.change_v[static_cast<std::size_t>(x)];
-        ++st.change_v[static_cast<std::size_t>(best)];
-        st.change_e[static_cast<std::size_t>(x)] -= dv;
-        st.change_e[static_cast<std::size_t>(best)] += dv;
-        apply_cut_deltas(counts, x, best, g.out_degree(v), st.change_c);
-        parts[v] = best;
-        queue.push_back(v);
-        weight_e[static_cast<std::size_t>(x)] =
-            ratio_weight(static_cast<double>(st.imb_e), st.est_e(x));
-        weight_e[static_cast<std::size_t>(best)] =
-            ratio_weight(static_cast<double>(st.imb_e), st.est_e(best));
-        weight_c[static_cast<std::size_t>(x)] =
-            ratio_weight(static_cast<double>(max_c), st.est_c(x));
-        weight_c[static_cast<std::size_t>(best)] =
-            ratio_weight(static_cast<double>(max_c), st.est_c(best));
-      }
-    }
+    });
     st.exchanger.start(comm, g, parts, queue);
     fold_changes(comm, st);  // overlaps the in-flight update exchange
     // refresh_cut_sizes reads ghost labels, so the exchange must be
@@ -117,8 +115,6 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
 void edge_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
                        std::vector<part_t>& parts, PhaseState& st,
                        const Params& params) {
-  const part_t p = st.nparts;
-  NeighborCounts counts(p);
   std::vector<lid_t> queue;
 
   for (int iter = 0; iter < params.ref_iters; ++iter) {
@@ -131,45 +127,46 @@ void edge_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
     const count_t max_c =
         *std::max_element(st.size_c.begin(), st.size_c.end());
 
-    queue.clear();
-    for (lid_t v = 0; v < g.n_local(); ++v) {
-      const part_t x = parts[v];
-      if (!st.can_leave(x))
-        continue;  // never empty a part (see vert_phases.cpp)
-      const count_t dv = g.degree(v);
-      counts.count(g, parts, v, /*by_degree=*/false);
+    sweep_deciders(g, parts, st, queue, [&](Decider& d) {
+      for (lid_t v = d.lo; v < d.hi; ++v) {
+        const part_t x = d.labels[v];
+        if (!d.can_leave(x))
+          continue;  // never empty a part (see vert_phases.cpp)
+        const count_t dv = g.degree(v);
+        d.counts.count(g, d.labels, v, /*by_degree=*/false);
 
-      part_t best = x;
-      double best_score = counts.get(x);
-      for (const part_t i : counts.touched()) {
-        if (i == x) continue;
-        if (counts.get(i) <= best_score) continue;
-        // No move may raise the global max in vertices, edges, or cut
-        // (§III-E refinement restriction). Vertices and edges are both
-        // constraints during refinement -> strict gates.
-        if (st.est_v_strict(i) + static_cast<double>(st.nprocs) >
-            static_cast<double>(max_v))
-          continue;
-        if (st.est_e_strict(i) +
-                static_cast<double>(st.nprocs) * static_cast<double>(dv) >
-            static_cast<double>(max_e))
-          continue;
-        // v's edges to parts other than i become i-incident cut.
-        const double cut_gain = static_cast<double>(dv) - counts.get(i);
-        if (st.est_c(i) + cut_gain > static_cast<double>(max_c)) continue;
-        best_score = counts.get(i);
-        best = i;
+        part_t best = x;
+        double best_score = d.counts.get(x);
+        for (const part_t i : d.counts.touched()) {
+          if (i == x) continue;
+          if (d.counts.get(i) <= best_score) continue;
+          // No move may raise the global max in vertices, edges, or cut
+          // (§III-E refinement restriction). Vertices and edges are both
+          // constraints during refinement -> strict gates.
+          if (d.est_v_strict(i) + static_cast<double>(d.deciders) >
+              static_cast<double>(max_v))
+            continue;
+          if (d.est_e_strict(i) + static_cast<double>(d.deciders) *
+                                      static_cast<double>(dv) >
+              static_cast<double>(max_e))
+            continue;
+          // v's edges to parts other than i become i-incident cut.
+          const double cut_gain = static_cast<double>(dv) - d.counts.get(i);
+          if (d.est_c(i) + cut_gain > static_cast<double>(max_c)) continue;
+          best_score = d.counts.get(i);
+          best = i;
+        }
+        if (best != x) {
+          --d.change_v[static_cast<std::size_t>(x)];
+          ++d.change_v[static_cast<std::size_t>(best)];
+          d.change_e[static_cast<std::size_t>(x)] -= dv;
+          d.change_e[static_cast<std::size_t>(best)] += dv;
+          apply_cut_deltas(d.counts, x, best, g.out_degree(v), d.change_c);
+          d.labels[v] = best;
+          d.queue.push_back(v);
+        }
       }
-      if (best != x) {
-        --st.change_v[static_cast<std::size_t>(x)];
-        ++st.change_v[static_cast<std::size_t>(best)];
-        st.change_e[static_cast<std::size_t>(x)] -= dv;
-        st.change_e[static_cast<std::size_t>(best)] += dv;
-        apply_cut_deltas(counts, x, best, g.out_degree(v), st.change_c);
-        parts[v] = best;
-        queue.push_back(v);
-      }
-    }
+    });
     st.exchanger.start(comm, g, parts, queue);
     fold_changes(comm, st);  // overlaps the in-flight update exchange
     // refresh_cut_sizes reads ghost labels, so the exchange must be

@@ -29,7 +29,8 @@ struct Params {
   int ref_iters = 10;   ///< Iref
 
   /// Dynamic multiplier endpoints (§III-C): mult ramps linearly from
-  /// nprocs*Y at iteration 0 to nprocs*X at iteration Itot.
+  /// D*Y at iteration 0 to D*X at iteration Itot, with D the decider
+  /// count nprocs * max(1, floor(4 / nprocs)) (PhaseState::deciders).
   double mult_x = 1.0;
   double mult_y = 0.25;
 
@@ -83,12 +84,15 @@ struct Params {
   /// (bit-identical to 0).
   int coalesce_every = 0;
 
-  /// Intra-rank worker threads (the "+X" of MPI+X) for the chunked
-  /// deterministic sweeps: the partitioner's cut recount and the
-  /// engine-run analytics. Results are byte-identical for any value
-  /// (see util/parallel.hpp for the determinism contract); clamped to
-  /// [1, par::kMaxThreads]. Same value required on every rank only for
-  /// like-for-like timing — correctness never depends on it.
+  /// Intra-rank worker threads (the "+X" of MPI+X): they run the
+  /// partitioner's sub-rank label sweeps (on one or two ranks,
+  /// DESIGN.md §6), its chunked cut recount and the engine-run
+  /// analytics.
+  /// Results are byte-identical for any value — the sub-rank split
+  /// depends on the rank count, not on this (see util/parallel.hpp for
+  /// the determinism contract); clamped to [1, par::kMaxThreads]. Same
+  /// value required on every rank only for like-for-like timing —
+  /// correctness never depends on it.
   int num_threads = 1;
 
   std::uint64_t seed = 1;

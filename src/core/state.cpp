@@ -67,6 +67,79 @@ std::vector<count_t> compute_cut_sizes(sim::Comm& comm,
   return sizes;
 }
 
+namespace {
+
+/// First owned lid of sub-rank b of s: the first vertex whose arcs
+/// start at or past b/s of the rank's arcs (n_local for b == s). Hubs
+/// sit wherever the distribution put them, so cutting at equal arc
+/// counts rather than by lid or gid keeps the blocks' work even.
+lid_t block_begin(const graph::DistGraph& g, int b, int s) {
+  if (b == s) return g.n_local();
+  const count_t target = g.m_local() * b / s;
+  lid_t lo = 0;
+  lid_t hi = g.n_local();
+  while (lo < hi) {
+    const lid_t mid = lo + (hi - lo) / 2;
+    if (g.arc_begin(mid) < target) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
+
+void sweep_deciders(const graph::DistGraph& g, std::vector<part_t>& parts,
+                    PhaseState& st, std::vector<lid_t>& queue,
+                    const std::function<void(Decider&)>& sweep) {
+  const int s = st.subranks();
+  const auto np = static_cast<std::size_t>(st.nparts);
+  st.decider_buffers.resize(static_cast<std::size_t>(s));
+  for (int b = 0; b < s; ++b) {
+    Decider& d = st.decider_buffers[static_cast<std::size_t>(b)];
+    if (d.counts.nparts() != st.nparts) d.counts = NeighborCounts(st.nparts);
+    d.weight_v.resize(np);
+    d.weight_e.resize(np);
+    d.weight_c.resize(np);
+    d.st = &st;
+    d.mult = st.mult();
+    d.deciders = st.deciders();
+    d.lo = block_begin(g, b, s);
+    d.hi = block_begin(g, b + 1, s);
+  }
+  const auto run = [&](count_t b) {
+    Decider& d = st.decider_buffers[static_cast<std::size_t>(b)];
+    d.labels.assign(parts.begin(), parts.end());
+    d.change_v.assign(st.change_v.size(), 0);
+    d.change_e.assign(st.change_e.size(), 0);
+    d.change_c.assign(st.change_c.size(), 0);
+    d.queue.clear();
+    sweep(d);
+  };
+  if (g.out_of_core()) {
+    // Segment borrows may issue substrate calls (remote backing),
+    // which must stay on the rank thread.
+    for (int b = 0; b < s; ++b) run(b);
+  } else {
+    par::for_tasks(s, run);
+  }
+  const auto add = [](std::vector<count_t>& into,
+                      const std::vector<count_t>& from) {
+    for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
+  };
+  queue.clear();
+  for (const Decider& d : st.decider_buffers) {
+    std::copy(d.labels.begin() + d.lo, d.labels.begin() + d.hi,
+              parts.begin() + d.lo);
+    add(st.change_v, d.change_v);
+    add(st.change_e, d.change_e);
+    add(st.change_c, d.change_c);
+    queue.insert(queue.end(), d.queue.begin(), d.queue.end());
+  }
+}
+
 void fold_changes(sim::Comm& comm, PhaseState& st) {
   auto fold = [&comm](std::vector<count_t>& sizes,
                       std::vector<count_t>& changes) {
@@ -78,7 +151,7 @@ void fold_changes(sim::Comm& comm, PhaseState& st) {
   fold(st.size_v, st.change_v);
   fold(st.size_e, st.change_e);
   // Cut sizes are NOT folded: a vertex move's cut delta depends on its
-  // neighbors' labels, which other ranks may change in the same
+  // neighbors' labels, which other deciders may change in the same
   // iteration, so summed deltas drift from the truth (unlike Cv/Ce,
   // which depend only on the moved vertex). The edge phases recompute
   // Sc exactly after each ghost exchange instead.

@@ -21,53 +21,51 @@ void vert_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
                         std::vector<part_t>& parts, PhaseState& st,
                         const Params& params) {
   const part_t p = st.nparts;
-  std::vector<double> weight(static_cast<std::size_t>(p), 0.0);
-  NeighborCounts counts(p);
   std::vector<lid_t> queue;
 
   for (int iter = 0; iter < params.bal_iters; ++iter) {
     const count_t max_v =
         std::max(*std::max_element(st.size_v.begin(), st.size_v.end()),
                  st.imb_v);
-    for (part_t i = 0; i < p; ++i)
-      weight[static_cast<std::size_t>(i)] =
-          balance_weight(static_cast<double>(st.imb_v), st.est_v(i));
-
-    queue.clear();
-    for (lid_t v = 0; v < g.n_local(); ++v) {
-      const part_t x = parts[v];
-      // Never empty a part: an empty part can no longer appear in any
-      // neighborhood, so label propagation could never repopulate it
-      // (the reference implementation has the same guard). The huge
-      // W_v of a near-empty part re-grows it from its boundary.
-      if (!st.can_leave(x))
-        continue;
-      // Algorithm 4 weights each neighbor by its degree: moving next
-      // to heavy vertices is worth more cut reduction later.
-      counts.count(g, parts, v, params.degree_weighted_balance);
-      part_t best = x;
-      double best_score = 0.0;
-      for (const part_t i : counts.touched()) {
-        // Parts already at the cap take no further vertices.
-        if (st.est_v(i) + 1.0 > static_cast<double>(max_v)) continue;
-        const double score =
-            counts.get(i) * weight[static_cast<std::size_t>(i)];
-        if (score > best_score) {
-          best_score = score;
-          best = i;
+    sweep_deciders(g, parts, st, queue, [&](Decider& d) {
+      for (part_t i = 0; i < p; ++i)
+        d.weight_v[static_cast<std::size_t>(i)] =
+            balance_weight(static_cast<double>(st.imb_v), d.est_v(i));
+      for (lid_t v = d.lo; v < d.hi; ++v) {
+        const part_t x = d.labels[v];
+        // Never empty a part: an empty part can no longer appear in any
+        // neighborhood, so label propagation could never repopulate it
+        // (the reference implementation has the same guard). The huge
+        // W_v of a near-empty part re-grows it from its boundary.
+        if (!d.can_leave(x))
+          continue;
+        // Algorithm 4 weights each neighbor by its degree: moving next
+        // to heavy vertices is worth more cut reduction later.
+        d.counts.count(g, d.labels, v, params.degree_weighted_balance);
+        part_t best = x;
+        double best_score = 0.0;
+        for (const part_t i : d.counts.touched()) {
+          // Parts already at the cap take no further vertices.
+          if (d.est_v(i) + 1.0 > static_cast<double>(max_v)) continue;
+          const double score =
+              d.counts.get(i) * d.weight_v[static_cast<std::size_t>(i)];
+          if (score > best_score) {
+            best_score = score;
+            best = i;
+          }
+        }
+        if (best != x && best_score > 0.0) {
+          --d.change_v[static_cast<std::size_t>(x)];
+          ++d.change_v[static_cast<std::size_t>(best)];
+          d.weight_v[static_cast<std::size_t>(x)] =
+              balance_weight(static_cast<double>(st.imb_v), d.est_v(x));
+          d.weight_v[static_cast<std::size_t>(best)] =
+              balance_weight(static_cast<double>(st.imb_v), d.est_v(best));
+          d.labels[v] = best;
+          d.queue.push_back(v);
         }
       }
-      if (best != x && best_score > 0.0) {
-        --st.change_v[static_cast<std::size_t>(x)];
-        ++st.change_v[static_cast<std::size_t>(best)];
-        weight[static_cast<std::size_t>(x)] =
-            balance_weight(static_cast<double>(st.imb_v), st.est_v(x));
-        weight[static_cast<std::size_t>(best)] =
-            balance_weight(static_cast<double>(st.imb_v), st.est_v(best));
-        parts[v] = best;
-        queue.push_back(v);
-      }
-    }
+    });
     // Stall escape (extension beyond the paper's pseudocode, mirroring
     // the reference implementation's part repair): when label
     // propagation made no move anywhere but the constraint is unmet,
@@ -114,44 +112,43 @@ void vert_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
 void vert_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
                        std::vector<part_t>& parts, PhaseState& st,
                        const Params& params) {
-  const part_t p = st.nparts;
-  NeighborCounts counts(p);
   std::vector<lid_t> queue;
 
   for (int iter = 0; iter < params.ref_iters; ++iter) {
     const count_t max_v =
         std::max(*std::max_element(st.size_v.begin(), st.size_v.end()),
                  st.imb_v);
-    queue.clear();
-    for (lid_t v = 0; v < g.n_local(); ++v) {
-      const part_t x = parts[v];
-      if (!st.can_leave(x))
-        continue;  // never empty a part (see balance phase)
-      counts.count(g, parts, v, /*by_degree=*/false);
-      // Start from the current part: a move needs a strictly better
-      // same-part neighbor count, which is exactly "fewer cut edges".
-      part_t best = x;
-      double best_score = counts.get(x);
-      for (const part_t i : counts.touched()) {
-        if (i == x) continue;
-        // Strict gate: the size cap is a constraint here, not the
-        // objective being balanced, so assume worst-case concurrent
-        // growth (overshoot would ratchet the cap up permanently).
-        if (st.est_v_strict(i) + static_cast<double>(st.nprocs) >
-            static_cast<double>(max_v))
-          continue;
-        if (counts.get(i) > best_score) {
-          best_score = counts.get(i);
-          best = i;
+    sweep_deciders(g, parts, st, queue, [&](Decider& d) {
+      for (lid_t v = d.lo; v < d.hi; ++v) {
+        const part_t x = d.labels[v];
+        if (!d.can_leave(x))
+          continue;  // never empty a part (see balance phase)
+        d.counts.count(g, d.labels, v, /*by_degree=*/false);
+        // Start from the current part: a move needs a strictly better
+        // same-part neighbor count, which is exactly "fewer cut edges".
+        part_t best = x;
+        double best_score = d.counts.get(x);
+        for (const part_t i : d.counts.touched()) {
+          if (i == x) continue;
+          // Strict gate: the size cap is a constraint here, not the
+          // objective being balanced, so assume worst-case concurrent
+          // growth (overshoot would ratchet the cap up permanently).
+          if (d.est_v_strict(i) + static_cast<double>(d.deciders) >
+              static_cast<double>(max_v))
+            continue;
+          if (d.counts.get(i) > best_score) {
+            best_score = d.counts.get(i);
+            best = i;
+          }
+        }
+        if (best != x) {
+          --d.change_v[static_cast<std::size_t>(x)];
+          ++d.change_v[static_cast<std::size_t>(best)];
+          d.labels[v] = best;
+          d.queue.push_back(v);
         }
       }
-      if (best != x) {
-        --st.change_v[static_cast<std::size_t>(x)];
-        ++st.change_v[static_cast<std::size_t>(best)];
-        parts[v] = best;
-        queue.push_back(v);
-      }
-    }
+    });
     st.exchanger.start(comm, g, parts, queue);
     fold_changes(comm, st);  // overlaps the in-flight update exchange
     st.exchanger.finish(comm, g, parts);

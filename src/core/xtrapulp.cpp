@@ -45,8 +45,9 @@ PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
   validate(g, params);
   PartitionResult result;
   result.nparts = params.nparts;
-  // Ambient thread width for the chunk-parallel cut recount
-  // (compute_cut_sizes). Results are byte-identical at any width.
+  // Ambient thread width for the sub-rank sweeps (one or two ranks)
+  // and the chunk-parallel cut recount (compute_cut_sizes). Results
+  // are byte-identical at any width.
   par::ThreadScope threads(params.num_threads);
   const count_t bytes_before = comm.stats().bytes_sent;
   Timer total;

@@ -61,6 +61,9 @@ class DistGraph {
 
   /// Global degree of a local-or-ghost vertex.
   count_t degree(lid_t l) const { return degree_[l]; }
+  /// Position of owned vertex l's first arc in the local CSR, for l in
+  /// [0, n_local]; arc_begin(n_local()) == m_local().
+  count_t arc_begin(lid_t l) const { return offsets_[l]; }
   /// Local out-degree of an owned vertex (== degree for undirected).
   count_t out_degree(lid_t l) const { return offsets_[l + 1] - offsets_[l]; }
 

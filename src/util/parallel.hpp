@@ -103,6 +103,16 @@ void for_chunks(count_t n, Body&& body) {
   });
 }
 
+/// Parallel for over n independent tasks, one per index: body(i) for
+/// each i in [0, n). Tasks follow the chunk contract above — each
+/// writes only its own slots — so the result is the same for any
+/// thread count.
+template <typename Body>
+void for_tasks(count_t n, Body&& body) {
+  if (n == 0) return;
+  detail::dispatch(n, [&](count_t i, int /*slot*/) { body(i); });
+}
+
 /// Deterministic chunked reduction: partial(chunk, lo, hi) returns the
 /// chunk's contribution; the partials are summed in chunk-index order,
 /// so the result is bit-identical for any thread count (and equals the

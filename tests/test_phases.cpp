@@ -4,6 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <ostream>
+#include <string_view>
+#include <tuple>
+#include <utility>
 
 #include "core/exchange.hpp"
 #include "core/init.hpp"
@@ -14,6 +21,7 @@
 #include "graph/dist_graph.hpp"
 #include "metrics/quality.hpp"
 #include "mpisim/comm.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace xtra::core {
@@ -207,36 +215,261 @@ TEST_P(PhaseRanks, NoPhaseEverEmptiesAPart) {
   });
 }
 
-// MPI+X thread determinism: the sweeps count live in vertex order and
-// only the cut recount is chunk-parallel, so the thread width is a pure
-// throughput knob — the full driver must emit byte-identical labels and
-// identical wire traffic at threads = 1, 2, 8.
+// MPI+X thread determinism: on one or two ranks each rank sweeps as
+// sub-ranks on the worker pool, but a sub-rank's block depends only on
+// the graph and the rank count, and it reads only sweep-start labels
+// outside its block, so the thread width is a pure throughput knob —
+// the full driver must emit byte-identical labels and identical wire
+// traffic at threads = 1, 2, 8 for every rank count.
 TEST(PhaseThreads, PartitionBitIdenticalAcrossThreadCounts) {
   const EdgeList el = gen::community_graph(3000, 10, 0.7, 2.3, 7);
-  std::vector<part_t> ref;
-  count_t ref_bytes = 0;
-  for (const int threads : {1, 2, 8}) {
-    sim::run_world(4, [&](sim::Comm& comm) {
-      const DistGraph g =
-          build_dist_graph(comm, el, VertexDist::random(el.n, 4, 7));
+  for (const int ranks : {1, 2, 4}) {
+    std::vector<part_t> ref;
+    count_t ref_bytes = 0;
+    for (const int threads : {1, 2, 8}) {
+      sim::run_world(ranks, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_dist_graph(comm, el, VertexDist::random(el.n, ranks, 7));
+        Params params;
+        params.nparts = 8;
+        params.edge_phases = true;
+        params.num_threads = threads;
+        const PartitionResult r = partition(comm, g, params);
+        const std::vector<part_t> global =
+            gather_global_parts(comm, g, r.parts);
+        const count_t bytes = comm.allreduce_sum(r.comm_bytes);
+        if (comm.rank() != 0) return;
+        if (threads == 1) {
+          ref = global;
+          ref_bytes = bytes;
+        } else {
+          EXPECT_EQ(global, ref) << "ranks=" << ranks << " threads=" << threads;
+          EXPECT_EQ(bytes, ref_bytes)
+              << "ranks=" << ranks << " threads=" << threads;
+        }
+      });
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// At three or more ranks every rank is a single decider, exactly as
+// before sub-ranks existed. The golden values below
+// were recorded from the single-decider sweep (labels, per-phase moves
+// and wire bytes) and must not move by a byte.
+
+/// FNV-1a over the global label vector.
+std::uint64_t label_hash(const std::vector<part_t>& global) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const part_t p : global) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(p));
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// core::partition's stages phase by phase from a hand-built
+/// PhaseState, as perfbench's stage replay drives them. Returns the
+/// labels; `moves` gets the owned labels each phase kind changed
+/// (vert_balance, vert_refine, edge_balance, edge_refine), summed over
+/// outer iterations on this rank.
+std::vector<part_t> replay_partition(sim::Comm& comm, const DistGraph& g,
+                                     const Params& params,
+                                     std::vector<count_t>& moves) {
+  par::ThreadScope threads(params.num_threads);
+  std::vector<part_t> parts = initialize_parts(comm, g, params);
+  PhaseState st;
+  st.nparts = params.nparts;
+  st.nprocs = comm.size();
+  st.exchanger.configure(params);
+  st.x = params.mult_x;
+  st.y = params.mult_y;
+  st.i_tot = params.outer_iters * (params.bal_iters + params.ref_iters);
+  st.imb_v = static_cast<count_t>(
+      std::ceil((1.0 + params.vert_imbalance) *
+                static_cast<double>(g.n_global()) /
+                static_cast<double>(params.nparts)));
+  st.imb_e = static_cast<count_t>(
+      std::ceil((1.0 + params.edge_imbalance) * 2.0 *
+                static_cast<double>(g.m_global()) /
+                static_cast<double>(params.nparts)));
+  using Phase = void (*)(sim::Comm&, const DistGraph&, std::vector<part_t>&,
+                         PhaseState&, const Params&);
+  moves.assign(4, 0);
+  const auto phase = [&](std::size_t kind, Phase fn) {
+    const std::vector<part_t> before = parts;
+    fn(comm, g, parts, st, params);
+    for (lid_t v = 0; v < g.n_local(); ++v)
+      moves[kind] += before[v] != parts[v];
+  };
+  st.size_v = compute_vertex_sizes(comm, g, parts, params.nparts);
+  st.change_v.assign(static_cast<std::size_t>(params.nparts), 0);
+  for (int outer = 0; outer < params.outer_iters; ++outer) {
+    phase(0, vert_balance_phase);
+    phase(1, vert_refine_phase);
+  }
+  st.size_e = compute_edge_sizes(comm, g, parts, params.nparts);
+  st.size_c = compute_cut_sizes(comm, g, parts, params.nparts);
+  st.change_e.assign(static_cast<std::size_t>(params.nparts), 0);
+  st.change_c.assign(static_cast<std::size_t>(params.nparts), 0);
+  st.iter_tot = 0;
+  for (int outer = 0; outer < params.outer_iters; ++outer) {
+    phase(2, edge_balance_phase);
+    phase(3, edge_refine_phase);
+  }
+  return parts;
+}
+
+struct GoldenKey {
+  std::string_view gen;
+  int ranks;
+  bool operator<(const GoldenKey& rhs) const {
+    return std::tie(gen, ranks) < std::tie(rhs.gen, rhs.ranks);
+  }
+};
+
+struct PartitionLedger {
+  std::uint64_t label_hash;
+  std::vector<count_t> moves;  ///< per phase kind, world-summed
+  count_t comm_bytes;          ///< world-summed
+  bool operator==(const PartitionLedger&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PartitionLedger& l) {
+  os << "{" << l.label_hash << "ull, {";
+  for (std::size_t i = 0; i < l.moves.size(); ++i)
+    os << (i ? ", " : "") << l.moves[i];
+  return os << "}, " << l.comm_bytes << "}";
+}
+
+using namespace std::literals::string_view_literals;
+const std::map<GoldenKey, PartitionLedger> kSingleDeciderLedger{
+    {{"community"sv, 3},
+     {16411718439396485643ull, {10852, 6979, 12836, 10118}, 4800840}},
+    {{"community"sv, 4},
+     {8840540728567854776ull, {10220, 7310, 12721, 10318}, 6705760}},
+    {{"community"sv, 8},
+     {7641233001883770030ull, {9605, 6961, 13047, 10991}, 11588640}},
+    {{"rander"sv, 3},
+     {868062882433359707ull, {13186, 6363, 15832, 11847}, 6528912}},
+    {{"rander"sv, 4},
+     {10269958797586118684ull, {13141, 6454, 15736, 12072}, 10216720}},
+    {{"rander"sv, 8},
+     {11456535463555612987ull, {12658, 8196, 15702, 12583}, 20900240}},
+    {{"rmat"sv, 3},
+     {15435333313529082247ull, {5632, 3347, 7025, 4665}, 1773168}},
+    {{"rmat"sv, 4},
+     {1880071265861837271ull, {5778, 3181, 7045, 5049}, 2521712}},
+    {{"rmat"sv, 8},
+     {17761336078038278848ull, {5497, 3357, 6992, 5580}, 4661248}},
+};
+
+EdgeList golden_graph(std::string_view gen) {
+  if (gen == "rander") return gen::erdos_renyi(6000, 10, 31);
+  if (gen == "rmat") return gen::rmat(12, 8, 31);
+  return gen::community_graph(5000, 10, 0.7, 2.3, 31);
+}
+
+TEST(PhaseGolden, SingleDeciderSweepMatchesGoldenTable) {
+  for (const auto& [key, want] : kSingleDeciderLedger) {
+    const EdgeList el = golden_graph(key.gen);
+    sim::run_world(key.ranks, [&](sim::Comm& comm) {
+      const DistGraph g = build_dist_graph(
+          comm, el, VertexDist::random(el.n, key.ranks, 31));
       Params params;
-      params.nparts = 8;
-      params.edge_phases = true;
-      params.num_threads = threads;
+      params.nparts = 16;
+      params.seed = 31;
       const PartitionResult r = partition(comm, g, params);
-      const std::vector<part_t> global =
-          gather_global_parts(comm, g, r.parts);
-      const count_t bytes = comm.allreduce_sum(r.comm_bytes);
+      std::vector<count_t> moves;
+      const std::vector<part_t> replayed =
+          replay_partition(comm, g, params, moves);
+      EXPECT_EQ(replayed, r.parts) << "stage replay differs from partition";
+      comm.allreduce_sum(moves);
+      const PartitionLedger got{
+          label_hash(gather_global_parts(comm, g, r.parts)), moves,
+          comm.allreduce_sum(r.comm_bytes)};
       if (comm.rank() != 0) return;
-      if (threads == 1) {
-        ref = global;
-        ref_bytes = bytes;
-      } else {
-        EXPECT_EQ(global, ref) << "threads=" << threads;
-        EXPECT_EQ(bytes, ref_bytes) << "threads=" << threads;
-      }
+      EXPECT_EQ(got, want) << key.gen << " ranks=" << key.ranks;
     });
   }
+}
+
+// ---------------------------------------------------------------------------
+// One or two ranks: each rank sweeps as floor(4 / nprocs) sub-ranks.
+
+double median_of(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  return n % 2 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2.0;
+}
+
+// With one decider, mult(0) = D*Y = 0.25 discounted the decider's own
+// exact changes, and one-rank RMAT overshot both 10% caps (medians
+// 1.19 vertex / 1.85 edge imbalance). Four sub-ranks restore
+// mult(0) = 1.
+TEST(SubRanks, OneRankRmatMeetsBothConstraints) {
+  std::vector<double> vert;
+  std::vector<double> edge;
+  for (const std::uint64_t seed : {11, 12, 13, 14}) {
+    const EdgeList el = gen::rmat(13, 16, seed);
+    sim::run_world(1, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, 1, seed));
+      Params params;
+      params.nparts = 16;
+      params.seed = seed;
+      const PartitionResult r = partition(comm, g, params);
+      const auto q = metrics::evaluate_dist(comm, g, r.parts, 16);
+      vert.push_back(q.vertex_imbalance);
+      edge.push_back(q.edge_imbalance);
+    });
+  }
+  EXPECT_LE(median_of(vert), 1.10 + 0.01);
+  EXPECT_LE(median_of(edge), 1.10 + 0.01);
+}
+
+/// Partition `el` at each rank count that splits ranks into sub-ranks
+/// and check that no part is empty and every ghost label matches its
+/// owner.
+void expect_valid_split(const EdgeList& el, part_t nparts) {
+  for (const int ranks : {1, 2}) {
+    sim::run_world(ranks, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, ranks, 5));
+      Params params;
+      params.nparts = nparts;
+      params.num_threads = 4;
+      const PartitionResult r = partition(comm, g, params);
+      for (const count_t s : compute_vertex_sizes(comm, g, r.parts, nparts))
+        EXPECT_GE(s, 1) << "ranks=" << ranks;
+      EXPECT_TRUE(check_partition_consistent(comm, g, r.parts, nparts))
+          << "ranks=" << ranks;
+    });
+  }
+}
+
+TEST(SubRanks, FewerOwnedVerticesThanSubRanks) {
+  EdgeList el;
+  el.n = 3;
+  el.edges = {{0, 1}, {1, 2}};
+  expect_valid_split(el, 2);
+}
+
+TEST(SubRanks, AllIsolatedVertices) {
+  EdgeList el;
+  el.n = 64;
+  expect_valid_split(el, 4);
+}
+
+TEST(SubRanks, OneHubHoldsOverAQuarterOfTheArcs) {
+  // A star over 400 vertices plus a ring through the leaves: the hub
+  // holds half the arcs, so on one rank it fills its block alone.
+  EdgeList el;
+  el.n = 400;
+  for (gid_t v = 1; v < el.n; ++v) el.edges.push_back({0, v});
+  for (gid_t v = 1; v < el.n; ++v)
+    el.edges.push_back({v, v + 1 < el.n ? v + 1 : 1});
+  expect_valid_split(el, 8);
 }
 
 TEST(NeighborCountsScratch, AccumulatesAndResets) {
@@ -333,11 +566,28 @@ TEST(CutDeltas, ClosedFormMatchesArcWalkWithDuplicateEdges) {
   }
 }
 
-// On one rank no other rank moves a neighbor concurrently, so the
-// tracked Sc + Cc must equal the recount at every refresh.
+/// `copies` vertex-disjoint copies of `el`, copy k on gids
+/// [k*n, (k+1)*n).
+EdgeList disjoint_copies(const EdgeList& el, int copies) {
+  EdgeList out;
+  out.n = el.n * static_cast<gid_t>(copies);
+  out.directed = el.directed;
+  for (int k = 0; k < copies; ++k) {
+    const gid_t base = el.n * static_cast<gid_t>(k);
+    for (const graph::Edge& e : el.edges)
+      out.edges.push_back({e.u + base, e.v + base});
+  }
+  return out;
+}
+
+// A decider's own cut deltas are exact, so the tracked Sc + Cc must
+// equal the recount at every refresh when no arc joins two deciders.
+// One rank sweeps as four sub-ranks cut at equal arc counts; on four
+// identical disjoint copies of a graph (duplicates applied before
+// copying) those cuts fall between the copies.
 TEST(CutDeltas, TrackedCutEqualsRecountAfterEverySweepOnOneRank) {
-  const EdgeList el =
-      with_duplicates(gen::community_graph(3000, 8, 0.6, 2.3, 21), 21);
+  const EdgeList el = disjoint_copies(
+      with_duplicates(gen::community_graph(3000, 8, 0.6, 2.3, 21), 21), 4);
   sim::run_world(1, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::block(el.n, 1));
@@ -346,6 +596,7 @@ TEST(CutDeltas, TrackedCutEqualsRecountAfterEverySweepOnOneRank) {
     auto parts = init_random(comm, g, params);
     const std::vector<part_t> initial = parts;
     PhaseState st = make_state(comm, g, parts, 8, params);
+    ASSERT_EQ(st.subranks(), 4);
     st.size_e = compute_edge_sizes(comm, g, parts, 8);
     st.size_c = compute_cut_sizes(comm, g, parts, 8);
     st.change_e.assign(8, 0);
@@ -374,22 +625,49 @@ TEST(CanLeave, WorstCaseBound) {
   EXPECT_FALSE(st.can_leave(0));
 }
 
-TEST(StrictEstimates, ScaleWithNprocs) {
+// A split makes at most four deciders: three ranks split in two would
+// be six, which already raised RandER's cut by 11% (DESIGN.md §6).
+TEST(SubRanks, SplitMakesAtMostFourDeciders) {
   PhaseState st;
-  st.nprocs = 8;
+  for (const auto& [nprocs, subranks] :
+       {std::pair{1, 4}, {2, 2}, {3, 1}, {4, 1}, {8, 1}}) {
+    st.nprocs = nprocs;
+    EXPECT_EQ(st.subranks(), subranks) << "nprocs=" << nprocs;
+    EXPECT_EQ(st.deciders(), nprocs * subranks) << "nprocs=" << nprocs;
+  }
+}
+
+TEST(StrictEstimates, ScaleWithDeciders) {
+  PhaseState st;
   st.x = 1.0;
   st.y = 0.25;
   st.i_tot = 10;
   st.iter_tot = 0;
   st.size_v = {100};
-  st.change_v = {5};
   st.size_e = {1000};
-  st.change_e = {-10};
-  // Optimistic estimate uses mult = 8*0.25 = 2; strict uses nprocs.
-  EXPECT_DOUBLE_EQ(st.est_v(0), 100 + 2.0 * 5);
-  EXPECT_DOUBLE_EQ(st.est_v_strict(0), 100 + 8.0 * 5);
-  EXPECT_DOUBLE_EQ(st.est_e(0), 1000 - 2.0 * 10);
-  EXPECT_DOUBLE_EQ(st.est_e_strict(0), 1000 - 8.0 * 10);
+  Decider d;
+  d.st = &st;
+  d.change_v = {5};
+  d.change_e = {-10};
+  const auto fix_multipliers = [&](int nprocs) {
+    st.nprocs = nprocs;
+    d.mult = st.mult();
+    d.deciders = st.deciders();
+  };
+  // 8 ranks are 8 deciders: the optimistic estimate uses
+  // mult = 8*0.25 = 2, the strict one the decider count.
+  fix_multipliers(8);
+  EXPECT_DOUBLE_EQ(d.est_v(0), 100 + 2.0 * 5);
+  EXPECT_DOUBLE_EQ(d.est_v_strict(0), 100 + 8.0 * 5);
+  EXPECT_DOUBLE_EQ(d.est_e(0), 1000 - 2.0 * 10);
+  EXPECT_DOUBLE_EQ(d.est_e_strict(0), 1000 - 8.0 * 10);
+  // One rank sweeps as 4 sub-ranks: mult = 4*0.25 = 1 counts a
+  // decider's own changes in full, and the strict scale is 4.
+  fix_multipliers(1);
+  EXPECT_DOUBLE_EQ(d.est_v(0), 100 + 1.0 * 5);
+  EXPECT_DOUBLE_EQ(d.est_v_strict(0), 100 + 4.0 * 5);
+  EXPECT_DOUBLE_EQ(d.est_e(0), 1000 - 1.0 * 10);
+  EXPECT_DOUBLE_EQ(d.est_e_strict(0), 1000 - 4.0 * 10);
 }
 
 }  // namespace
