@@ -32,19 +32,13 @@ struct RunResult {
   /// report this work distribution: the quantity that actually halves
   /// per rank doubling on real hardware.
   double work_balance = 1.0;
-  /// Max per-rank adjacency bytes resident in memory during the run:
-  /// the full CSR arrays in-core, or the segment-cache frame pool when
-  /// an out-of-core budget was set — the number that decides whether a
-  /// paper-scale graph fits the node.
+  /// Max per-rank adjacency bytes (the CSR arrays) — the number that
+  /// decides whether a paper-scale graph fits the node.
   count_t resident_bytes = 0;
-  /// Segment-cache ledger (world totals; zero for in-core runs).
-  double seg_hit_rate = 0.0;
-  double seg_stall_seconds = 0.0;
   metrics::QualityReport quality;
 };
 
-/// Per-rank adjacency working set in bytes — what enable_out_of_core
-/// would move into the backing.
+/// Per-rank adjacency bytes: out- plus (directed) in-arc entries.
 inline count_t adjacency_bytes(const graph::DistGraph& g) {
   count_t entries = g.m_local();
   if (g.directed())
@@ -53,42 +47,22 @@ inline count_t adjacency_bytes(const graph::DistGraph& g) {
 }
 
 /// Run XtraPuLP on `nranks` simulated ranks and collect global results.
-/// ooc_budget_frac > 0 runs the partitioner with the adjacency behind
-/// the segment cache at that fraction of the per-rank working set
-/// (1.0 = every segment fits; the "infinite budget" row).
 inline RunResult run_xtrapulp(const graph::EdgeList& el, int nranks,
                               const core::Params& params,
-                              bool random_dist = true,
-                              double ooc_budget_frac = 0.0) {
+                              bool random_dist = true) {
   RunResult out;
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const graph::VertexDist dist =
         random_dist ? graph::VertexDist::random(el.n, nranks, 17)
                     : graph::VertexDist::block(el.n, nranks);
-    graph::DistGraph g = graph::build_dist_graph(comm, el, dist);
-    const count_t working = adjacency_bytes(g);
-    count_t resident = working;
-    if (ooc_budget_frac > 0.0) {
-      graph::SegCacheOptions opt;
-      opt.budget_bytes = static_cast<count_t>(
-          static_cast<double>(working) * ooc_budget_frac);
-      g.enable_out_of_core(comm, opt);
-      resident = g.segcache()->num_frames() *
-                 g.segcache()->entries_per_segment() *
-                 static_cast<count_t>(sizeof(lid_t));
-    }
+    const graph::DistGraph g = graph::build_dist_graph(comm, el, dist);
     comm.barrier();
     const core::PartitionResult r = core::partition(comm, g, params);
-    const graph::SegCacheStats seg = g.segcache_stats();
-    if (g.out_of_core()) g.disable_out_of_core(comm);
     const double max_t = -comm.allreduce_min(-r.total_seconds);
     const count_t bytes = comm.allreduce_sum(r.comm_bytes);
     const count_t max_work = comm.allreduce_max(g.m_local());
     const count_t total_work = comm.allreduce_sum(g.m_local());
-    const count_t max_resident = comm.allreduce_max(resident);
-    std::vector<count_t> seg_tot{seg.seg_hits, seg.seg_misses};
-    comm.allreduce_sum(seg_tot);
-    const double stall = comm.allreduce_sum(seg.seg_stall_seconds);
+    const count_t max_resident = comm.allreduce_max(adjacency_bytes(g));
     const auto q = metrics::evaluate_dist(comm, g, r.parts, params.nparts);
     const auto global = core::gather_global_parts(comm, g, r.parts);
     if (comm.rank() == 0) {
@@ -102,12 +76,6 @@ inline RunResult run_xtrapulp(const graph::EdgeList& el, int nranks,
                                    static_cast<double>(total_work)
                              : 1.0;
       out.resident_bytes = max_resident;
-      const count_t touches = seg_tot[0] + seg_tot[1];
-      out.seg_hit_rate =
-          touches > 0 ? static_cast<double>(seg_tot[0]) /
-                            static_cast<double>(touches)
-                      : 0.0;
-      out.seg_stall_seconds = stall;
       out.quality = q;
     }
   });

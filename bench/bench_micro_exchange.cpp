@@ -72,16 +72,6 @@ struct CommRow {
   // rows; on *_onesided rows the bytes ride gets instead of alltoallv
   // payloads and must not exceed the two-sided twin's bytes_per_iter.
   double one_sided_bytes_per_iter = 0.0;
-  // Out-of-core segment-cache ledger (world-summed, whole run). Zero on
-  // in-core rows. The baseline gate tracks seg_fetch_bytes, and the
-  // prefetch contract requires every *_nopf twin to stall strictly
-  // longer than its prefetch-on row.
-  count_t seg_hits = 0;
-  count_t seg_misses = 0;
-  count_t seg_evictions = 0;
-  count_t seg_prefetch_hits = 0;
-  count_t seg_fetch_bytes = 0;
-  double seg_stall_seconds = 0.0;
 };
 
 /// Fill the world-level wire columns every row reports.
@@ -647,73 +637,6 @@ BENCHMARK(BM_EngineTwin)
     ->Args({8, 0, 1})
     ->Args({8, 1, 1});
 
-/// PageRank with the adjacency behind the out-of-core segment cache
-/// (mmap spill backing), at a 25% and a 100% frame budget, each with a
-/// prefetch-off (_nopf) twin. Wire bytes and collectives must match
-/// the in-core engine row exactly — seg fetches are backing traffic,
-/// not exchange traffic — while the seg ledger rows feed two gates:
-/// seg_fetch_bytes rides the baseline tolerance compare, and every
-/// prefetch-on row must report strictly lower seg_stall_seconds than
-/// its _nopf twin (the plan converts demand stalls into overlap).
-void BM_PageRankSegcache(benchmark::State& state) {
-  const int nranks = 8;
-  const int pct = static_cast<int>(state.range(0));
-  const bool prefetch = state.range(1) != 0;
-  const graph::EdgeList el = gen::erdos_renyi(8'000, 12, 5);
-  std::string name = "pagerank_segcache_q" + std::to_string(pct);
-  if (!prefetch) name += "_nopf";
-  CommRow row{name, nranks, 0};
-  for (auto _ : state) {
-    sim::run_world(nranks, [&](sim::Comm& comm) {
-      graph::DistGraph g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      graph::SegCacheOptions opt;
-      opt.segment_bytes = 1 << 9;  // enough frames even at q25
-      opt.budget_bytes =
-          g.m_local() * static_cast<count_t>(sizeof(lid_t)) * pct / 100;
-      opt.prefetch = prefetch;
-      g.enable_out_of_core(comm, opt);
-      comm.barrier();
-      comm.reset_stats();
-      analytics::PageRankProgram p;
-      engine::Config cfg;
-      cfg.max_supersteps = 10;
-      const engine::Stats st = engine::run(comm, g, p, cfg);
-      const sim::CommStats world = comm.world_stats();
-      std::vector<count_t> seg{st.exchange.seg_hits,
-                               st.exchange.seg_misses,
-                               st.exchange.seg_evictions,
-                               st.exchange.seg_prefetch_hits,
-                               st.exchange.seg_fetch_bytes};
-      comm.allreduce_sum(seg);
-      const double stall =
-          comm.allreduce_sum(st.exchange.seg_stall_seconds);
-      g.disable_out_of_core(comm);
-      if (comm.rank() == 0) {
-        note_world(row, world, static_cast<double>(st.supersteps));
-        row.seg_hits = seg[0];
-        row.seg_misses = seg[1];
-        row.seg_evictions = seg[2];
-        row.seg_prefetch_hits = seg[3];
-        row.seg_fetch_bytes = seg[4];
-        row.seg_stall_seconds = stall;
-      }
-    });
-  }
-  state.counters["bytes/iter"] = row.bytes_per_iter;
-  state.counters["seg_fetch"] = static_cast<double>(row.seg_fetch_bytes);
-  state.counters["seg_stall"] = row.seg_stall_seconds;
-  state.counters["hit_rate"] =
-      static_cast<double>(row.seg_hits) /
-      static_cast<double>(std::max<count_t>(1, row.seg_hits + row.seg_misses));
-  record_row(row);
-}
-BENCHMARK(BM_PageRankSegcache)
-    ->Args({25, 1})
-    ->Args({25, 0})
-    ->Args({100, 1})
-    ->Args({100, 0});
-
 /// The delta-capped SSSP frontier program: notification volume per
 /// superstep at two bucket widths (a tight delta runs more, smaller
 /// supersteps over the same relaxation set; total bytes respond to
@@ -877,10 +800,7 @@ int main(int argc, char** argv) {
         "\"drained_incrementally\": %lld, \"pipeline_carried\": %lld, "
         "\"max_pipeline_depth\": %lld, "
         "\"exposed_wire_seconds_per_iter\": %.4f, "
-        "\"one_sided_bytes_per_iter\": %.1f, "
-        "\"seg_hits\": %lld, \"seg_misses\": %lld, "
-        "\"seg_evictions\": %lld, \"seg_prefetch_hits\": %lld, "
-        "\"seg_fetch_bytes\": %lld, \"seg_stall_seconds\": %.4f}",
+        "\"one_sided_bytes_per_iter\": %.1f}",
         first ? "" : ",\n", r.bench.c_str(), r.nranks,
         static_cast<long long>(r.max_send_bytes), r.bytes_per_iter,
         r.collectives_per_iter, r.phases_per_iter,
@@ -892,12 +812,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(r.drained_incrementally),
         static_cast<long long>(r.pipeline_carried),
         static_cast<long long>(r.max_pipeline_depth),
-        r.exposed_wire_seconds_per_iter, r.one_sided_bytes_per_iter,
-        static_cast<long long>(r.seg_hits),
-        static_cast<long long>(r.seg_misses),
-        static_cast<long long>(r.seg_evictions),
-        static_cast<long long>(r.seg_prefetch_hits),
-        static_cast<long long>(r.seg_fetch_bytes), r.seg_stall_seconds);
+        r.exposed_wire_seconds_per_iter, r.one_sided_bytes_per_iter);
     first = false;
   }
   std::printf("\n]\n");

@@ -108,8 +108,9 @@ int main() {
       "\n2D-XtraPuLP over 1D-Rand on irregular graphs (geometric mean):\n"
       "  communication volume reduced %.2fx (paper's 2.77x time speedup is\n"
       "  comm-bound, so volume is the transferable quantity; raw wall-time\n"
-      "  ratio on this one-core substrate: %.2fx, where comm is ~free and\n"
-      "  the 2D fold's extra local pass costs instead of saving).\n",
+      "  ratio on this substrate, whose ranks are threads sharing one\n"
+      "  4-vCPU host: %.2fx, where comm is ~free and the 2D fold's extra\n"
+      "  local pass costs instead of saving).\n",
       metrics::geometric_mean(speedups), metrics::geometric_mean(time_ratios));
   return 0;
 }

@@ -60,39 +60,6 @@ int main() {
     table.cell(r.quality.vertex_imbalance);
   }
 
-  // Out-of-core rows: the same RandER instance partitioned with the
-  // adjacency behind the segment cache at a fraction of the per-rank
-  // working set. resB/e is the frame pool, not the CSR — the memory
-  // the paper's 2^40-edge runs would actually need per rank. hit%
-  // shows how far the superstep-driven prefetch keeps the smaller
-  // pools from thrashing.
-  bench::section("out-of-core (RandER, budget as fraction of working set)");
-  bench::Table ooc({{"budget", 9},
-                    {"time(s)", 10},
-                    {"Medges/s", 11},
-                    {"resB/e", 9},
-                    {"hit%", 8},
-                    {"stall(s)", 10}});
-  const graph::EdgeList& ooc_el = graphs[0].el;
-  const struct {
-    const char* label;
-    double frac;
-  } budgets[] = {{"1/4", 0.25}, {"1/2", 0.5}, {"inf", 1.0}};
-  for (const auto& [label, frac] : budgets) {
-    core::Params params;
-    params.nparts = 64;
-    const bench::RunResult r =
-        bench::run_xtrapulp(ooc_el, nranks, params, true, frac);
-    ooc.cell(label);
-    ooc.cell(r.seconds);
-    ooc.cell(static_cast<double>(ooc_el.edge_count()) / r.seconds / 1e6,
-             "%.2f");
-    ooc.cell(static_cast<double>(r.resident_bytes) * nranks /
-                 static_cast<double>(ooc_el.edge_count()),
-             "%.1f");
-    ooc.cell(100.0 * r.seg_hit_rate, "%.1f");
-    ooc.cell(r.seg_stall_seconds, "%.2f");
-  }
   std::printf(
       "\nExtrapolation: at %.1f Medges/s on %d simulated ranks, 2^40 edges\n"
       "needs %.0fx this substrate's throughput — the paper reaches it with\n"

@@ -59,16 +59,6 @@ width is a pure throughput knob by design (DESIGN.md §6); any drift
 means a worker thread raced the wire accounting, and no baseline
 tolerance excuses it.
 
-The out-of-core rows (pagerank_segcache_q25 / _q100 and their _nopf
-twins) carry a fifth absolute contract: every prefetch-on row must
-report strictly lower seg_stall_seconds than its prefetch-off twin and
-must land at least one prefetch hit — the superstep-driven plan exists
-to convert demand stalls into overlap, and both runs see the same
-deterministic latency model, so the ordering is exact, not
-statistical. seg_fetch_bytes additionally rides the baseline tolerance
-compare: a cache that starts refetching segments it should have held
-shows up as fetch-volume growth even when the wire stays clean.
-
 With --compare-bench, a second bench binary (in CI: the same tree
 built with -DXTRA_VERIFY_COMM=ON) is swept and every gated wire metric
 must match the primary run's rows EXACTLY, key by key. The verifier is
@@ -112,7 +102,7 @@ import sys
 
 BASELINE = pathlib.Path(__file__).parent / "baselines" / "comm_stats.json"
 COMPARED = ("bytes_per_iter", "collectives_per_iter",
-            "inter_node_bytes_per_iter", "seg_fetch_bytes")
+            "inter_node_bytes_per_iter")
 HIER_PAIRS = ("sharded_updates_hier", "sharded_updates_flat")
 HIER_MIN_RANKS = 16
 COALESCE_PAIRS = ("commlp_coalesced", "commlp_uncoalesced")
@@ -143,11 +133,6 @@ EXPOSED = "exposed_wire_seconds_per_iter"
 # not move more wire bytes per iteration than its two-sided twin.
 ONESIDED_ROW = re.compile(r"^(.+)_onesided$")
 ONESIDED_SLACK = 1.001  # equality modulo float formatting
-# Out-of-core rows: "<bench>_nopf" is the prefetch-off twin of an
-# otherwise identical segcache row. Prefetch must strictly reduce the
-# modeled demand stall (deterministic latency model — no noise floor).
-NOPF_ROW = re.compile(r"^(.+_segcache_q\d+)_nopf$")
-SEG_STALL = "seg_stall_seconds"
 # Deterministic wire counters that --compare-bench pins to exact
 # equality between the verifier-on and verifier-off builds. Timing and
 # exposure fields are excluded: the verifier may cost wall clock, never
@@ -156,8 +141,7 @@ PARITY_METRICS = ("bytes_per_iter", "collectives_per_iter",
                   "inter_node_bytes_per_iter",
                   "intra_node_bytes_per_iter",
                   "inter_node_msgs_per_iter",
-                  "one_sided_bytes_per_iter",
-                  "seg_fetch_bytes")
+                  "one_sided_bytes_per_iter")
 # --- Serving gates (SERVE_STATS_JSON from bench_serving) ------------
 SERVE_BASELINE = pathlib.Path(__file__).parent / "baselines" \
     / "serve_stats.json"
@@ -170,7 +154,7 @@ SERVE_PAIRS = ("serve_mix", "serve_mix_perquery")
 SERVE_BYTES_SLACK = 1.05
 # serve_mix twins that must reproduce the exact same latency ledger:
 # backend and thread width are throughput knobs under the virtual
-# clock (DESIGN.md §10). Wire metrics are per-backend and exempt.
+# clock (DESIGN.md §9). Wire metrics are per-backend and exempt.
 SERVE_DETERMINISM_TWINS = ("serve_mix_onesided", "serve_mix_t8")
 SERVE_DETERMINISM_METRICS = ("p50_ms", "p95_ms", "p99_ms",
                              "queries_per_sec", "slot_occupancy",
@@ -409,41 +393,6 @@ def check_onesided_contract(current):
     return failures
 
 
-def check_segcache_contract(current):
-    """Prefetch-on segcache rows must stall strictly less than their
-    _nopf twins, and must actually land prefetch hits (a zero means
-    the plan never engaged and the row degenerated into its twin)."""
-    failures = []
-    pairs = 0
-    for key, nopf in current.items():
-        m = NOPF_ROW.match(key[0])
-        if m is None:
-            continue
-        on = current.get((m.group(1), key[1], key[2]))
-        if on is None:
-            failures.append(f"{key}: no prefetch-on twin row to compare "
-                            f"against")
-            continue
-        pairs += 1
-        s_on, s_off = on.get(SEG_STALL), nopf.get(SEG_STALL)
-        if s_on is None or s_off is None:
-            failures.append(f"{key}: {SEG_STALL} missing from the "
-                            f"prefetch pair")
-        elif not s_on < s_off:
-            failures.append(
-                f"{key}: prefetch-on {SEG_STALL} {s_on:.4f} not strictly "
-                f"below prefetch-off twin's {s_off:.4f} (the plan must "
-                f"convert demand stalls into overlap)")
-        if on is not None and on.get("seg_prefetch_hits", 0) <= 0:
-            failures.append(
-                f"{(m.group(1), key[1], key[2])}: seg_prefetch_hits is "
-                f"zero — the prefetch plan never landed")
-    if pairs == 0:
-        failures.append("no segcache prefetch-twin pairs in the current "
-                        "run")
-    return failures
-
-
 def check_verifier_parity(current, other):
     """Every gated wire metric must be identical, row by row, between
     the primary (verifier-off) and comparison (verifier-on) sweeps."""
@@ -665,7 +614,6 @@ def main():
     failures += check_thread_contract(current)
     failures += check_depth_contract(current)
     failures += check_onesided_contract(current)
-    failures += check_segcache_contract(current)
 
     serving = ""
     if args.serving_bench:
@@ -689,7 +637,7 @@ def main():
     print(f"comm baseline check passed: {len(baseline)} rows within "
           f"{args.tolerance:.0%}; hierarchical inter-node, coalesced "
           f"commLP, engine-twin, thread-twin, pipeline-depth, "
-          f"one-sided, and segcache-prefetch contracts held" + serving
+          f"and one-sided contracts held" + serving
           + parity)
 
 

@@ -1,5 +1,5 @@
 // Scenario: an online graph-query service over the partitioned graph
-// (DESIGN.md §10) — a deterministic Poisson trace of point lookups,
+// (DESIGN.md §9) — a deterministic Poisson trace of point lookups,
 // k-hop neighborhoods, multi-source BFS, and personalized-PageRank
 // queries served by the superstep-packing scheduler, with tail
 // latency measured on the virtual clock. Re-running this example

@@ -86,10 +86,10 @@ struct PageRankProgram {
   void mid(Ctx& ctx) { dangling = ctx.comm.allreduce_sum(dangling); }
   void apply(Ctx& ctx) {
     const double n = static_cast<double>(ctx.g.n_global());
-    // Per-vertex gather (parallel in-core, serial out-of-core — see
-    // DenseContext::for_owned); the residual folds serially in lid
-    // order afterwards, so the sum's association — and hence the tol
-    // stop — is identical at every thread count.
+    // Per-vertex gather on the rank's pool (DenseContext::for_owned);
+    // the residual folds serially in lid order afterwards, so the
+    // sum's association — and hence the tol stop — is identical at
+    // every thread count.
     ctx.for_owned([&](lid_t v) {
       double s = 0.0;
       for (const lid_t u : ctx.g.arcs(v)) s += ctx.values[u];
@@ -431,7 +431,7 @@ struct MultiBfsProgram {
       ctx.frontier.push_back({s, l});
     }
   }
-  graph::NeighborRef nbrs(Ctx& ctx, count_t /*slot*/, lid_t v) const {
+  std::span<const lid_t> nbrs(Ctx& ctx, count_t /*slot*/, lid_t v) const {
     return use_in_edges ? ctx.g.in_arcs(v) : ctx.g.arcs(v);
   }
   bool improves(Ctx&, count_t slot, lid_t /*v*/, lid_t u) const {
@@ -523,7 +523,7 @@ struct DeltaSsspProgram {
       ctx.frontier.push_back({0, l});
     }
   }
-  graph::NeighborRef nbrs(Ctx& ctx, count_t /*slot*/, lid_t v) const {
+  std::span<const lid_t> nbrs(Ctx& ctx, count_t /*slot*/, lid_t v) const {
     return ctx.g.arcs(v);
   }
   bool improves(Ctx& ctx, count_t /*slot*/, lid_t v, lid_t u) const {
@@ -632,8 +632,7 @@ struct TriangleCountProgram {
   void init(Ctx& ctx) {
     ctx.values.assign(ctx.g.n_total(), 0.0);
     adj.resize(ctx.g.n_local());
-    // Each vertex writes only its own adjacency row: chunk-safe
-    // (serial when out-of-core — see DenseContext::for_owned).
+    // Each vertex writes only its own adjacency row: chunk-safe.
     ctx.for_owned([&](lid_t v) {
       auto& a = adj[v];
       a.clear();

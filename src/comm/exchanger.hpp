@@ -128,20 +128,6 @@ struct ExchangeStats {
   count_t one_sided_gets = 0;
   count_t one_sided_bytes = 0;
 
-  // Out-of-core segment-cache ledger (graph::SegmentCache, DESIGN.md
-  // §9). Exchangers themselves never touch these; the engine folds the
-  // graph's per-run cache delta in here so the cache shows up next to
-  // the wire accounting in COMM_STATS_JSON. seg_fetch_bytes counts
-  // backing traffic (spill reads or fetch-lane win_gets) — it is
-  // deliberately NOT part of bytes_sent, so the exchange wire ledger
-  // stays bit-identical between in-core and out-of-core runs.
-  count_t seg_hits = 0;
-  count_t seg_misses = 0;
-  count_t seg_evictions = 0;
-  count_t seg_prefetch_hits = 0;
-  count_t seg_fetch_bytes = 0;
-  double seg_stall_seconds = 0.0;  ///< modeled demand-fetch latency
-
   /// Fold another ledger into this one: counters and times add, peak
   /// fields take the max. Used by HaloPlan's lane aggregation and the
   /// engine's per-run rollup.
@@ -164,12 +150,6 @@ struct ExchangeStats {
     max_pipeline_depth = std::max(max_pipeline_depth, from.max_pipeline_depth);
     one_sided_gets += from.one_sided_gets;
     one_sided_bytes += from.one_sided_bytes;
-    seg_hits += from.seg_hits;
-    seg_misses += from.seg_misses;
-    seg_evictions += from.seg_evictions;
-    seg_prefetch_hits += from.seg_prefetch_hits;
-    seg_fetch_bytes += from.seg_fetch_bytes;
-    seg_stall_seconds += from.seg_stall_seconds;
   }
 };
 

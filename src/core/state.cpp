@@ -52,14 +52,7 @@ std::vector<count_t> compute_cut_sizes(sim::Comm& comm,
       row[static_cast<std::size_t>(pv)] += cut;
     }
   };
-  if (g.out_of_core()) {
-    // Segment borrows may issue substrate calls (remote backing),
-    // which must stay on the rank thread. Integer counts sum the same
-    // in any grouping, so one row takes every vertex.
-    count_chunk(0, 0, n);
-  } else {
-    par::for_chunks(n, count_chunk);
-  }
+  par::for_chunks(n, count_chunk);
   std::vector<count_t> sizes(np, 0);
   for (std::size_t off = 0; off < partials.size(); off += np)
     for (std::size_t i = 0; i < np; ++i) sizes[i] += partials[off + i];
@@ -118,13 +111,7 @@ void sweep_deciders(const graph::DistGraph& g, std::vector<part_t>& parts,
     d.queue.clear();
     sweep(d);
   };
-  if (g.out_of_core()) {
-    // Segment borrows may issue substrate calls (remote backing),
-    // which must stay on the rank thread.
-    for (int b = 0; b < s; ++b) run(b);
-  } else {
-    par::for_tasks(s, run);
-  }
+  par::for_tasks(s, run);
   const auto add = [](std::vector<count_t>& into,
                       const std::vector<count_t>& from) {
     for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];

@@ -229,11 +229,10 @@ inline bool Decider::can_leave(part_t p) const {
 /// The owned lids are cut into st.subranks() contiguous blocks of equal
 /// arc counts (a function of the graph and subranks() only; one block
 /// of every owned lid from three ranks on). Each sub-rank sweeps
-/// its block on its own Decider — on the par pool, or serially in block
-/// order when the graph is out-of-core — and then the blocks are copied
-/// back into `parts` and the ledgers are added into st's and the queues
-/// appended in sub-rank order. The sub-ranks only read `parts` and st,
-/// so the result does not depend on the thread count.
+/// its block on its own Decider on the par pool, and then the blocks
+/// are copied back into `parts` and the ledgers are added into st's and
+/// the queues appended in sub-rank order. The sub-ranks only read
+/// `parts` and st, so the result does not depend on the thread count.
 void sweep_deciders(const graph::DistGraph& g, std::vector<part_t>& parts,
                     PhaseState& st, std::vector<lid_t>& queue,
                     const std::function<void(Decider&)>& sweep);

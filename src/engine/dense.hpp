@@ -193,22 +193,16 @@ struct DenseContext {
   graph::HaloPlan* halo_ = nullptr;
   std::unique_ptr<comm::Exchanger> aux_;
 
-  /// Chunked owned-vertex sweep for program hooks (apply/init loops):
-  /// parallel on the rank's pool in-core, serial when the graph is
-  /// out-of-core — segment borrows issue substrate calls (remote
-  /// backing), which must stay on the rank thread. fn(v) must be safe
-  /// for concurrent distinct v to use this (per-vertex writes only).
+  /// Chunked owned-vertex sweep for program hooks (apply/init loops)
+  /// on the rank's pool. fn(v) must be safe for concurrent distinct v
+  /// to use this (per-vertex writes only).
   template <typename Fn>
   void for_owned(Fn&& fn) const {
-    if (!g.out_of_core()) {
-      par::for_chunks(static_cast<count_t>(g.n_local()),
-                      [&](count_t, count_t lo, count_t hi) {
-                        for (count_t i = lo; i < hi; ++i)
-                          fn(static_cast<lid_t>(i));
-                      });
-      return;
-    }
-    for (lid_t v = 0; v < g.n_local(); ++v) fn(v);
+    par::for_chunks(static_cast<count_t>(g.n_local()),
+                    [&](count_t, count_t lo, count_t hi) {
+                      for (count_t i = lo; i < hi; ++i)
+                        fn(static_cast<lid_t>(i));
+                    });
   }
 
   struct alignas(64) ChangedFlag {
@@ -228,17 +222,8 @@ namespace detail {
 template <typename P>
 void update_sweep(const graph::DistGraph& g, P& p, DenseContext<P>& ctx) {
   if constexpr (parallel_update<P>()) {
-    // Out-of-core sweeps stay serial even for parallel-safe programs:
-    // segment borrows may issue substrate calls (remote backing), and
-    // those must stay on the rank thread. Same visit order either way.
-    if (!g.out_of_core()) {
-      par::for_chunks(static_cast<count_t>(g.n_local()),
-                      [&](count_t, count_t lo, count_t hi) {
-                        for (count_t i = lo; i < hi; ++i)
-                          p.update(ctx, static_cast<lid_t>(i));
-                      });
-      return;
-    }
+    ctx.for_owned([&](lid_t v) { p.update(ctx, v); });
+    return;
   }
   for (lid_t v = 0; v < g.n_local(); ++v) p.update(ctx, v);
 }
@@ -273,15 +258,12 @@ void run_dense_pipelined(sim::Comm& comm, const graph::DistGraph& g, P& p,
     if constexpr (requires { p.pre_superstep(ctx); }) p.pre_superstep(ctx);
     ctx.reset_changed();
     ctx.residual = 0.0;
-    // Every superstep replays the boundary-first sweep, so the
-    // prefetch plan rewinds with it (no-op in-core).
-    g.restart_prefetch_plan();
     pipe.superstep(
         comm, ctx.values, [&](lid_t v) { p.update(ctx, v); },
         [&] {
           if constexpr (requires { p.mid(ctx); }) p.mid(ctx);
         },
-        parallel_update<P>() && !g.out_of_core());
+        parallel_update<P>());
     if constexpr (requires { p.apply(ctx); }) p.apply(ctx);
     ctx.collect_changed();
     ++ctx.superstep;
@@ -365,7 +347,6 @@ void run_dense_coalesced(sim::Comm& comm, const graph::DistGraph& g, P& p,
     if constexpr (requires { p.pre_superstep(ctx); }) p.pre_superstep(ctx);
     ctx.reset_changed();
     ctx.residual = 0.0;
-    g.restart_prefetch_plan();
     update_sweep(g, p, ctx);
     if constexpr (requires { p.apply(ctx); }) p.apply(ctx);
     ctx.collect_changed();
@@ -420,7 +401,6 @@ void run_dense_local(sim::Comm& comm, const graph::DistGraph& g, P& p,
     if constexpr (requires { p.pre_superstep(ctx); }) p.pre_superstep(ctx);
     ctx.reset_changed();
     ctx.residual = 0.0;
-    g.restart_prefetch_plan();
     update_sweep(g, p, ctx);
     if constexpr (requires { p.apply(ctx); }) p.apply(ctx);
     ctx.collect_changed();
@@ -432,27 +412,6 @@ void run_dense_local(sim::Comm& comm, const graph::DistGraph& g, P& p,
         break;
     }
   }
-}
-
-/// Prefetch plan for the dense drivers' sweep order: boundary lids in
-/// the halo's ship order first, then the interior ascending — exactly
-/// the order overlapped_superstep visits vertices. The plan is
-/// advisory (bounded look-ahead), so programs that also walk in-arcs
-/// or skip vertices degrade to the cache's sequential fallback rather
-/// than derailing.
-inline void install_dense_prefetch_plan(const graph::DistGraph& g,
-                                        const graph::HaloPlan* halo) {
-  if (!g.out_of_core()) return;
-  std::vector<count_t> plan;
-  if (halo != nullptr) {
-    for (const lid_t v : halo->boundary_lids())
-      g.append_arc_segments(v, plan);
-    for (lid_t v = 0; v < g.n_local(); ++v)
-      if (!halo->is_boundary(v)) g.append_arc_segments(v, plan);
-  } else {
-    for (lid_t v = 0; v < g.n_local(); ++v) g.append_arc_segments(v, plan);
-  }
-  g.set_prefetch_plan(std::move(plan));
 }
 
 }  // namespace detail
@@ -470,7 +429,6 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
   par::ThreadScope threads(cfg.num_threads);
   stats.num_threads = par::num_threads();
   const count_t start_bytes = comm.stats().bytes_sent;
-  const graph::SegCacheStats seg_start = g.segcache_stats();
   Timer timer;
 
   DenseContext<P> ctx{comm, g, cfg};
@@ -481,7 +439,6 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
     halo->set_max_send_bytes(cfg.max_exchange_bytes);
     ctx.halo_ = halo.get();
   }
-  detail::install_dense_prefetch_plan(g, halo.get());
   p.init(ctx);
   XTRA_ASSERT_MSG(ctx.values.size() ==
                       static_cast<std::size_t>(g.n_total()),
@@ -509,7 +466,6 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
   stats.supersteps = ctx.superstep;
   if (halo) merge(stats.exchange, halo->stats());
   if (ctx.aux_) merge(stats.exchange, ctx.aux_->stats());
-  detail::fold_segcache_delta(stats.exchange, seg_start, g.segcache_stats());
   stats.seconds = timer.seconds();
   stats.comm_bytes = comm.stats().bytes_sent - start_bytes;
   return stats;

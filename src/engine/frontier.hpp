@@ -20,7 +20,7 @@
 //     using Notify = ...;   // trivially copyable wire record; a
 //                           //   multi-slot program carries its slot
 //     void init(Ctx&);      // seed data, ctx.num_slots, ctx.frontier
-//     graph::NeighborRef nbrs(Ctx&, count_t s, lid_t v);
+//     std::span<const lid_t> nbrs(Ctx&, count_t s, lid_t v);
 //     bool improves(Ctx&, count_t s, lid_t v, lid_t u);  // read-only
 //     bool relax(Ctx&, count_t s, lid_t v, lid_t u);     // true =
 //                                                        //   improved
@@ -92,30 +92,13 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   const count_t start_bytes = comm.stats().bytes_sent;
   Timer timer;
 
-  const graph::SegCacheStats seg_start = g.segcache_stats();
   FrontierContext<P> ctx{comm, g, cfg};
   graph::FrontierStepper<typename P::Notify> stepper(
       cfg.max_exchange_bytes, cfg.shard_policy, cfg.backend);
   p.init(ctx);
 
-  std::vector<count_t> plan;           // out-of-core prefetch order
-  std::vector<std::uint8_t> planned;   // dedup: slots share vertices
   const count_t limit = detail::superstep_limit(cfg);
   while (ctx.superstep < limit && comm.allreduce_or(!ctx.frontier.empty())) {
-    if (g.out_of_core()) {
-      // The stepper scans exactly the frontier, in order, and visits
-      // each distinct vertex's segments once per level no matter how
-      // many slots activate it — the first occurrences, in frontier
-      // order, ARE the prefetch plan for this level.
-      plan.clear();
-      planned.assign(static_cast<std::size_t>(g.n_local()), 0);
-      for (const graph::SlotVertex& e : ctx.frontier)
-        if (!planned[e.v]) {
-          planned[e.v] = 1;
-          g.append_arc_segments(e.v, plan);
-        }
-      g.set_prefetch_plan(plan);
-    }
     stepper.step(
         comm, g, ctx.num_slots, ctx.frontier, ctx.next,
         [&](count_t s, lid_t v) { return p.nbrs(ctx, s, v); },
@@ -132,7 +115,6 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
 
   stats.supersteps = ctx.superstep;
   merge(stats.exchange, stepper.exchanger().stats());
-  detail::fold_segcache_delta(stats.exchange, seg_start, g.segcache_stats());
   stats.seconds = timer.seconds();
   stats.comm_bytes = comm.stats().bytes_sent - start_bytes;
   return stats;

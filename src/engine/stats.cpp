@@ -21,10 +21,7 @@ std::string Stats::to_json() const {
       "\"coalesced_flushes\": %lld, \"overlapped\": %lld, "
       "\"max_inflight_bytes\": %lld, \"drained_incrementally\": %lld, "
       "\"pipeline_carried\": %lld, \"max_pipeline_depth\": %lld, "
-      "\"one_sided_gets\": %lld, \"one_sided_bytes\": %lld, "
-      "\"seg_hits\": %lld, \"seg_misses\": %lld, \"seg_evictions\": %lld, "
-      "\"seg_prefetch_hits\": %lld, \"seg_fetch_bytes\": %lld, "
-      "\"seg_stall_seconds\": %.6f}",
+      "\"one_sided_gets\": %lld, \"one_sided_bytes\": %lld}",
       seconds, static_cast<long long>(comm_bytes),
       static_cast<long long>(supersteps), num_threads,
       static_cast<long long>(exchange.exchanges),
@@ -41,13 +38,7 @@ std::string Stats::to_json() const {
       static_cast<long long>(exchange.pipeline_carried),
       static_cast<long long>(exchange.max_pipeline_depth),
       static_cast<long long>(exchange.one_sided_gets),
-      static_cast<long long>(exchange.one_sided_bytes),
-      static_cast<long long>(exchange.seg_hits),
-      static_cast<long long>(exchange.seg_misses),
-      static_cast<long long>(exchange.seg_evictions),
-      static_cast<long long>(exchange.seg_prefetch_hits),
-      static_cast<long long>(exchange.seg_fetch_bytes),
-      exchange.seg_stall_seconds);
+      static_cast<long long>(exchange.one_sided_bytes));
   return buf;
 }
 

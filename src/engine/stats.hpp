@@ -9,7 +9,6 @@
 #include <string>
 
 #include "comm/exchanger.hpp"
-#include "graph/segcache.hpp"
 #include "util/types.hpp"
 
 namespace xtra::engine {
@@ -31,23 +30,5 @@ struct Stats {
 /// Fold one engine's ledger into an aggregate: counters and times add,
 /// peak fields take the max.
 void merge(comm::ExchangeStats& into, const comm::ExchangeStats& from);
-
-namespace detail {
-
-/// Fold a run's segment-cache activity (delta vs the start-of-run
-/// snapshot) into the exchange ledger headed for Stats::to_json. Used
-/// by both the dense and frontier drivers.
-inline void fold_segcache_delta(comm::ExchangeStats& into,
-                                const graph::SegCacheStats& start,
-                                const graph::SegCacheStats& end) {
-  into.seg_hits += end.seg_hits - start.seg_hits;
-  into.seg_misses += end.seg_misses - start.seg_misses;
-  into.seg_evictions += end.seg_evictions - start.seg_evictions;
-  into.seg_prefetch_hits += end.seg_prefetch_hits - start.seg_prefetch_hits;
-  into.seg_fetch_bytes += end.seg_fetch_bytes - start.seg_fetch_bytes;
-  into.seg_stall_seconds += end.seg_stall_seconds - start.seg_stall_seconds;
-}
-
-}  // namespace detail
 
 }  // namespace xtra::engine

@@ -61,53 +61,6 @@ count_t DistGraph::local_degree_sum() const {
   return sum;
 }
 
-void DistGraph::enable_out_of_core(sim::Comm& comm,
-                                   const SegCacheOptions& opt) {
-  XTRA_ASSERT_MSG(!segcache_, "out-of-core mode already enabled");
-  in_base_ = static_cast<count_t>(adj_.size());
-  std::vector<lid_t> entries = std::move(adj_);
-  entries.insert(entries.end(), in_adj_.begin(), in_adj_.end());
-  adj_ = std::vector<lid_t>();
-  in_adj_ = std::vector<lid_t>();
-  segcache_ =
-      std::make_unique<SegmentCache>(comm, std::move(entries), opt);
-}
-
-void DistGraph::disable_out_of_core(sim::Comm& comm) {
-  if (!segcache_) return;
-  std::vector<lid_t> entries = segcache_->read_all();
-  segcache_->close(comm);
-  segcache_.reset();
-  adj_.assign(entries.begin(), entries.begin() + in_base_);
-  in_adj_.assign(entries.begin() + in_base_, entries.end());
-  in_base_ = 0;
-}
-
-void DistGraph::append_arc_segments(lid_t l,
-                                    std::vector<count_t>& plan) const {
-  if (!segcache_) return;
-  if (offsets_[l] == offsets_[l + 1]) return;
-  const count_t first = segcache_->segment_of(offsets_[l]);
-  const count_t last = segcache_->segment_of(offsets_[l + 1] - 1);
-  for (count_t s = first; s <= last; ++s)
-    if (plan.empty() || plan.back() != s) plan.push_back(s);
-}
-
-void DistGraph::append_in_arc_segments(lid_t l,
-                                       std::vector<count_t>& plan) const {
-  if (!segcache_) return;
-  if (!directed_) {
-    append_arc_segments(l, plan);
-    return;
-  }
-  if (in_offsets_[l] == in_offsets_[l + 1]) return;
-  const count_t first = segcache_->segment_of(in_base_ + in_offsets_[l]);
-  const count_t last =
-      segcache_->segment_of(in_base_ + in_offsets_[l + 1] - 1);
-  for (count_t s = first; s <= last; ++s)
-    if (plan.empty() || plan.back() != s) plan.push_back(s);
-}
-
 DistGraph build_dist_graph(sim::Comm& comm, const EdgeList& el,
                            const VertexDist& dist) {
   XTRA_ASSERT(dist.nranks() == comm.size());

@@ -17,14 +17,13 @@
 // (each edge appears in both endpoints' adjacency).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "graph/dist.hpp"
 #include "graph/edge_list.hpp"
-#include "graph/segcache.hpp"
 #include "mpisim/comm.hpp"
+#include "util/assert.hpp"
 #include "util/flat_map.hpp"
 #include "util/types.hpp"
 
@@ -67,46 +66,20 @@ class DistGraph {
   /// Local out-degree of an owned vertex (== degree for undirected).
   count_t out_degree(lid_t l) const { return offsets_[l + 1] - offsets_[l]; }
 
-  /// Out-neighborhood of an owned vertex, as local ids. In-core path
-  /// only — out-of-core callers must go through arcs().
-  std::span<const lid_t> neighbors(lid_t l) const {
+  /// Out-neighborhood of an owned vertex, as local ids. Valid for
+  /// range-for (`for (lid_t u : g.arcs(v))`).
+  std::span<const lid_t> arcs(lid_t l) const {
     XTRA_DEBUG_ASSERT(l < n_local_);
-    XTRA_DEBUG_ASSERT(!segcache_);
     return {adj_.data() + offsets_[l],
             static_cast<std::size_t>(offsets_[l + 1] - offsets_[l])};
   }
 
-  /// In-neighborhood (directed graphs only; == neighbors otherwise).
-  std::span<const lid_t> in_neighbors(lid_t l) const {
-    XTRA_DEBUG_ASSERT(l < n_local_);
-    XTRA_DEBUG_ASSERT(!segcache_);
-    if (!directed_) return neighbors(l);
-    return {in_adj_.data() + in_offsets_[l],
-            static_cast<std::size_t>(in_offsets_[l + 1] - in_offsets_[l])};
-  }
-
-  /// Out-neighborhood through the uniform borrow API: a zero-copy
-  /// span wrapper in-core, a pinned/stitched SegmentCache::Ref when
-  /// out-of-core. Valid for range-for (`for (lid_t u : g.arcs(v))`).
-  NeighborRef arcs(lid_t l) const {
-    XTRA_DEBUG_ASSERT(l < n_local_);
-    if (!segcache_)
-      return NeighborRef(std::span<const lid_t>(
-          adj_.data() + offsets_[l],
-          static_cast<std::size_t>(offsets_[l + 1] - offsets_[l])));
-    return segcache_->borrow(offsets_[l], offsets_[l + 1]);
-  }
-
-  /// In-neighborhood through the borrow API (== arcs undirected).
-  NeighborRef in_arcs(lid_t l) const {
+  /// In-neighborhood (directed graphs only; == arcs otherwise).
+  std::span<const lid_t> in_arcs(lid_t l) const {
     XTRA_DEBUG_ASSERT(l < n_local_);
     if (!directed_) return arcs(l);
-    if (!segcache_)
-      return NeighborRef(std::span<const lid_t>(
-          in_adj_.data() + in_offsets_[l],
-          static_cast<std::size_t>(in_offsets_[l + 1] - in_offsets_[l])));
-    return segcache_->borrow(in_base_ + in_offsets_[l],
-                             in_base_ + in_offsets_[l + 1]);
+    return {in_adj_.data() + in_offsets_[l],
+            static_cast<std::size_t>(in_offsets_[l + 1] - in_offsets_[l])};
   }
 
   /// Algorithm 3's toSend set of an owned vertex: the distinct ranks
@@ -131,34 +104,6 @@ class DistGraph {
   /// Sum over owned vertices of degree (== 2*m_global for undirected
   /// graphs once allreduced).
   count_t local_degree_sum() const;
-
-  /// --- Out-of-core mode (DESIGN.md §9) ---
-  /// Move the adjacency arrays into a bounded SegmentCache. Collective
-  /// when opt.backing == kRemote (opens the reserved fetch-lane
-  /// window). While active, neighbors()/in_neighbors() are forbidden
-  /// and every sweep must run serial (the engine keys off
-  /// out_of_core()).
-  void enable_out_of_core(sim::Comm& comm, const SegCacheOptions& opt);
-  /// Restore the in-core arrays; collective for kRemote.
-  void disable_out_of_core(sim::Comm& comm);
-  bool out_of_core() const { return segcache_ != nullptr; }
-  /// Cache ledger so far; all-zero when in-core.
-  SegCacheStats segcache_stats() const {
-    return segcache_ ? segcache_->stats() : SegCacheStats{};
-  }
-  const SegmentCache* segcache() const { return segcache_.get(); }
-
-  /// Append vertex l's out-adjacency segment ids to `plan` (dedup vs
-  /// the last entry); no-op in-core. Engine drivers build prefetch
-  /// plans from the sweep order with these.
-  void append_arc_segments(lid_t l, std::vector<count_t>& plan) const;
-  void append_in_arc_segments(lid_t l, std::vector<count_t>& plan) const;
-  void set_prefetch_plan(std::vector<count_t> plan) const {
-    if (segcache_) segcache_->set_plan(std::move(plan));
-  }
-  void restart_prefetch_plan() const {
-    if (segcache_) segcache_->restart_plan();
-  }
 
  private:
   friend DistGraph build_dist_graph(sim::Comm&, const EdgeList&,
@@ -185,14 +130,6 @@ class DistGraph {
 
   std::vector<count_t> send_offsets_;  // n_local + 1
   std::vector<int> send_ranks_;
-
-  // Out-of-core state: when segcache_ is set, adj_/in_adj_ are empty
-  // and live in the cache's backing as the concatenation
-  // [adj_ | in_adj_]; in_base_ is the in-region's entry offset.
-  // Mutable so the const engine/analytics surface can borrow and
-  // steer prefetch; logically the graph is still read-only.
-  mutable std::unique_ptr<SegmentCache> segcache_;
-  count_t in_base_ = 0;
 };
 
 /// Build the distributed graph collectively. Every rank passes the same

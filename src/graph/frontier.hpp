@@ -159,17 +159,7 @@ class FrontierStepper {
       }
       scan_edges_[static_cast<std::size_t>(c)] = edges;
     };
-    if (g.out_of_core()) {
-      // Out-of-core: nbrs() borrows segments, which may issue
-      // substrate calls (remote backing) — those stay on the rank
-      // thread. Same chunk decomposition, so phase B's replay order
-      // (and hence marks and wire records) is unchanged.
-      for (count_t c = 0; c < nchunks; ++c)
-        scan_chunk(c, c * par::kChunkGrain,
-                   std::min(nf, (c + 1) * par::kChunkGrain));
-    } else {
-      par::for_chunks(nf, scan_chunk);
-    }
+    par::for_chunks(nf, scan_chunk);
     // Phase B (serial, chunk order): ghost candidates are replayed
     // through relax in exactly the order a single interleaved scan
     // visits them. Monotonicity makes the pre-filter exact: a ghost's

@@ -1,61 +1,11 @@
 #include "graph/io.hpp"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
-#include <vector>
-
-#include "util/assert.hpp"
 
 namespace xtra::graph {
-
-SpillFile::SpillFile() {
-  const char* dir = std::getenv("TMPDIR");
-  std::string tmpl = std::string(dir && *dir ? dir : "/tmp") +
-                     "/xtra_spill_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  fd_ = ::mkstemp(buf.data());
-  if (fd_ < 0) throw std::runtime_error("SpillFile: mkstemp failed");
-  ::unlink(buf.data());
-}
-
-SpillFile::~SpillFile() {
-  if (map_ != nullptr) ::munmap(const_cast<unsigned char*>(map_), size_);
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void SpillFile::append(const void* src, std::size_t len) {
-  XTRA_ASSERT_MSG(map_ == nullptr, "SpillFile: append after finalize");
-  const char* p = static_cast<const char*>(src);
-  while (len > 0) {
-    const ::ssize_t w = ::write(fd_, p, len);
-    if (w < 0) throw std::runtime_error("SpillFile: write failed");
-    p += w;
-    len -= static_cast<std::size_t>(w);
-    size_ += static_cast<std::size_t>(w);
-  }
-}
-
-void SpillFile::finalize() {
-  XTRA_ASSERT_MSG(map_ == nullptr, "SpillFile: double finalize");
-  if (size_ == 0) return;  // nothing to map; read() of len 0 stays legal
-  void* m = ::mmap(nullptr, size_, PROT_READ, MAP_SHARED, fd_, 0);
-  if (m == MAP_FAILED) throw std::runtime_error("SpillFile: mmap failed");
-  map_ = static_cast<const unsigned char*>(m);
-}
-
-void SpillFile::read(std::size_t offset, std::size_t len, void* dst) const {
-  if (len == 0) return;
-  XTRA_ASSERT_MSG(map_ != nullptr, "SpillFile: read before finalize");
-  XTRA_ASSERT(offset + len <= size_);
-  std::memcpy(dst, map_ + offset, len);
-}
 
 namespace {
 
@@ -104,11 +54,16 @@ EdgeList read_edge_list_text(const std::string& path) {
     throw std::runtime_error("bad directedness token in " + path);
   }
   unsigned long long u = 0, v = 0;
-  while (std::fscanf(f.get(), "%llu %llu", &u, &v) == 2) {
+  int got = 0;
+  while ((got = std::fscanf(f.get(), "%llu %llu", &u, &v)) == 2) {
     if (u >= el.n || v >= el.n)
       throw std::runtime_error("vertex id out of range in " + path);
     el.edges.push_back({u, v});
   }
+  // fscanf returns EOF only when input ends before the first
+  // conversion; a short count means a malformed or half pair.
+  if (got != EOF || std::ferror(f.get()))
+    throw std::runtime_error("malformed edge pair in " + path);
   return el;
 }
 
@@ -136,6 +91,16 @@ EdgeList read_edge_list_binary(const std::string& path) {
   EdgeList el;
   el.n = header[0];
   el.directed = header[1] != 0;
+  // Bound the claimed count by the bytes left in the file before
+  // allocating, so a corrupt header cannot demand terabytes.
+  const long body = std::ftell(f.get());
+  if (body < 0 || std::fseek(f.get(), 0, SEEK_END) != 0)
+    throw std::runtime_error("cannot seek in " + path);
+  const long end = std::ftell(f.get());
+  if (end < body || std::fseek(f.get(), body, SEEK_SET) != 0)
+    throw std::runtime_error("cannot seek in " + path);
+  if (header[2] > static_cast<std::uint64_t>(end - body) / sizeof(Edge))
+    throw std::runtime_error("truncated binary edge list " + path);
   el.edges.resize(header[2]);
   if (!el.edges.empty() &&
       std::fread(el.edges.data(), sizeof(Edge), el.edges.size(), f.get()) !=

@@ -6,53 +6,25 @@
 // SNAP/KONECT-converted data through.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "graph/edge_list.hpp"
 
 namespace xtra::graph {
 
-/// Anonymous spill store for the out-of-core segment cache's mmap
-/// backing: an unlinked temp file written once (append + finalize),
-/// then mapped read-only so read() is a plain memcpy from the map.
-/// Unlinking at creation means the kernel reclaims the bytes when the
-/// fd closes — no cleanup path, no leftover files after a crash.
-class SpillFile {
- public:
-  SpillFile();
-  ~SpillFile();
-  SpillFile(const SpillFile&) = delete;
-  SpillFile& operator=(const SpillFile&) = delete;
-
-  /// Append `len` bytes; only valid before finalize().
-  void append(const void* src, std::size_t len);
-
-  /// Stop writing and map the file read-only.
-  void finalize();
-
-  /// Copy [offset, offset+len) into dst; only valid after finalize().
-  void read(std::size_t offset, std::size_t len, void* dst) const;
-
-  std::size_t size() const { return size_; }
-  bool finalized() const { return map_ != nullptr || size_ == 0; }
-
- private:
-  int fd_ = -1;
-  std::size_t size_ = 0;
-  const unsigned char* map_ = nullptr;
-};
-
 /// Write `el` as text; throws std::runtime_error on I/O failure.
 void write_edge_list_text(const std::string& path, const EdgeList& el);
 
-/// Read a text edge list; throws std::runtime_error on parse failure.
+/// Read a text edge list; throws std::runtime_error on a malformed
+/// header or pair (anything but clean EOF after the last pair).
 EdgeList read_edge_list_text(const std::string& path);
 
 /// Write `el` in the packed binary format.
 void write_edge_list_binary(const std::string& path, const EdgeList& el);
 
-/// Read a packed binary edge list.
+/// Read a packed binary edge list; throws std::runtime_error on a bad
+/// magic, a truncated file, or a header edge count the file cannot
+/// hold (checked before anything is allocated).
 EdgeList read_edge_list_binary(const std::string& path);
 
 }  // namespace xtra::graph

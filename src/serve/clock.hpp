@@ -1,4 +1,4 @@
-// The serving subsystem's virtual clock (DESIGN.md §10).
+// The serving subsystem's virtual clock (DESIGN.md §9).
 //
 // Latency under simulated MPI cannot come from wall time — wall time
 // varies with thread width, sanitizers, and host load, and the serve

@@ -1,4 +1,4 @@
-// The serve subsystem's query model (DESIGN.md §10).
+// The serve subsystem's query model (DESIGN.md §9).
 //
 // A query is one tenant request against the partitioned graph. Every
 // kind rides the same machinery — a slot of the batched multi-source

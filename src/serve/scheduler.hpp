@@ -1,5 +1,5 @@
 // serve::Scheduler — the multi-tenant superstep-packing query engine
-// (DESIGN.md §10).
+// (DESIGN.md §9).
 //
 // The scheduler turns the batch engine into a serving system: an
 // admission queue of open-loop queries (serve::Query, arrival-ordered)

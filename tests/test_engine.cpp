@@ -66,31 +66,6 @@ engine::Config env_cfg() {
   return cfg;
 }
 
-/// CI matrix hook: XTRA_TEST_OOC={mmap,remote} re-drives every graph
-/// in this suite with its adjacency behind a 4x-undersized segment
-/// cache (DESIGN.md §9) — segments small enough that the quarter
-/// budget still holds several frames, so eviction AND prefetch both
-/// run under every kernel here. Results must be bit-identical; the
-/// exact-billing assertions ignore the hook as usual (seg traffic
-/// never enters the exchange wire ledger).
-DistGraph build_graph(sim::Comm& comm, const EdgeList& el,
-                      const VertexDist& dist) {
-  DistGraph g = build_dist_graph(comm, el, dist);
-  const char* v = std::getenv("XTRA_TEST_OOC");
-  if (v == nullptr) return g;
-  graph::SegCacheOptions opt;
-  opt.backing = std::string_view(v) == "remote" ? graph::SegBacking::kRemote
-                                                : graph::SegBacking::kMmap;
-  opt.segment_bytes = 1 << 9;
-  count_t entries = 0;
-  for (lid_t l = 0; l < g.n_local(); ++l)
-    entries += g.out_degree(l) + (g.directed() ? g.in_degree(l) : 0);
-  opt.budget_bytes = std::max<count_t>(
-      1, entries * static_cast<count_t>(sizeof(lid_t)) / 4);
-  g.enable_out_of_core(comm, opt);
-  return g;
-}
-
 /// The knob matrix of the ISSUE: every transport configuration the
 /// engine must drive every kernel through. Pipeline depth and
 /// coalescing are exclusive staleness regimes, so the matrix sweeps
@@ -140,7 +115,7 @@ TEST(EngineMatrix, WccBitIdenticalAcrossAllKnobs) {
   count_t ref_num = 0, ref_largest = 0;
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
     const ComponentsResult r = weakly_connected_components(comm, g);
     const auto global = by_gid(comm, g, r.component);
     if (comm.rank() == 0) {
@@ -154,7 +129,7 @@ TEST(EngineMatrix, WccBitIdenticalAcrossAllKnobs) {
         4,
         [&](sim::Comm& comm) {
           const DistGraph g =
-              build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
           WccProgram p;
           engine::run(comm, g, p, cfg);
           const auto global = by_gid(comm, g, p.component);
@@ -173,7 +148,7 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
   std::vector<count_t> ref;
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 5));
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
     const KCoreResult r = kcore_approx(comm, g, 40);
     const auto global = by_gid(comm, g, r.core);
     if (comm.rank() == 0) ref = global;
@@ -183,7 +158,7 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
         4,
         [&](sim::Comm& comm) {
           const DistGraph g =
-              build_graph(comm, el, VertexDist::random(el.n, 4, 5));
+              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
           KCoreProgram p;
           engine::Config run_cfg = cfg;
           run_cfg.max_supersteps = 40;
@@ -211,7 +186,7 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
   std::vector<gid_t> ref;
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 4));
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
     const CommunityResult r = label_propagation(comm, g, 10);
     const auto global = by_gid(comm, g, r.label);
     if (comm.rank() == 0) ref = global;
@@ -221,7 +196,7 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
         4,
         [&](sim::Comm& comm) {
           const DistGraph g =
-              build_graph(comm, el, VertexDist::random(el.n, 4, 4));
+              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
           CommLpProgram p;
           engine::Config run_cfg = cfg;
           run_cfg.max_supersteps = 10;
@@ -251,7 +226,7 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
   std::vector<double> ref;
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
     const PageRankResult r = pagerank(comm, g, 12);
     std::vector<double> global(g.n_global(), 0.0);
     for (lid_t v = 0; v < g.n_local(); ++v)
@@ -265,7 +240,7 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
       sim::run_world(
           4,
           [&](sim::Comm& comm) {
-            const DistGraph g = build_graph(
+            const DistGraph g = build_dist_graph(
                 comm, el, VertexDist::random(el.n, 4, 3));
             PageRankProgram p;
             engine::Config cfg;
@@ -289,7 +264,7 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
   // conserved (mid-run iterates are not mass-conserving by design).
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
     PageRankProgram p;
     engine::Config cfg;
     cfg.max_supersteps = 400;
@@ -310,7 +285,7 @@ TEST(EngineMatrix, HarmonicAndSccIdenticalUnderHierarchicalRouting) {
     sim::run_world(
         4,
         [&](sim::Comm& comm) {
-          const DistGraph g = build_graph(
+          const DistGraph g = build_dist_graph(
               comm, directed, VertexDist::random(directed.n, 4, 3));
           engine::Config cfg;
           cfg.shard_policy = policy;
@@ -343,7 +318,7 @@ TEST(EngineFrontier, OneRootBfsMatchesBfsLevels) {
   const EdgeList el = gen::erdos_renyi(800, 6, 3);
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
     std::vector<count_t> levels;
     const count_t ecc = graph::bfs_levels(comm, g, 1, levels);
     const MultiBfsProgram<gid_t> p = one_root_bfs(comm, g, 1, env_cfg());
@@ -366,7 +341,8 @@ TEST(EngineFrontier, MultiBfsMatchesPerSourceBfsWithFewerCollectives) {
   const EdgeList el = gen::erdos_renyi(800, 6, 3);
   const std::vector<gid_t> roots = {1, 97, 401, 640};
   sim::run_world(4, [&](sim::Comm& comm) {
-    const DistGraph g = build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
     const count_t coll0 = comm.stats().collectives;
     MultiBfsProgram multi;
     multi.roots = roots;
@@ -533,7 +509,7 @@ TEST_P(SsspRanks, MatchesSerialDijkstraAcrossDeltas) {
   for (const count_t delta : {count_t{1}, count_t{8}, count_t{1 << 20}}) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const DistGraph g =
-          build_graph(comm, el, VertexDist::random(el.n, nranks, 3));
+          build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 3));
       const SsspResult r = sssp(comm, g, root, delta, max_weight, seed);
       for (lid_t v = 0; v < g.n_local(); ++v)
         EXPECT_EQ(r.dist[v], oracle[g.gid_of(v)])
@@ -549,7 +525,7 @@ TEST(Sssp, PathGraphExactDistances) {
   el.n = 5;
   for (gid_t v = 0; v + 1 < 5; ++v) el.edges.push_back({v, v + 1});
   sim::run_world(2, [&](sim::Comm& comm) {
-    const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
+    const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
     const SsspResult r = sssp(comm, g, 0, /*delta=*/4);
     count_t expect = 0;
     for (gid_t v = 0; v < 5; ++v) {
@@ -571,7 +547,7 @@ TEST(Sssp, DisconnectedVerticesStayUnreached) {
   el.n = 6;
   el.edges = {{0, 1}, {1, 2}};  // 3, 4, 5 isolated
   sim::run_world(2, [&](sim::Comm& comm) {
-    const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
+    const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
     const SsspResult r = sssp(comm, g, 0);
     EXPECT_EQ(r.reached, 3);
     for (lid_t v = 0; v < g.n_local(); ++v)
@@ -618,7 +594,7 @@ TEST_P(TriangleRanks, ExactWhenUnderSampleCap) {
   ASSERT_GT(exact, 0);
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, nranks, 5));
+        build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 5));
     // Cap far above any wedge count: every query is staged, so the
     // estimate is the exact count.
     const TriangleResult r = triangle_count(comm, g, 1 << 20);
@@ -633,7 +609,7 @@ TEST(Triangles, SampledEstimateTracksExactCount) {
   ASSERT_GT(exact, 0);
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 2, 3));
+        build_dist_graph(comm, el, VertexDist::random(el.n, 2, 3));
     const TriangleResult r = triangle_count(comm, g, /*sample_cap=*/64);
     EXPECT_GT(r.sampled_centers, 0);
     const double rel = r.triangles / static_cast<double>(exact);
@@ -648,7 +624,7 @@ TEST(Triangles, TriangleFreeGraphCountsZero) {
   el.n = 8;
   for (gid_t v = 0; v < 8; ++v) el.edges.push_back({v, (v + 1) % 8});
   sim::run_world(2, [&](sim::Comm& comm) {
-    const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
+    const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
     const TriangleResult r = triangle_count(comm, g);
     EXPECT_DOUBLE_EQ(r.triangles, 0.0);
   });
@@ -660,7 +636,7 @@ TEST(Triangles, TriangleFreeGraphCountsZero) {
 TEST(EngineStats, LedgerAndJsonExport) {
   const EdgeList el = gen::erdos_renyi(500, 6, 3);
   sim::run_world(2, [&](sim::Comm& comm) {
-    const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
+    const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
     WccProgram p;
     const engine::Stats st = engine::run(comm, g, p, env_cfg());
     EXPECT_GT(st.supersteps, 0);
@@ -672,9 +648,7 @@ TEST(EngineStats, LedgerAndJsonExport) {
     const std::string json = st.to_json();
     for (const char* key :
          {"\"seconds\"", "\"comm_bytes\"", "\"supersteps\"",
-          "\"bytes_sent\"", "\"pipeline_carried\"", "\"seg_hits\"",
-          "\"seg_misses\"", "\"seg_evictions\"", "\"seg_prefetch_hits\"",
-          "\"seg_fetch_bytes\"", "\"seg_stall_seconds\""})
+          "\"bytes_sent\"", "\"pipeline_carried\""})
       EXPECT_NE(json.find(key), std::string::npos) << key;
   });
 }
@@ -701,7 +675,7 @@ TEST(EngineConfig, FromParamsMapsEveryKnob) {
 TEST(EngineConfig, ZeroSuperstepCapRunsNone) {
   const EdgeList el = gen::erdos_renyi(200, 4, 3);
   sim::run_world(2, [&](sim::Comm& comm) {
-    const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
+    const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
     const PageRankResult pr = pagerank(comm, g, 0);
     EXPECT_EQ(pr.info.supersteps, 0);
     EXPECT_NEAR(pr.sum, 1.0, 1e-12);  // uniform seed ranks, mass intact
@@ -746,7 +720,7 @@ TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
           4,
           [&](sim::Comm& comm) {
             const DistGraph g =
-                build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+                build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
             PageRankProgram p;
             engine::Config cfg = base;
             cfg.max_supersteps = 12;
@@ -782,7 +756,7 @@ TEST(EngineThreads, CommLpBitIdenticalAcrossThreadCountsAndKnobs) {
           4,
           [&](sim::Comm& comm) {
             const DistGraph g =
-                build_graph(comm, el, VertexDist::random(el.n, 4, 4));
+                build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
             CommLpProgram p;
             engine::Config cfg = base;
             cfg.max_supersteps = 10;
@@ -816,7 +790,7 @@ TEST(EngineThreads, SsspBitIdenticalAcrossThreadCounts) {
   for (const int threads : {1, 2, 8}) {
     sim::run_world(4, [&](sim::Comm& comm) {
       const DistGraph g =
-          build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+          build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
       DeltaSsspProgram p;
       p.root = 3;
       p.delta = 8;
@@ -849,7 +823,7 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
   for (const int threads : {1, 2, 8}) {
     sim::run_world(2, [&](sim::Comm& comm) {
       const DistGraph g =
-          build_graph(comm, el, VertexDist::random(el.n, 2, 3));
+          build_dist_graph(comm, el, VertexDist::random(el.n, 2, 3));
       TriangleCountProgram p;
       p.sample_cap = 64;
       engine::Config cfg = env_cfg();
@@ -878,7 +852,7 @@ TEST(EngineStats, PipelineCarryRecordedAtDepth1) {
   const EdgeList el = gen::erdos_renyi(800, 8, 5);
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
     WccProgram p;
     engine::Config cfg = env_cfg();
     cfg.pipeline_depth = 1;
@@ -900,7 +874,7 @@ TEST(EngineStats, MaxPipelineDepthObservedAtDepth2) {
         4,
         [&](sim::Comm& comm) {
           const DistGraph g =
-              build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
           WccProgram p;
           engine::Config cfg;
           cfg.pipeline_depth = 2;

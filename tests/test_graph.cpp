@@ -167,7 +167,7 @@ TEST_P(DistGraphRanks, AdjacencyMatchesSerialNeighborSets) {
         build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 5));
     for (lid_t v = 0; v < g.n_local(); ++v) {
       std::set<gid_t> got;
-      for (const lid_t u : g.neighbors(v)) got.insert(g.gid_of(u));
+      for (const lid_t u : g.arcs(v)) got.insert(g.gid_of(u));
       EXPECT_EQ(got, ref[g.gid_of(v)]) << "vertex " << g.gid_of(v);
     }
   });
@@ -181,7 +181,7 @@ TEST_P(DistGraphRanks, GhostsAreExactlyRemoteNeighbors) {
         build_dist_graph(comm, el, VertexDist::block(el.n, nranks));
     std::set<gid_t> expected_ghosts;
     for (lid_t v = 0; v < g.n_local(); ++v)
-      for (const lid_t u : g.neighbors(v))
+      for (const lid_t u : g.arcs(v))
         if (!g.is_owned(u)) expected_ghosts.insert(g.gid_of(u));
     std::set<gid_t> actual_ghosts;
     for (lid_t v = g.n_local(); v < g.n_total(); ++v) {
@@ -238,8 +238,8 @@ TEST_P(DistGraphRanks, DirectedBuildSeparatesInAndOut) {
     for (lid_t v = 0; v < g.n_local(); ++v) {
       const gid_t gid = g.gid_of(v);
       std::set<gid_t> outs, ins;
-      for (const lid_t u : g.neighbors(v)) outs.insert(g.gid_of(u));
-      for (const lid_t u : g.in_neighbors(v)) ins.insert(g.gid_of(u));
+      for (const lid_t u : g.arcs(v)) outs.insert(g.gid_of(u));
+      for (const lid_t u : g.in_arcs(v)) ins.insert(g.gid_of(u));
       if (gid == 0) {
         EXPECT_EQ(outs, (std::set<gid_t>{1}));
         EXPECT_EQ(ins, (std::set<gid_t>{2, 3}));

@@ -582,7 +582,7 @@ TEST(PipelinedAnalytics, PageRankDepth0BitIdenticalToBlockingReference) {
         dangling = comm.allreduce_sum(dangling);
         for (lid_t v = 0; v < g.n_local(); ++v) {
           double sum = 0.0;
-          for (const lid_t u : g.neighbors(v)) sum += contrib[u];
+          for (const lid_t u : g.arcs(v)) sum += contrib[u];
           ref_rank[v] =
               (1.0 - kDamping) / n + kDamping * (sum + dangling / n);
         }
@@ -642,7 +642,7 @@ TEST(PipelinedAnalytics, KcoreDepth0BitIdenticalToBlockingReference) {
         bool changed = false;
         for (lid_t v = 0; v < g.n_local(); ++v) {
           nbr.clear();
-          for (const lid_t u : g.neighbors(v)) nbr.push_back(prev[u]);
+          for (const lid_t u : g.arcs(v)) nbr.push_back(prev[u]);
           std::sort(nbr.begin(), nbr.end(), std::greater<count_t>());
           count_t h = 0;
           for (std::size_t i = 0; i < nbr.size(); ++i) {

@@ -222,6 +222,37 @@ TEST(IoFuzz, TruncatedBinaryThrows) {
   std::remove(path.c_str());
 }
 
+TEST(IoFuzz, MalformedTextPairThrows) {
+  // A bad token mid-file and a lone trailing id must not load as a
+  // shorter edge list.
+  const std::string path = ::testing::TempDir() + "/xtra_badpair.txt";
+  for (const char* body : {"n 8 undirected\n0 1\n2 x\n3 4\n",
+                           "n 8 undirected\n0 1\n5\n"}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(body, f);
+    std::fclose(f);
+    EXPECT_THROW(graph::read_edge_list_text(path), std::runtime_error)
+        << body;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(IoFuzz, OversizedBinaryEdgeCountThrows) {
+  // A header claiming far more edges than the file holds is rejected
+  // before anything is allocated for them.
+  const std::string path = ::testing::TempDir() + "/xtra_bigcount.bin";
+  graph::write_edge_list_binary(path, star(10));
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 8 + 2 * sizeof(std::uint64_t), SEEK_SET);  // header[2]
+  const std::uint64_t bogus = std::uint64_t{1} << 40;
+  std::fwrite(&bogus, sizeof(bogus), 1, f);
+  std::fclose(f);
+  EXPECT_THROW(graph::read_edge_list_binary(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
 TEST(IoFuzz, WrongMagicThrows) {
   const std::string path = ::testing::TempDir() + "/xtra_magic.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");

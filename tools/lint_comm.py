@@ -24,10 +24,9 @@ Rules, matched against comment- and string-stripped source:
                       executing worker.
   E  file-io          Direct file I/O (fopen/fread/fwrite, std::ifstream
                       and friends, mmap/mkstemp) in src/ may appear only
-                      in src/graph/io and the segment-backing layer
-                      (src/graph/segcache). Every spill byte must flow
-                      through io::SpillFile so the out-of-core ledger
-                      and cleanup stay accountable in one place.
+                      in src/graph/io: file I/O only in the edge-list
+                      loader, so every byte read from outside the
+                      program passes its format checks.
   F  serve-purity     src/serve/ may read NO clock of any kind (chrono,
                       steady/system/high_resolution_clock,
                       clock_gettime, even util::Timer) and no thread
@@ -86,8 +85,8 @@ FILE_IO = re.compile(
     r"\b[io]?fstream\b|"
     r"\bmmap\s*\(|\bmunmap\s*\(|\bmkstemp\s*\("
 )
-# Rule E applies to src/ only; these own the spill path.
-FILE_IO_ALLOWED = ("src/graph/io", "src/graph/segcache")
+# Rule E applies to src/ only; the edge-list loader owns file I/O.
+FILE_IO_ALLOWED = ("src/graph/io",)
 
 # Rule F: the serving subsystem's total clock/thread-identity ban.
 # Strictly wider than rules C and D (even the sanctioned steady_clock
@@ -215,8 +214,8 @@ def lint_file(relpath, text):
                     "E",
                     lineno,
                     raw,
-                    "direct file I/O outside src/graph/io|src/graph/segcache "
-                    "— spill through io::SpillFile",
+                    "direct file I/O outside src/graph/io — file I/O "
+                    "belongs in the edge-list loader",
                 )
         if relpath.startswith(SERVE_DIR) and SERVE_PURITY.search(line):
             yield (
@@ -288,15 +287,16 @@ SELF_TEST_CASES = [
     ("src/engine/foo.cpp", "std::ifstream in(path);\n", ["E"]),
     ("src/comm/foo.cpp", "void* m = ::mmap(nullptr, n, p, f, fd, 0);\n", ["E"]),
     ("src/core/foo.cpp", "int fd = mkstemp(buf.data());\n", ["E"]),
-    # The spill layer owns direct I/O.
+    # The edge-list loader owns direct I/O; the rest of src/graph does not.
     ("src/graph/io.cpp", 'FILE* f = std::fopen(p, "rb");\n', []),
-    ("src/graph/segcache.cpp", "void* m = ::mmap(0, n, p, f, fd, 0);\n", []),
+    ("src/graph/dist_graph.cpp", "void* m = ::mmap(0, n, p, f, fd, 0);\n",
+     ["E"]),
     # Rule E is src-only (tools/tests/bench may read fixtures) + waivable.
     ("tests/test_x.cpp", "std::ifstream in(path);\n", []),
     ("bench/bench_x.cpp", 'FILE* f = std::fopen(p, "r");\n', []),
     (
         "src/metrics/foo.cpp",
-        "std::ofstream out(p);  // lint-ok: report sink, not spill\n",
+        "std::ofstream out(p);  // lint-ok: report sink\n",
         [],
     ),
     # Prose never fires.
