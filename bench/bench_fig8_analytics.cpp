@@ -13,10 +13,9 @@
 // All eight workloads (the paper's six plus the engine-native SSSP
 // and triangle count) run through the unified vertex-program engine:
 // one engine::Config built from core::Params carries every transport
-// knob (shard policy, chunk size, pipeline depth, coalescing cadence,
-// intra-rank threads) into every kernel — XTRA_PIPELINE_DEPTH /
-// XTRA_SHARD_HIER / XTRA_COALESCE_EVERY / XTRA_THREADS select them
-// without recompiling.
+// knob (chunk size, pipeline depth, coalescing cadence, intra-rank
+// threads) into every kernel — XTRA_PIPELINE_DEPTH /
+// XTRA_COALESCE_EVERY / XTRA_THREADS select them without recompiling.
 #include <cstdlib>
 #include <memory>
 
@@ -51,15 +50,11 @@ int main() {
   const auto n = static_cast<xtra::gid_t>(60'000 * scale);
   const int nranks = 8;
   // Analytics knobs ride core::Params -> engine::Config: every kernel
-  // inherits the pipeline depth, shard policy, and coalescing cadence
-  // uniformly. Defaults keep the runs bit-comparable with earlier
+  // inherits the pipeline depth and coalescing cadence uniformly. Defaults keep the runs bit-comparable with earlier
   // figures. The same Params seeds the XtraPuLP strategy below.
   core::Params apar;
   if (const char* pd = std::getenv("XTRA_PIPELINE_DEPTH"))
     apar.pipeline_depth = std::atoi(pd);
-  if (const char* sh = std::getenv("XTRA_SHARD_HIER"))
-    if (std::atoi(sh) != 0)
-      apar.shard_policy = comm::ShardPolicy::kHierarchical;
   if (const char* ce = std::getenv("XTRA_COALESCE_EVERY"))
     apar.coalesce_every = std::atoi(ce);
   // The "+X" of MPI+X: intra-rank worker threads. Results and wire

@@ -42,14 +42,7 @@ struct CommRow {
   double bytes_per_iter = 0.0;        ///< wire bytes, summed over ranks
   double collectives_per_iter = 0.0;  ///< collective invocations (world)
   double phases_per_iter = 0.0;       ///< alltoallv rounds per exchange
-  // Topology ledger (world-summed engine stats): where the payload
-  // bytes landed relative to the node grouping, and how many
-  // point-to-point segments crossed nodes — the metric the
-  // hierarchical exchange exists to shrink.
-  double inter_node_bytes_per_iter = 0.0;
-  double intra_node_bytes_per_iter = 0.0;
-  double inter_node_msgs_per_iter = 0.0;
-  count_t coalesced_flushes = 0;  ///< CoalescingExchanger flushes (total)
+  count_t coalesced_flushes = 0;  ///< CoalescingExchanger flushes (world)
   // Overlap accounting (rank 0's engine; timings are informational,
   // the baseline check compares only bytes and collectives).
   double overlapped_frac = 0.0;     ///< start/finish-driven exchanges
@@ -68,10 +61,6 @@ struct CommRow {
   // less of the same traffic. Excluded from the baseline tolerance
   // compare — it carries wall-clock overlap credit.
   double exposed_wire_seconds_per_iter = 0.0;
-  // One-sided (pull-mode) wire volume, world-summed. Zero on two-sided
-  // rows; on *_onesided rows the bytes ride gets instead of alltoallv
-  // payloads and must not exceed the two-sided twin's bytes_per_iter.
-  double one_sided_bytes_per_iter = 0.0;
 };
 
 /// Fill the world-level wire columns every row reports.
@@ -79,8 +68,6 @@ void note_world(CommRow& row, const sim::CommStats& world, double iters) {
   row.bytes_per_iter = static_cast<double>(world.bytes_sent) / iters;
   row.collectives_per_iter = static_cast<double>(world.collectives) / iters;
   row.exposed_wire_seconds_per_iter = world.exposed_seconds / iters;
-  row.one_sided_bytes_per_iter =
-      static_cast<double>(world.one_sided_bytes) / iters;
 }
 
 /// Fill a row's overlap fields from one engine's aggregated stats.
@@ -97,19 +84,12 @@ void note_overlap(CommRow& row, const xtra::comm::ExchangeStats& s) {
   row.max_pipeline_depth = s.max_pipeline_depth;
 }
 
-/// World-sum one engine's topology ledger into a row. Collective —
+/// World-sum one engine's coalesced flushes into a row. Collective —
 /// every rank must call it (only rank 0 writes the row).
-void note_topology(CommRow& row, sim::Comm& comm,
-                   const xtra::comm::ExchangeStats& s, int iters) {
-  std::vector<count_t> v{s.inter_node_bytes, s.intra_node_bytes,
-                         s.inter_node_msgs, s.coalesced_flushes};
-  comm.allreduce_sum(v);
-  if (comm.rank() == 0) {
-    row.inter_node_bytes_per_iter = static_cast<double>(v[0]) / iters;
-    row.intra_node_bytes_per_iter = static_cast<double>(v[1]) / iters;
-    row.inter_node_msgs_per_iter = static_cast<double>(v[2]) / iters;
-    row.coalesced_flushes = v[3];
-  }
+void note_flushes(CommRow& row, sim::Comm& comm,
+                  const xtra::comm::ExchangeStats& s) {
+  const count_t flushes = comm.allreduce_sum(s.coalesced_flushes);
+  if (comm.rank() == 0) row.coalesced_flushes = flushes;
 }
 
 std::map<std::string, CommRow>& comm_rows() {
@@ -181,7 +161,7 @@ void BM_ExchangeUpdatesBounded(benchmark::State& state) {
         exchanger.run(comm, g, parts, queue);
       }
       const sim::CommStats world = comm.world_stats();
-      note_topology(row, comm, exchanger.stats(), kIters);
+      note_flushes(row, comm, exchanger.stats());
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, exchanger.stats());
@@ -207,18 +187,14 @@ BENCHMARK(BM_ExchangeUpdatesBounded)
 void BM_HaloExchangeBounded(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
   const auto bound = static_cast<count_t>(state.range(1));
-  const bool onesided = state.range(2) != 0;
   constexpr int kIters = 10;
   const graph::EdgeList el = gen::erdos_renyi(20'000, 16, 3);
-  CommRow row{onesided ? "halo_exchange_onesided" : "halo_exchange",
-              nranks, bound, 0, 0, 0};
+  CommRow row{"halo_exchange", nranks, bound, 0, 0, 0};
   for (auto _ : state) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                           onesided ? comm::Backend::kOneSided
-                                    : comm::Backend::kTwoSided);
+      graph::HaloPlan halo(comm, g);
       halo.set_max_send_bytes(bound);
       // Meter only the replayed exchanges, not the one-time (and
       // always unbounded) registration the constructor performed.
@@ -228,7 +204,7 @@ void BM_HaloExchangeBounded(benchmark::State& state) {
       comm.reset_stats();
       for (int i = 0; i < kIters; ++i) halo.exchange(comm, vals);
       const sim::CommStats world = comm.world_stats();
-      note_topology(row, comm, halo.stats(), kIters);
+      note_flushes(row, comm, halo.stats());
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, halo.stats());
@@ -241,15 +217,11 @@ void BM_HaloExchangeBounded(benchmark::State& state) {
   record_row(row);
 }
 BENCHMARK(BM_HaloExchangeBounded)
-    ->Args({2, 0, 0})
-    ->Args({4, 0, 0})
-    ->Args({4, 1 << 14, 0})
-    ->Args({8, 0, 0})
-    ->Args({16, 0, 0})
-    // Pull-mode twins: same refresh shipped via one-sided windows. The
-    // check script requires bytes/iter not to exceed the push rows'.
-    ->Args({4, 0, 1})
-    ->Args({8, 0, 1});
+    ->Args({2, 0})
+    ->Args({4, 0})
+    ->Args({4, 1 << 14})
+    ->Args({8, 0})
+    ->Args({16, 0});
 
 /// The overlapped ghost-refresh pipeline (prefetch_next / local update
 /// of the interior / finish_prefetch) against the same workload as
@@ -276,7 +248,7 @@ void BM_HaloPrefetchOverlap(benchmark::State& state) {
         halo.overlapped_superstep(comm, vals,
                                   [&](lid_t v) { vals[v] += 1.0; });
       const sim::CommStats world = comm.world_stats();
-      note_topology(row, comm, halo.stats(), kIters);
+      note_flushes(row, comm, halo.stats());
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, halo.stats());
@@ -296,65 +268,6 @@ BENCHMARK(BM_HaloPrefetchOverlap)
     ->Args({8, 0})
     ->Args({16, 0});
 
-/// Flat vs hierarchical routing of the label-propagation exchange on
-/// a 4-ranks-per-node topology, at the rank counts where per-message
-/// overhead starts to dominate (16/32/64). Both policies run the same
-/// workload; the check script requires the hierarchical rows to move
-/// strictly fewer inter-node messages than their flat twins. The
-/// graph is smaller than BM_ExchangeUpdatesBounded's so the 64-rank
-/// rows keep the CI gate fast.
-void BM_ShardedUpdates(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const int rpn = static_cast<int>(state.range(1));
-  const auto bound = static_cast<count_t>(state.range(2));
-  const bool hier = state.range(3) != 0;
-  constexpr int kIters = 4;
-  const graph::EdgeList el = gen::erdos_renyi(6'000, 12, 3);
-  CommRow row{hier ? "sharded_updates_hier" : "sharded_updates_flat",
-              nranks, bound};
-  for (auto _ : state) {
-    sim::run_world(
-        nranks,
-        [&](sim::Comm& comm) {
-          const auto g = graph::build_dist_graph(
-              comm, el, graph::VertexDist::random(el.n, nranks, 3));
-          core::UpdateExchanger exchanger(bound);
-          if (hier)
-            exchanger.set_shard_policy(
-                xtra::comm::ShardPolicy::kHierarchical);
-          std::vector<part_t> parts(g.n_total(), 0);
-          std::vector<lid_t> queue(g.n_local());
-          for (lid_t v = 0; v < g.n_local(); ++v) queue[v] = v;
-          comm.barrier();
-          comm.reset_stats();
-          for (int it = 0; it < kIters; ++it) {
-            for (lid_t v = 0; v < g.n_local(); ++v)
-              parts[v] =
-                  static_cast<part_t>((v + static_cast<lid_t>(it)) % 8);
-            exchanger.run(comm, g, parts, queue);
-          }
-          const sim::CommStats world = comm.world_stats();
-          note_topology(row, comm, exchanger.stats(), kIters);
-          if (comm.rank() == 0) {
-            note_world(row, world, kIters);
-            note_overlap(row, exchanger.stats());
-          }
-        },
-        rpn);
-  }
-  state.counters["bytes/iter"] = row.bytes_per_iter;
-  state.counters["inter_msgs/iter"] = row.inter_node_msgs_per_iter;
-  state.counters["inter_bytes/iter"] = row.inter_node_bytes_per_iter;
-  record_row(row);
-}
-BENCHMARK(BM_ShardedUpdates)
-    ->Args({16, 4, 1 << 16, 0})
-    ->Args({16, 4, 1 << 16, 1})
-    ->Args({32, 4, 1 << 16, 0})
-    ->Args({32, 4, 1 << 16, 1})
-    ->Args({64, 4, 1 << 16, 0})
-    ->Args({64, 4, 1 << 16, 1});
-
 /// Cross-superstep coalescing: many supersteps of tiny per-destination
 /// runs, shipped per round (uncoalesced) vs batched by a
 /// CoalescingExchanger until a byte threshold. Collectives per round
@@ -364,40 +277,35 @@ void BM_CoalescedRounds(benchmark::State& state) {
   const bool coalesce = state.range(1) != 0;
   constexpr int kRounds = 16;
   constexpr count_t kPerDest = 2;  // tiny runs: overhead-dominated
-  const int rpn = 4;
   CommRow row{coalesce ? "coalesced_rounds" : "uncoalesced_rounds",
               nranks, 0};
   for (auto _ : state) {
-    sim::run_world(
-        nranks,
-        [&](sim::Comm& comm) {
-          const std::vector<count_t> counts(
-              static_cast<std::size_t>(nranks), kPerDest);
-          std::vector<std::uint64_t> send(
-              static_cast<std::size_t>(nranks) * kPerDest,
-              static_cast<std::uint64_t>(comm.rank()));
-          comm.barrier();
-          comm.reset_stats();
-          xtra::comm::Exchanger plain;
-          // Flush roughly every 4 rounds.
-          xtra::comm::CoalescingExchanger co(4 * kPerDest * nranks *
-                                             sizeof(std::uint64_t));
-          for (int r = 0; r < kRounds; ++r) {
-            if (coalesce)
-              (void)co.enqueue(comm, send, counts);
-            else
-              (void)plain.exchange(comm, send, counts);
-          }
-          if (coalesce) (void)co.flush<std::uint64_t>(comm);
-          const sim::CommStats world = comm.world_stats();
-          note_topology(row, comm,
-                        coalesce ? co.stats() : plain.stats(), kRounds);
-          if (comm.rank() == 0) {
-            note_world(row, world, kRounds);
-            note_overlap(row, coalesce ? co.stats() : plain.stats());
-          }
-        },
-        rpn);
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const std::vector<count_t> counts(
+          static_cast<std::size_t>(nranks), kPerDest);
+      std::vector<std::uint64_t> send(
+          static_cast<std::size_t>(nranks) * kPerDest,
+          static_cast<std::uint64_t>(comm.rank()));
+      comm.barrier();
+      comm.reset_stats();
+      xtra::comm::Exchanger plain;
+      // Flush roughly every 4 rounds.
+      xtra::comm::CoalescingExchanger co(4 * kPerDest * nranks *
+                                         sizeof(std::uint64_t));
+      for (int r = 0; r < kRounds; ++r) {
+        if (coalesce)
+          (void)co.enqueue(comm, send, counts);
+        else
+          (void)plain.exchange(comm, send, counts);
+      }
+      if (coalesce) (void)co.flush<std::uint64_t>(comm);
+      const sim::CommStats world = comm.world_stats();
+      note_flushes(row, comm, coalesce ? co.stats() : plain.stats());
+      if (comm.rank() == 0) {
+        note_world(row, world, kRounds);
+        note_overlap(row, coalesce ? co.stats() : plain.stats());
+      }
+    });
   }
   state.counters["colls/iter"] = row.collectives_per_iter;
   state.counters["flushes"] = static_cast<double>(row.coalesced_flushes);
@@ -447,7 +355,7 @@ void BM_HaloPipelineDepth(benchmark::State& state) {
                        compute_spin);
       pipe.flush(comm, vals);
       const sim::CommStats world = comm.world_stats();
-      note_topology(row, comm, halo.stats(), kIters);
+      note_flushes(row, comm, halo.stats());
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, halo.stats());
@@ -534,10 +442,7 @@ void BM_CommLpCoalesced(benchmark::State& state) {
       comm.barrier();
       comm.reset_stats();
       const analytics::RunInfo info =
-          analytics::label_propagation(comm, g, 10,
-                                       xtra::comm::ShardPolicy::kFlat,
-                                       coalesce_every)
-              .info;
+          analytics::label_propagation(comm, g, 10, coalesce_every).info;
       const sim::CommStats world = comm.world_stats();
       if (comm.rank() == 0) {
         const auto iters = static_cast<double>(info.supersteps);
@@ -594,11 +499,8 @@ BENCHMARK(BM_CommLpPipelined)->Args({8, 1})->Args({8, 2});
 void BM_EngineTwin(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
   const bool commlp = state.range(1) != 0;
-  const bool onesided = state.range(2) != 0;
   const graph::EdgeList el = gen::erdos_renyi(8'000, 12, commlp ? 7 : 5);
-  std::string name = commlp ? "commlp_engine" : "pagerank_engine";
-  if (onesided) name += "_onesided";
-  CommRow row{name, nranks, 0};
+  CommRow row{commlp ? "commlp_engine" : "pagerank_engine", nranks, 0};
   for (auto _ : state) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
@@ -606,7 +508,6 @@ void BM_EngineTwin(benchmark::State& state) {
       comm.barrier();
       comm.reset_stats();
       engine::Config cfg;
-      if (onesided) cfg.backend = comm::Backend::kOneSided;
       engine::Stats st;
       if (commlp) {
         analytics::CommLpProgram p;
@@ -628,14 +529,7 @@ void BM_EngineTwin(benchmark::State& state) {
   state.counters["colls/iter"] = row.collectives_per_iter;
   record_row(row);
 }
-BENCHMARK(BM_EngineTwin)
-    ->Args({8, 0, 0})
-    ->Args({8, 1, 0})
-    // Pull-mode twins: the check script requires bytes/iter not to
-    // exceed the two-sided rows' — one-sided re-routes the same
-    // payload through window gets, it must not inflate it.
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1});
+BENCHMARK(BM_EngineTwin)->Args({8, 0})->Args({8, 1});
 
 /// The delta-capped SSSP frontier program: notification volume per
 /// superstep at two bucket widths (a tight delta runs more, smaller
@@ -705,7 +599,7 @@ BENCHMARK(BM_TriangleQuery)->Args({8, 0})->Args({8, 1 << 16});
 /// MPI+X rows: the engine workloads and the full partitioner at
 /// 4 ranks x {1, 4, 8} intra-rank threads. The thread width is a pure
 /// throughput knob — the check script requires every _tN row's wire
-/// metrics (bytes, collectives, topology split) to match its _t1 twin
+/// metrics (bytes, collectives) to match its _t1 twin
 /// exactly; any drift means a thread raced the wire accounting.
 void BM_ThreadedEngine(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
@@ -717,44 +611,41 @@ void BM_ThreadedEngine(benchmark::State& state) {
   CommRow row{std::string(kNames[workload]) + "_t" + std::to_string(threads),
               nranks, 0};
   for (auto _ : state) {
-    sim::run_world(
-        nranks,
-        [&](sim::Comm& comm) {
-          const auto g = graph::build_dist_graph(
-              comm, el, graph::VertexDist::random(el.n, nranks, 3));
-          comm.barrier();
-          comm.reset_stats();
-          double iters = 1.0;
-          if (workload == 3) {
-            core::Params params;
-            params.nparts = nranks;
-            params.num_threads = threads;
-            const core::PartitionResult r = core::partition(comm, g, params);
-            benchmark::DoNotOptimize(r.parts.data());
-          } else {
-            engine::Config cfg;
-            cfg.num_threads = threads;
-            engine::Stats st;
-            if (workload == 0) {
-              analytics::PageRankProgram p;
-              cfg.max_supersteps = 10;
-              st = engine::run(comm, g, p, cfg);
-            } else if (workload == 1) {
-              analytics::CommLpProgram p;
-              cfg.max_supersteps = 10;
-              st = engine::run(comm, g, p, cfg);
-            } else {
-              analytics::DeltaSsspProgram p;
-              p.root = 0;
-              p.delta = 8;
-              st = engine::run(comm, g, p, cfg);
-            }
-            iters = static_cast<double>(st.supersteps);
-          }
-          const sim::CommStats world = comm.world_stats();
-          if (comm.rank() == 0) note_world(row, world, iters);
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const auto g = graph::build_dist_graph(
+          comm, el, graph::VertexDist::random(el.n, nranks, 3));
+      comm.barrier();
+      comm.reset_stats();
+      double iters = 1.0;
+      if (workload == 3) {
+        core::Params params;
+        params.nparts = nranks;
+        params.num_threads = threads;
+        const core::PartitionResult r = core::partition(comm, g, params);
+        benchmark::DoNotOptimize(r.parts.data());
+      } else {
+        engine::Config cfg;
+        cfg.num_threads = threads;
+        engine::Stats st;
+        if (workload == 0) {
+          analytics::PageRankProgram p;
+          cfg.max_supersteps = 10;
+          st = engine::run(comm, g, p, cfg);
+        } else if (workload == 1) {
+          analytics::CommLpProgram p;
+          cfg.max_supersteps = 10;
+          st = engine::run(comm, g, p, cfg);
+        } else {
+          analytics::DeltaSsspProgram p;
+          p.root = 0;
+          p.delta = 8;
+          st = engine::run(comm, g, p, cfg);
+        }
+        iters = static_cast<double>(st.supersteps);
+      }
+      const sim::CommStats world = comm.world_stats();
+      if (comm.rank() == 0) note_world(row, world, iters);
+    });
   }
   state.counters["bytes/iter"] = row.bytes_per_iter;
   state.counters["colls/iter"] = row.collectives_per_iter;
@@ -791,28 +682,22 @@ int main(int argc, char** argv) {
         "%s  {\"bench\": \"%s\", \"nranks\": %d, \"max_send_bytes\": %lld, "
         "\"bytes_per_iter\": %.1f, \"collectives_per_iter\": %.2f, "
         "\"phases_per_exchange\": %.2f, "
-        "\"inter_node_bytes_per_iter\": %.1f, "
-        "\"intra_node_bytes_per_iter\": %.1f, "
-        "\"inter_node_msgs_per_iter\": %.2f, "
         "\"coalesced_flushes\": %lld, \"overlapped_frac\": %.2f, "
         "\"start_seconds\": %.4f, \"finish_seconds\": %.4f, "
         "\"max_inflight_bytes\": %lld, "
         "\"drained_incrementally\": %lld, \"pipeline_carried\": %lld, "
         "\"max_pipeline_depth\": %lld, "
-        "\"exposed_wire_seconds_per_iter\": %.4f, "
-        "\"one_sided_bytes_per_iter\": %.1f}",
+        "\"exposed_wire_seconds_per_iter\": %.4f}",
         first ? "" : ",\n", r.bench.c_str(), r.nranks,
         static_cast<long long>(r.max_send_bytes), r.bytes_per_iter,
         r.collectives_per_iter, r.phases_per_iter,
-        r.inter_node_bytes_per_iter, r.intra_node_bytes_per_iter,
-        r.inter_node_msgs_per_iter,
         static_cast<long long>(r.coalesced_flushes), r.overlapped_frac,
         r.start_seconds, r.finish_seconds,
         static_cast<long long>(r.max_inflight_bytes),
         static_cast<long long>(r.drained_incrementally),
         static_cast<long long>(r.pipeline_carried),
         static_cast<long long>(r.max_pipeline_depth),
-        r.exposed_wire_seconds_per_iter, r.one_sided_bytes_per_iter);
+        r.exposed_wire_seconds_per_iter);
     first = false;
   }
   std::printf("\n]\n");

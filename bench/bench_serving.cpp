@@ -12,9 +12,8 @@
 //                        amortize per-superstep collectives) at equal
 //                        payload bytes (packing changes WHEN records
 //                        travel, never WHAT travels)
-//   serve_mix_onesided   budget 8 over the one-sided backend — must
+//   serve_mix_t8         budget 8 at 8 intra-rank threads — must
 //                        reproduce serve_mix's latencies EXACTLY
-//   serve_mix_t8         budget 8 at 8 intra-rank threads — ditto
 //
 // The SERVE_STATS_JSON block is gated by check_comm_baseline.py
 // (--serving-bench): baseline tolerance on p99/bytes/collectives plus
@@ -64,29 +63,26 @@ void run_config(const std::string& name, int nranks,
   row.nranks = nranks;
   row.slot_budget = cfg.slot_budget;
   const graph::EdgeList el = gen::erdos_renyi(8'000, 8, 3);
-  sim::run_world(
-      nranks,
-      [&](sim::Comm& comm) {
-        const graph::VertexDist dist =
-            graph::VertexDist::random(el.n, nranks, 17);
-        const graph::DistGraph g = build_dist_graph(comm, el, dist);
-        const std::vector<serve::Query> queries =
-            serve::LoadGen::generate(trace_config(), g.n_global());
-        comm.barrier();
-        const count_t coll0 = comm.stats().collectives;
-        const count_t bytes0 = comm.stats().bytes_sent;
-        serve::Scheduler sched(cfg);
-        sched.run(comm, g, queries);
-        const count_t coll = comm.stats().collectives - coll0;
-        const count_t bytes =
-            comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
-        if (comm.rank() == 0) {
-          row.stats = sched.stats();
-          row.collectives = coll;
-          row.wire_bytes = bytes;
-        }
-      },
-      /*ranks_per_node=*/2);
+  sim::run_world(nranks, [&](sim::Comm& comm) {
+    const graph::VertexDist dist =
+        graph::VertexDist::random(el.n, nranks, 17);
+    const graph::DistGraph g = build_dist_graph(comm, el, dist);
+    const std::vector<serve::Query> queries =
+        serve::LoadGen::generate(trace_config(), g.n_global());
+    comm.barrier();
+    const count_t coll0 = comm.stats().collectives;
+    const count_t bytes0 = comm.stats().bytes_sent;
+    serve::Scheduler sched(cfg);
+    sched.run(comm, g, queries);
+    const count_t coll = comm.stats().collectives - coll0;
+    const count_t bytes =
+        comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
+    if (comm.rank() == 0) {
+      row.stats = sched.stats();
+      row.collectives = coll;
+      row.wire_bytes = bytes;
+    }
+  });
   rows().push_back(row);
 }
 
@@ -98,10 +94,6 @@ void sweep(int nranks) {
   serve::ServeConfig perquery = cfg;
   perquery.slot_budget = 1;
   run_config("serve_mix_perquery", nranks, perquery);
-
-  serve::ServeConfig onesided = cfg;
-  onesided.engine.backend = comm::Backend::kOneSided;
-  run_config("serve_mix_onesided", nranks, onesided);
 
   serve::ServeConfig threaded = cfg;
   threaded.engine.num_threads = 8;

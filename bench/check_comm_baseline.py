@@ -3,21 +3,15 @@
 
 Runs bench_micro_exchange, parses its COMM_STATS_JSON block, and diffs
 it against the checked-in baseline (bench/baselines/comm_stats.json).
-A row regresses when bytes_per_iter, collectives_per_iter, or
-inter_node_bytes_per_iter grows more than --tolerance (default 10%)
-over the baseline; a baseline row missing from the current run is also
+A row regresses when bytes_per_iter or collectives_per_iter grows
+more than --tolerance (default 10%) over the baseline; a baseline row missing from the current run is also
 a failure (a silently dropped sweep is how regressions hide). Timing
 fields are informational and never compared. New rows are reported and
 otherwise ignored — add them to the baseline with --update (rows are
 written sorted by (bench, nranks, max_send_bytes) so refreshes diff
 cleanly).
 
-The hierarchical exchange additionally carries an absolute contract:
-for every (nranks >= 16) sharded_updates pair, the hierarchical row
-must move strictly fewer inter-node messages per iteration than its
-flat twin — that coalescing is the point of the two-level routing.
-
-The coalesced community-LP path carries a second absolute contract:
+The coalesced community-LP path carries an absolute contract:
 every commlp_coalesced row must issue strictly fewer collectives per
 superstep than its commlp_uncoalesced twin — batching per-destination
 label updates across supersteps exists to amortize per-superstep
@@ -33,13 +27,7 @@ transfer than one. Exposure is never part of the baseline tolerance
 compare — its overlap credit is wall clock, so only the within-run
 depth ordering is gated, not its absolute value.
 
-The one-sided rows (*_onesided twins of halo_exchange and the engine
-rows) carry another absolute contract: pull-mode must move no more
-wire bytes per iteration than the two-sided twin, and must actually
-bill one-sided traffic (a zero one_sided_bytes_per_iter means the
-backend knob silently fell back to push mode).
-
-The unified engine carries a third absolute contract: the
+The unified engine carries a second absolute contract: the
 pagerank_engine / commlp_engine rows (kernels executed directly via
 engine::run with an explicit Config) must move no more bytes or
 collectives per superstep than the pagerank_blocking /
@@ -52,9 +40,9 @@ regressing relative to the pre-engine hand-rolled kernels is the
 frozen baseline numbers, which were recorded from those kernels and
 verified drift-free at the migration.
 
-The MPI+X rows carry a fourth absolute contract: every *_tN row
+The MPI+X rows carry a third absolute contract: every *_tN row
 (N > 1 intra-rank threads) must match its *_t1 twin EXACTLY on every
-wire metric — bytes, collectives, and the topology split. The thread
+wire metric — bytes and collectives. The thread
 width is a pure throughput knob by design (DESIGN.md §6); any drift
 means a worker thread raced the wire accounting, and no baseline
 tolerance excuses it.
@@ -77,13 +65,11 @@ serve_mix_perquery twin (slot budget 1) at the same rank count — one
 shared ledger allreduce per packed superstep is why the batched
 frontier exists — while moving the same payload within a small slack
 (the ledger vector itself is budget-sized, so its allreduce bytes
-shift slightly with packing). Determinism: the serve_mix_onesided and
-serve_mix_t8 twins must reproduce serve_mix's whole latency ledger
-(p50/p95/p99, qps, supersteps/query, occupancy, virtual seconds)
-EXACTLY — the wire backend and the thread width are pure throughput
-knobs under the virtual clock. Wire metrics are per-backend and
-exempt from the determinism parity. --serving-only skips the comm
-sweep for a serving-gate-only CI job.
+shift slightly with packing). Determinism: the serve_mix_t8 twin must
+reproduce serve_mix's whole latency ledger (p50/p95/p99, qps,
+supersteps/query, occupancy, virtual seconds) EXACTLY — the thread
+width is a pure throughput knob under the virtual clock.
+--serving-only skips the comm sweep for a serving-gate-only CI job.
 
 Usage:
   python3 bench/check_comm_baseline.py --bench build/bench_micro_exchange
@@ -101,10 +87,7 @@ import subprocess
 import sys
 
 BASELINE = pathlib.Path(__file__).parent / "baselines" / "comm_stats.json"
-COMPARED = ("bytes_per_iter", "collectives_per_iter",
-            "inter_node_bytes_per_iter")
-HIER_PAIRS = ("sharded_updates_hier", "sharded_updates_flat")
-HIER_MIN_RANKS = 16
+COMPARED = ("bytes_per_iter", "collectives_per_iter")
 COALESCE_PAIRS = ("commlp_coalesced", "commlp_uncoalesced")
 # Engine rows (direct engine::run) vs the legacy-named wrapper rows
 # running the same workload: pins the wrapper layer to a direct
@@ -116,10 +99,7 @@ ENGINE_SLACK = 1.001  # strict equality modulo float formatting
 # MPI+X rows: "<workload>_threads_tN". N > 1 rows must equal the _t1
 # twin exactly on every wire metric (threads change timing only).
 THREAD_ROW = re.compile(r"^(.+_threads)_t(\d+)$")
-THREAD_METRICS = ("bytes_per_iter", "collectives_per_iter",
-                  "inter_node_bytes_per_iter",
-                  "intra_node_bytes_per_iter",
-                  "inter_node_msgs_per_iter")
+THREAD_METRICS = ("bytes_per_iter", "collectives_per_iter")
 # Pipeline-depth rows: a depth-2 row keeps two refreshes in flight, so
 # it must expose strictly less modeled wire time per iteration than its
 # depth-1 twin (same traffic, more of it hidden behind compute). Keyed
@@ -128,20 +108,11 @@ DEPTH_PAIRS = (("halo_pipeline_d2", "halo_pipeline_d1"),
                ("pagerank_pipelined_d2", "pagerank_pipelined"),
                ("commlp_pipelined_d2", "commlp_pipelined_d1"))
 EXPOSED = "exposed_wire_seconds_per_iter"
-# One-sided rows: "<bench>_onesided" pulls the same payload from
-# exposure windows instead of pushing it through alltoallv. It must
-# not move more wire bytes per iteration than its two-sided twin.
-ONESIDED_ROW = re.compile(r"^(.+)_onesided$")
-ONESIDED_SLACK = 1.001  # equality modulo float formatting
 # Deterministic wire counters that --compare-bench pins to exact
 # equality between the verifier-on and verifier-off builds. Timing and
 # exposure fields are excluded: the verifier may cost wall clock, never
 # wire traffic.
-PARITY_METRICS = ("bytes_per_iter", "collectives_per_iter",
-                  "inter_node_bytes_per_iter",
-                  "intra_node_bytes_per_iter",
-                  "inter_node_msgs_per_iter",
-                  "one_sided_bytes_per_iter")
+PARITY_METRICS = ("bytes_per_iter", "collectives_per_iter")
 # --- Serving gates (SERVE_STATS_JSON from bench_serving) ------------
 SERVE_BASELINE = pathlib.Path(__file__).parent / "baselines" \
     / "serve_stats.json"
@@ -153,9 +124,9 @@ SERVE_PAIRS = ("serve_mix", "serve_mix_perquery")
 # holds only within a small slack (measured drift ~1.3%).
 SERVE_BYTES_SLACK = 1.05
 # serve_mix twins that must reproduce the exact same latency ledger:
-# backend and thread width are throughput knobs under the virtual
-# clock (DESIGN.md §9). Wire metrics are per-backend and exempt.
-SERVE_DETERMINISM_TWINS = ("serve_mix_onesided", "serve_mix_t8")
+# thread width is a throughput knob under the virtual clock
+# (DESIGN.md §9).
+SERVE_DETERMINISM_TWINS = ("serve_mix_t8",)
 SERVE_DETERMINISM_METRICS = ("p50_ms", "p95_ms", "p99_ms",
                              "queries_per_sec", "slot_occupancy",
                              "supersteps_per_query", "virtual_seconds")
@@ -221,33 +192,6 @@ def key_of(row):
 
 def serve_key_of(row):
     return (row["bench"], row["nranks"], row["slot_budget"])
-
-
-def check_hier_contract(current):
-    """Hierarchical rows must beat their flat twins on inter-node
-    messages at every swept rank count >= HIER_MIN_RANKS."""
-    failures = []
-    hier_name, flat_name = HIER_PAIRS
-    pairs = 0
-    for key, hier in current.items():
-        if key[0] != hier_name or key[1] < HIER_MIN_RANKS:
-            continue
-        flat = current.get((flat_name, key[1], key[2]))
-        if flat is None:
-            failures.append(f"{key}: no flat twin row to compare against")
-            continue
-        pairs += 1
-        h, f = (r.get("inter_node_msgs_per_iter", 0.0)
-                for r in (hier, flat))
-        if not h < f:
-            failures.append(
-                f"{key}: inter_node_msgs_per_iter {h:.1f} not strictly "
-                f"below flat twin's {f:.1f}")
-    if pairs == 0:
-        failures.append(
-            f"no ({hier_name}, {flat_name}) pairs at nranks >= "
-            f"{HIER_MIN_RANKS} in the current run")
-    return failures
 
 
 def check_coalesce_contract(current):
@@ -362,37 +306,6 @@ def check_depth_contract(current):
     return failures
 
 
-def check_onesided_contract(current):
-    """*_onesided rows must move no more wire bytes per iteration than
-    their two-sided twins — pull-mode re-routes the payload through
-    window gets, it must not inflate it."""
-    failures = []
-    pairs = 0
-    for key, row in current.items():
-        m = ONESIDED_ROW.match(key[0])
-        if m is None:
-            continue
-        twin = current.get((m.group(1), key[1], key[2]))
-        if twin is None:
-            failures.append(f"{key}: no two-sided twin row to compare "
-                            f"against")
-            continue
-        pairs += 1
-        o = row.get("bytes_per_iter", 0.0)
-        t = twin.get("bytes_per_iter", 0.0)
-        if o > t * ONESIDED_SLACK:
-            failures.append(
-                f"{key}: bytes_per_iter {o:.1f} exceeds two-sided "
-                f"twin's {t:.1f}")
-        if row.get("one_sided_bytes_per_iter", 0.0) <= 0.0:
-            failures.append(
-                f"{key}: one_sided_bytes_per_iter is zero — the row "
-                f"did not actually ride the one-sided backend")
-    if pairs == 0:
-        failures.append("no one-sided twin pairs in the current run")
-    return failures
-
-
 def check_verifier_parity(current, other):
     """Every gated wire metric must be identical, row by row, between
     the primary (verifier-off) and comparison (verifier-on) sweeps."""
@@ -456,9 +369,9 @@ def check_multisource_contract(current):
 
 
 def check_serve_determinism(current):
-    """The one-sided and 8-thread twins must reproduce serve_mix's
-    latency ledger exactly: same seed + same trace => byte-identical
-    per-query latencies on either backend at any thread width."""
+    """The 8-thread twin must reproduce serve_mix's latency ledger
+    exactly: same seed + same trace => byte-identical per-query
+    latencies at any thread width."""
     failures = []
     pairs = 0
     for key, row in current.items():
@@ -477,7 +390,7 @@ def check_serve_determinism(current):
             if abs(a - b) > 1e-9 * max(1.0, abs(b)):
                 failures.append(
                     f"{key}: {metric} {a} drifted from serve_mix's {b} "
-                    f"(backend/threads must not touch the virtual clock)")
+                    f"(threads must not touch the virtual clock)")
     if pairs == 0:
         failures.append("no serve determinism twins in the current "
                         "serving run")
@@ -608,12 +521,10 @@ def main():
     for key in sorted(set(current) - set(baseline)):
         print(f"note: new row not in baseline: {key}")
 
-    failures += check_hier_contract(current)
     failures += check_coalesce_contract(current)
     failures += check_engine_contract(current)
     failures += check_thread_contract(current)
     failures += check_depth_contract(current)
-    failures += check_onesided_contract(current)
 
     serving = ""
     if args.serving_bench:
@@ -635,9 +546,8 @@ def main():
             print(f"  {f}")
         sys.exit(1)
     print(f"comm baseline check passed: {len(baseline)} rows within "
-          f"{args.tolerance:.0%}; hierarchical inter-node, coalesced "
-          f"commLP, engine-twin, thread-twin, pipeline-depth, "
-          f"and one-sided contracts held" + serving
+          f"{args.tolerance:.0%}; coalesced commLP, engine-twin, "
+          f"thread-twin, and pipeline-depth contracts held" + serving
           + parity)
 
 

@@ -10,8 +10,8 @@
 // (engine/engine.hpp): the preferred API is
 //   engine::run(comm, g, program, engine::Config{...})
 // with the program structs of analytics/programs.hpp, which inherits
-// every transport knob (shard policy, chunk size, pipeline depth,
-// coalescing) uniformly. The entry points below are kept as thin
+// every transport knob (chunk size, pipeline depth, coalescing)
+// uniformly. The entry points below are kept as thin
 // wrappers — bit-identical to engine::run at their default knobs —
 // for callers of the historical per-kernel signatures; the composite
 // and engine-native kernels (harmonic centrality, SCC, SSSP, triangle
@@ -23,7 +23,6 @@
 
 #include <vector>
 
-#include "comm/shard_policy.hpp"
 #include "engine/config.hpp"
 #include "graph/dist_graph.hpp"
 #include "mpisim/comm.hpp"
@@ -56,21 +55,18 @@ PageRankResult pagerank(sim::Comm& comm, const graph::DistGraph& g,
                         int iters = 20, double damping = 0.85,
                         int pipeline_depth = 0, double tol = 0.0);
 
-/// Weakly connected components (WCC) via min-label hooking. `policy`
-/// routes the per-superstep ghost refresh flat or hierarchically
-/// (identical results either way).
+/// Weakly connected components (WCC) via min-label hooking.
 struct ComponentsResult {
   RunInfo info;
   std::vector<gid_t> component;  ///< size n_total, component root gid
   count_t num_components = 0;
   count_t largest_size = 0;
 };
-ComponentsResult weakly_connected_components(
-    sim::Comm& comm, const graph::DistGraph& g,
-    comm::ShardPolicy policy = comm::ShardPolicy::kFlat);
+ComponentsResult weakly_connected_components(sim::Comm& comm,
+                                             const graph::DistGraph& g);
 
 /// Label-propagation community detection (LP): `sweeps` synchronous
-/// majority-label rounds. `policy` as for WCC. `coalesce_every` > 0
+/// majority-label rounds. `coalesce_every` > 0
 /// switches the ghost refresh from a full per-sweep halo exchange to
 /// sparse changed-label updates batched in a comm::CoalescingExchanger
 /// and flushed every `coalesce_every` sweeps (and at convergence), so
@@ -83,10 +79,8 @@ struct CommunityResult {
   std::vector<gid_t> label;  ///< size n_total
   count_t num_communities = 0;
 };
-CommunityResult label_propagation(
-    sim::Comm& comm, const graph::DistGraph& g, int sweeps = 10,
-    comm::ShardPolicy policy = comm::ShardPolicy::kFlat,
-    int coalesce_every = 0);
+CommunityResult label_propagation(sim::Comm& comm, const graph::DistGraph& g,
+                                  int sweeps = 10, int coalesce_every = 0);
 
 /// Approximate k-core decomposition (KC): iterated synchronous
 /// neighborhood h-index (Lü et al.), which converges to the exact
@@ -110,7 +104,7 @@ KCoreResult kcore_approx(sim::Comm& comm, const graph::DistGraph& g,
 /// HC(v) = sum_u 1/d(u,v). All sources run as slots of ONE
 /// MultiBfsProgram run — one sweep and one exchange per level for the
 /// whole sample, bit-identical to a per-source loop. cfg routes the
-/// shared notification exchange (shard policy, chunk size). An empty
+/// shared notification exchange (chunk size). An empty
 /// graph yields empty `sources` and `centrality`.
 struct HarmonicResult {
   RunInfo info;

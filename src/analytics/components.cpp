@@ -6,12 +6,9 @@
 namespace xtra::analytics {
 
 ComponentsResult weakly_connected_components(sim::Comm& comm,
-                                             const graph::DistGraph& g,
-                                             comm::ShardPolicy policy) {
+                                             const graph::DistGraph& g) {
   WccProgram p;
-  engine::Config cfg;
-  cfg.shard_policy = policy;
-  const engine::Stats st = engine::run(comm, g, p, cfg);
+  const engine::Stats st = engine::run(comm, g, p, engine::Config{});
 
   ComponentsResult result;
   result.info = detail::to_run_info(st);

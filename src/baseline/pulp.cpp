@@ -7,8 +7,11 @@
 // differences between this and core::partition are precisely the
 // paper's PuLP-vs-XtraPuLP comparison (Fig 4).
 //
-// Loops are written serially; the paper's OpenMP threading changes
-// wall-clock, not algorithm (this substrate has one core — DESIGN.md).
+// Loops are written serially: this is the single-threaded reference
+// the distributed partitioner is compared against, while the
+// distributed runs use ranks as threads plus MPI+X workers on the
+// 4-vCPU reference host. The paper's OpenMP threading changes
+// wall-clock, not algorithm (DESIGN.md).
 #include <algorithm>
 
 #include "baseline/partitioners.hpp"

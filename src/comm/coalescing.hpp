@@ -17,10 +17,10 @@
 // by source rank; within one source, records appear in enqueue order
 // (round by round, each round in its staged destination order). The
 // wire trip itself goes through a normal Exchanger, so max_send_bytes
-// phasing and the flat/hierarchical shard policy both apply, and
-// results are independent of either. Callers own the deferred-delivery
-// semantics — only updates whose consumers tolerate a bounded lag (or
-// that are explicitly flushed before being read) should be enqueued.
+// phasing applies, and results are independent of it. Callers own the
+// deferred-delivery semantics — only updates whose consumers tolerate
+// a bounded lag (or that are explicitly flushed before being read)
+// should be enqueued.
 #pragma once
 
 #include <cstring>
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "comm/exchanger.hpp"
-#include "comm/shard_policy.hpp"
 #include "mpisim/comm.hpp"
 #include "util/assert.hpp"
 #include "util/types.hpp"
@@ -41,12 +40,10 @@ class CoalescingExchanger {
  public:
   /// flush_bytes: pending-payload threshold (per rank) that triggers a
   /// collective flush; 0 means only explicit flush() ships anything.
-  /// max_send_bytes / policy / backend configure the inner wire engine.
+  /// max_send_bytes configures the inner wire engine.
   explicit CoalescingExchanger(count_t flush_bytes,
-                               count_t max_send_bytes = 0,
-                               ShardPolicy policy = ShardPolicy::kFlat,
-                               Backend backend = Backend::kTwoSided)
-      : flush_bytes_(flush_bytes), ex_(max_send_bytes, policy, backend) {
+                               count_t max_send_bytes = 0)
+      : flush_bytes_(flush_bytes), ex_(max_send_bytes) {
     ex_.set_label("comm::CoalescingExchanger");
   }
 
@@ -124,8 +121,6 @@ class CoalescingExchanger {
   count_t pending_rounds() const { return pending_rounds_; }
 
   void set_max_send_bytes(count_t bytes) { ex_.set_max_send_bytes(bytes); }
-  void set_shard_policy(ShardPolicy policy) { ex_.set_shard_policy(policy); }
-  void set_backend(Backend backend) { ex_.set_backend(backend); }
   const ExchangeStats& stats() const { return ex_.stats(); }
   void reset_stats() { ex_.reset_stats(); }
 
@@ -160,7 +155,7 @@ class CoalescingExchanger {
   std::vector<std::vector<std::byte>> pend_;  ///< per destination rank
   std::vector<std::byte> staging_;            ///< flush-time send buffer
   std::vector<count_t> staged_counts_;
-  Exchanger ex_;  ///< wire engine (phasing + shard policy apply)
+  Exchanger ex_;  ///< wire engine (phasing applies)
 };
 
 }  // namespace xtra::comm

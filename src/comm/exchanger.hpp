@@ -26,17 +26,6 @@
 // and finish their own exchanges: each started exchange acquires its
 // own substrate channel (up to sim::kMaxChannels in flight per rank).
 //
-// Two transport backends (comm/backend.hpp) produce bit-identical
-// results: the default kTwoSided pushes payload through the
-// substrate's nonblocking alltoallv; kOneSided exposes the
-// destination-grouped payload in a one-sided window (counts travel as
-// registration metadata) and consumers win_get their segments
-// passively — the pull happens in the drain half, so start/compute/
-// drain overlap works unchanged, and the whole pull completes in one
-// drain step (like the hierarchical path). One-sided mode is
-// receiver-paced, so max_send_bytes does not split it into wire
-// phases.
-//
 // The finish half can also be driven incrementally: drain_one()
 // completes one phase at a time and hands each phase's arrivals to a
 // consumer callback as they land (try_finish() is the poll-style
@@ -56,29 +45,16 @@
 // with the same max_send_bytes. Returned spans alias the receive
 // scratch and are valid until the next exchange()/start() on the same
 // object.
-//
-// With ShardPolicy::kHierarchical the exchange is routed over the
-// node topology sim::Comm exposes: records for co-located
-// destinations travel directly (node-local), and all inter-node
-// records funnel through the node leaders — one coalesced
-// leader-to-leader message per destination node per phase — before a
-// node-local scatter delivers them. Results are bit-identical to the
-// flat path for any max_send_bytes; the win is fewer (larger)
-// inter-node messages, visible in ExchangeStats' inter_node_msgs /
-// inter_node_bytes / intra_node_bytes ledger.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
 
-#include "comm/backend.hpp"
 #include "comm/dest_buckets.hpp"
-#include "comm/shard_policy.hpp"
 #include "mpisim/comm.hpp"
 #include "util/assert.hpp"
 #include "util/types.hpp"
@@ -92,15 +68,6 @@ struct ExchangeStats {
   count_t records_sent = 0;  ///< records staged, incl. self-destined
   count_t bytes_sent = 0;    ///< wire bytes (self-destined data is free)
   double seconds = 0.0;      ///< wall time inside exchange()/start()/finish()
-
-  // Topology accounting: where the payload bytes landed relative to
-  // the node grouping (sim::Comm::node_of). Message counts are per
-  // phase per destination with data, matching the substrate's
-  // messages_sent; the hierarchical policy exists to shrink
-  // inter_node_msgs without changing results.
-  count_t inter_node_bytes = 0;  ///< payload bytes crossing nodes
-  count_t intra_node_bytes = 0;  ///< payload bytes between co-located ranks
-  count_t inter_node_msgs = 0;   ///< point-to-point segments crossing nodes
 
   /// Cross-superstep flushes performed by a CoalescingExchanger that
   /// owns this engine (plain exchanges never touch it).
@@ -122,12 +89,6 @@ struct ExchangeStats {
   count_t pipeline_carried = 0;       ///< refreshes carried across supersteps
   count_t max_pipeline_depth = 0;     ///< deepest superstep carry observed
 
-  // One-sided (Backend::kOneSided) per-op ledger: pulls this Exchanger
-  // issued against peers' exposed windows, and the remote payload they
-  // fetched (self-target pulls are free, matching the substrate).
-  count_t one_sided_gets = 0;
-  count_t one_sided_bytes = 0;
-
   /// Fold another ledger into this one: counters and times add, peak
   /// fields take the max. Used by HaloPlan's lane aggregation and the
   /// engine's per-run rollup.
@@ -137,9 +98,6 @@ struct ExchangeStats {
     records_sent += from.records_sent;
     bytes_sent += from.bytes_sent;
     seconds += from.seconds;
-    inter_node_bytes += from.inter_node_bytes;
-    intra_node_bytes += from.intra_node_bytes;
-    inter_node_msgs += from.inter_node_msgs;
     coalesced_flushes += from.coalesced_flushes;
     overlapped += from.overlapped;
     max_inflight_bytes = std::max(max_inflight_bytes, from.max_inflight_bytes);
@@ -148,8 +106,6 @@ struct ExchangeStats {
     drained_incrementally += from.drained_incrementally;
     pipeline_carried += from.pipeline_carried;
     max_pipeline_depth = std::max(max_pipeline_depth, from.max_pipeline_depth);
-    one_sided_gets += from.one_sided_gets;
-    one_sided_bytes += from.one_sided_bytes;
   }
 };
 
@@ -178,8 +134,7 @@ class AsyncExchange {
   count_t max_records_ = 0;          ///< per-phase record cap
   count_t nphases_ = 0;              ///< agreed global phase count
   count_t phase_ = 0;                ///< phase currently in flight
-  int channel_ = 0;                  ///< substrate channel (two-sided)
-  int win_ = 0;                      ///< substrate window (one-sided)
+  int channel_ = 0;                  ///< substrate channel
   bool active_ = false;
   bool counted_incremental_ = false;  ///< drained_incrementally billed
 };
@@ -191,40 +146,18 @@ class Exchanger {
   /// at least one record per phase — a bound smaller than one record
   /// clamps to sizeof(T), never to a zero-progress phase plan). Same
   /// value required on all ranks.
-  explicit Exchanger(count_t max_send_bytes = 0,
-                     ShardPolicy policy = ShardPolicy::kFlat,
-                     Backend backend = Backend::kTwoSided);
-  ~Exchanger();
-  Exchanger(Exchanger&&) noexcept;
-  Exchanger& operator=(Exchanger&&) noexcept;
+  explicit Exchanger(count_t max_send_bytes = 0)
+      : max_send_bytes_(max_send_bytes) {}
 
   count_t max_send_bytes() const { return max_send_bytes_; }
   void set_max_send_bytes(count_t bytes) { max_send_bytes_ = bytes; }
 
-  ShardPolicy shard_policy() const { return policy_; }
-  /// Switch routing policy; results are bit-identical either way. Same
-  /// value required on all ranks; may not change mid-flight.
-  void set_shard_policy(ShardPolicy policy) {
-    XTRA_ASSERT_MSG(!pending_.active(),
-                    "cannot change shard policy mid-exchange");
-    policy_ = policy;
-  }
-
   /// Attribution tag passed to the substrate with every channel
-  /// acquisition and window exposure this Exchanger performs; shows up
-  /// in channel-exhaustion and verifier diagnostics. Must point at
-  /// storage outliving the Exchanger (string literals, in practice).
+  /// acquisition this Exchanger performs; shows up in
+  /// channel-exhaustion and verifier diagnostics. Must point at storage
+  /// outliving the Exchanger (string literals, in practice).
   const char* label() const { return label_; }
   void set_label(const char* label) { label_ = label; }
-
-  Backend backend() const { return backend_; }
-  /// Switch transport backend; results are bit-identical either way.
-  /// Same value required on all ranks; may not change mid-flight.
-  void set_backend(Backend backend) {
-    XTRA_ASSERT_MSG(!pending_.active(),
-                    "cannot change transport backend mid-exchange");
-    backend_ = backend;
-  }
 
   /// Exchange `counts[r]` records per destination rank r, laid out
   /// contiguously in destination order starting at `send`. Returns the
@@ -330,9 +263,8 @@ class Exchanger {
   /// there, so the span stays valid until the next exchange()/start()
   /// on this object). Returns true while phases remain in flight; the
   /// call that returns false leaves the full result exactly as
-  /// finish<T>() would have. Draining the hierarchical path (and the
-  /// unbounded single-phase plan) completes in one step — its arrivals
-  /// only become final after the last reassembly round.
+  /// finish<T>() would have. The unbounded single-phase plan drains in
+  /// one step.
   template <typename T, typename Consume>
   bool drain_one(sim::Comm& comm, Consume&& consume) {
     XTRA_ASSERT_MSG(pending_.elem_ == sizeof(T),
@@ -398,8 +330,6 @@ class Exchanger {
   /// overlapped exchanges.
   enum class StartMode { kBlocking, kSnapshot, kAlias };
 
-  struct Hier;  ///< hierarchical-routing state (sub-exchanges, layouts)
-
   /// One arrived segment of the most recently drained phase: `count`
   /// elements from `source`, installed at element offset `dst_offset`
   /// of the final grouped-by-source result.
@@ -418,13 +348,13 @@ class Exchanger {
   /// over drain_step_bytes, so the one-shot and incremental paths are
   /// one implementation.
   void finish_bytes(sim::Comm& comm);
-  /// Untyped single drain step: completes one phase (or the whole
-  /// hierarchical protocol), installs its arrivals in recv_bytes_,
-  /// records the arrived segments in drained_segs_, and posts the next
-  /// phase. Returns whether the exchange is still in flight.
+  /// Untyped single drain step: completes one phase, installs its
+  /// arrivals in recv_bytes_, records the arrived segments in
+  /// drained_segs_, and posts the next phase. Returns whether the
+  /// exchange is still in flight.
   bool drain_step_bytes(sim::Comm& comm);
   /// Record the whole grouped-by-source result as drained segments
-  /// (single-phase, hierarchical, and all-empty completions).
+  /// (single-phase completions).
   void note_full_result_segments();
   /// Bill the in-flight exchange as incrementally drained (once).
   void note_incremental() {
@@ -434,37 +364,10 @@ class Exchanger {
     }
   }
 
-  // Hierarchical halves (policy == kHierarchical): three flat
-  // sub-exchanges — intra-node gather, leader alltoallv, intra-node
-  // scatter — reassembled into the same grouped-by-source result.
-  // All payload modes behave alike here: the round-1 staging copy
-  // releases the caller's buffer during start regardless. The rounds
-  // inherit the parent's transport backend, so hierarchical routing
-  // composes with one-sided pulls.
-  void start_hier(sim::Comm& comm, const std::byte* send, std::size_t elem,
-                  const std::vector<count_t>& counts, count_t total);
-  void finish_hier(sim::Comm& comm);
-
-  // One-sided halves (backend == kOneSided, flat routing): start
-  // exposes the staged payload + counts metadata in a window; the
-  // drain pulls every per-source segment with win_get and closes the
-  // epoch. Single drain step, like the hierarchical path.
-  void start_onesided(sim::Comm& comm, std::size_t elem);
-  void finish_onesided(sim::Comm& comm);
-
-  /// Topology ledger for one posted phase: splits the payload into
-  /// inter-/intra-node bytes and counts inter-node segments.
-  void account_phase(sim::Comm& comm, const std::vector<count_t>& counts,
-                     std::size_t elem);
-
   count_t max_send_bytes_ = 0;
-  ShardPolicy policy_ = ShardPolicy::kFlat;
-  Backend backend_ = Backend::kTwoSided;
   const char* label_ = "comm::Exchanger";
   ExchangeStats stats_;
   AsyncExchange pending_;  ///< in-flight state between start and finish
-  bool hier_inflight_ = false;  ///< pending exchange uses the hier path
-  bool onesided_inflight_ = false;  ///< pending exchange is an exposed window
 
   // Wire-side scratch, reused across calls.
   std::vector<std::byte> recv_bytes_;   ///< final grouped-by-source result
@@ -475,7 +378,6 @@ class Exchanger {
   std::vector<std::byte> phase_bytes_;  ///< one phase's arrivals
   std::vector<count_t> cursor_;         ///< reassembly write positions
   std::vector<PhaseSegment> drained_segs_;  ///< last drained phase's arrivals
-  std::unique_ptr<Hier> hier_;          ///< lazily built on first hier use
 };
 
 }  // namespace xtra::comm

@@ -3,12 +3,6 @@
 // record's owner, answer each arrival, and return the replies to their
 // askers in query order (alltoallv preserves order both ways, so the
 // i-th reply answers the i-th query).
-//
-// The round trip inherits the Exchanger's transport backend: with
-// Backend::kOneSided both legs run pull-mode — askers expose their
-// queries for owners to fetch, owners expose the replies for askers to
-// fetch back — so the consumer fetches boundary data from exposed
-// windows end to end, and results stay bit-identical to the push path.
 #pragma once
 
 #include <span>

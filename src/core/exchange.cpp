@@ -6,8 +6,6 @@ namespace xtra::core {
 
 void UpdateExchanger::configure(const Params& params) {
   ex_.set_max_send_bytes(params.max_exchange_bytes);
-  ex_.set_shard_policy(params.shard_policy);
-  ex_.set_backend(params.backend);
 }
 
 void UpdateExchanger::run(sim::Comm& comm, const graph::DistGraph& g,

@@ -60,15 +60,15 @@ class UpdateExchanger {
   void finish(sim::Comm& comm, const graph::DistGraph& g,
               std::vector<part_t>& parts);
 
-  /// Apply the exchange knobs of `params`: max_exchange_bytes,
-  /// shard_policy and backend. Results are identical for any values.
+  /// Apply the exchange knob of `params`: max_exchange_bytes. Results
+  /// are identical for any value.
   void configure(const Params& params);
 
   void set_max_send_bytes(count_t bytes) { ex_.set_max_send_bytes(bytes); }
-  void set_shard_policy(comm::ShardPolicy policy) {
-    ex_.set_shard_policy(policy);
-  }
-  void set_backend(comm::Backend backend) { ex_.set_backend(backend); }
+  // No-op; kept only because perfbench/e2e.cpp:358 calls it.
+  void set_shard_policy(ShardPolicy) {}
+  // No-op; kept only because perfbench/e2e.cpp:359 calls it.
+  void set_backend(Backend) {}
   const comm::ExchangeStats& stats() const { return ex_.stats(); }
   /// The last start()'s send buffer: records grouped by destination,
   /// and per-destination counts.

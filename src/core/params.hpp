@@ -4,11 +4,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "comm/backend.hpp"
-#include "comm/shard_policy.hpp"
 #include "util/types.hpp"
 
 namespace xtra::core {
+
+/// One-enumerator stubs behind Params::shard_policy and Params::backend.
+enum class ShardPolicy { kFlat };
+enum class Backend { kTwoSided };
 
 /// How part labels are seeded before the balance/refine stages.
 enum class InitStrategy {
@@ -54,18 +56,10 @@ struct Params {
   /// bit-identical for any value.
   count_t max_exchange_bytes = 0;
 
-  /// Routing of the ghost-update exchange: flat alltoallv, or the
-  /// two-level node-aware path (node-local gather, coalesced
-  /// leader-to-leader alltoallv, node-local scatter). Results are
-  /// bit-identical; hierarchical trades extra node-local hops for
-  /// fewer inter-node messages. Same value required on every rank.
-  comm::ShardPolicy shard_policy = comm::ShardPolicy::kFlat;
-
-  /// Transport of the ghost-update exchange: two-sided matched sends
-  /// (the default), or one-sided exposure windows the consumers pull
-  /// from (the RMA/remote-fetch style). Results are bit-identical;
-  /// same value required on every rank.
-  comm::Backend backend = comm::Backend::kTwoSided;
+  // No effect; kept only because perfbench/e2e.cpp:358 passes it on.
+  ShardPolicy shard_policy = ShardPolicy::kFlat;
+  // No effect; kept only because perfbench/e2e.cpp:359 passes it on.
+  Backend backend = Backend::kTwoSided;
 
   /// Supersteps a pipelined ghost refresh may stay in flight in the
   /// kernels built on graph::SuperstepPipeline (the analytics runs the

@@ -1,40 +1,24 @@
 // engine::Config — the one knob bag every vertex program runs under.
 //
-// PRs 2-4 grew the comm substrate a transport strategy at a time
-// (memory-bounded phasing, hierarchical sharding, cross-superstep
-// pipelining, coalescing), and each analytics kernel exposed whichever
-// subset had been hand-plumbed into it. Config unifies the scattered
-// knobs so every kernel executed by engine::run inherits every
-// transport strategy; from_params() maps the partitioner-facing
-// core::Params fields onto it so benches drive analytics and
-// partitioning from one struct.
+// Every kernel executed by engine::run inherits every transport knob
+// here (memory-bounded phasing, cross-superstep pipelining,
+// coalescing) with no per-kernel plumbing; from_params() maps the
+// partitioner-facing core::Params fields onto it so benches drive
+// analytics and partitioning from one struct.
 #pragma once
 
 #include <limits>
 
-#include "comm/backend.hpp"
-#include "comm/shard_policy.hpp"
 #include "core/params.hpp"
 #include "util/types.hpp"
 
 namespace xtra::engine {
 
 struct Config {
-  /// Routing of every exchange the engine issues (halo refreshes,
-  /// frontier notifications, census/query traffic): flat alltoallv or
-  /// the two-level node-aware path. Results are bit-identical either
-  /// way. Same value required on every rank.
-  comm::ShardPolicy shard_policy = comm::ShardPolicy::kFlat;
-
-  /// Transport of every exchange the engine issues: two-sided matched
-  /// sends (the default), or one-sided exposure windows the consumers
-  /// pull from (the RMA/remote-fetch style). Results are bit-identical
-  /// either way. Same value required on every rank.
-  comm::Backend backend = comm::Backend::kTwoSided;
-
-  /// Per-phase send-payload cap (chunk size) for the engine's
-  /// exchanges, in bytes; 0 = unbounded single alltoallv. Results are
-  /// bit-identical for any value. Same value on every rank.
+  /// Per-phase send-payload cap (chunk size) for every exchange the
+  /// engine issues (halo refreshes, frontier notifications,
+  /// census/query traffic), in bytes; 0 = unbounded single alltoallv.
+  /// Results are bit-identical for any value. Same value on every rank.
   count_t max_exchange_bytes = 0;
 
   /// Supersteps a dense program's ghost refresh may stay in flight
@@ -78,8 +62,6 @@ struct Config {
   /// max_supersteps stay per-kernel — set them after).
   static Config from_params(const core::Params& p) {
     Config cfg;
-    cfg.shard_policy = p.shard_policy;
-    cfg.backend = p.backend;
     cfg.max_exchange_bytes = p.max_exchange_bytes;
     cfg.pipeline_depth = p.pipeline_depth;
     cfg.coalesce_every = p.coalesce_every;

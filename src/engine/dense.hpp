@@ -178,15 +178,11 @@ struct DenseContext {
     return *halo_;
   }
 
-  /// Auxiliary wire engine configured with the run's knobs (shard
-  /// policy + chunk size), lazily built — for census passes and
-  /// query_reply round trips inside program hooks. Its ledger lands in
-  /// the run's Stats.
+  /// Auxiliary wire engine configured with the run's chunk size,
+  /// lazily built — for census passes and query_reply round trips
+  /// inside program hooks. Its ledger lands in the run's Stats.
   comm::Exchanger& aux() {
-    if (!aux_) {
-      aux_ = std::make_unique<comm::Exchanger>(cfg.max_exchange_bytes,
-                                               cfg.shard_policy, cfg.backend);
-    }
+    if (!aux_) aux_ = std::make_unique<comm::Exchanger>(cfg.max_exchange_bytes);
     return *aux_;
   }
 
@@ -315,8 +311,7 @@ void run_dense_coalesced(sim::Comm& comm, const graph::DistGraph& g, P& p,
                 "the coalesced refresh requires a change-converging "
                 "program (deferred deliveries need a quiesce)");
   graph::HaloPlan& halo = *ctx.halo_;
-  comm::CoalescingExchanger co(0, cfg.max_exchange_bytes, cfg.shard_policy,
-                               cfg.backend);
+  comm::CoalescingExchanger co(0, cfg.max_exchange_bytes);
   const std::vector<count_t>& scounts = halo.send_counts();
   const std::vector<lid_t>& slids = halo.send_lids();
   // Last value shipped per (destination, owned lid) slot. The
@@ -434,8 +429,7 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
   DenseContext<P> ctx{comm, g, cfg};
   std::unique_ptr<graph::HaloPlan> halo;
   if constexpr (detail::exchanges_values<P>()) {
-    halo = std::make_unique<graph::HaloPlan>(comm, g, cfg.shard_policy,
-                                             cfg.backend);
+    halo = std::make_unique<graph::HaloPlan>(comm, g);
     halo->set_max_send_bytes(cfg.max_exchange_bytes);
     ctx.halo_ = halo.get();
   }

@@ -1,10 +1,7 @@
 // The unified vertex-program engine API — the only way analytics run.
 //
-// After PRs 2-4 each kernel in src/analytics/ hand-rolled its own
-// superstep loop and exposed whichever transport knobs had been
-// plumbed into it by hand. The engine inverts that: a kernel is a
-// small *program* struct (its per-vertex update plus init/epilogue
-// hooks), `engine::Config` is the one knob bag (shard policy, chunk
+// A kernel is a small *program* struct (its per-vertex update plus
+// init/epilogue hooks), `engine::Config` is the one knob bag (chunk
 // size, pipeline depth, coalescing cadence, tolerance, superstep
 // cap), and `engine::run(comm, g, program, cfg)` owns the superstep
 // loop — so every comm optimization the substrate grows is inherited

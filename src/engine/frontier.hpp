@@ -10,9 +10,8 @@
 // single sweep and a single exchange — ghost relaxations staged and
 // shipped as the program's `Notify` records while the owned
 // relaxations run mid-flight — and the program's hooks define what
-// "relax" means. Every transport knob in engine::Config (shard policy,
-// chunk size, backend) applies to the notification exchange with no
-// per-kernel plumbing.
+// "relax" means. The engine::Config chunk size applies to the
+// notification exchange with no per-kernel plumbing.
 //
 // Program shape (see analytics/programs.hpp for the concrete two):
 //
@@ -93,8 +92,7 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   Timer timer;
 
   FrontierContext<P> ctx{comm, g, cfg};
-  graph::FrontierStepper<typename P::Notify> stepper(
-      cfg.max_exchange_bytes, cfg.shard_policy, cfg.backend);
+  graph::FrontierStepper<typename P::Notify> stepper(cfg.max_exchange_bytes);
   p.init(ctx);
 
   const count_t limit = detail::superstep_limit(cfg);

@@ -1,7 +1,8 @@
 // Synthetic graph generators covering every graph class of Table I.
 //
 // All generators are deterministic in (parameters, seed). Sizes here
-// are scaled down from the paper's (this substrate runs on one core);
+// are scaled down from the paper's (the substrate runs every rank as a
+// thread, with MPI+X workers, on one 4-vCPU host);
 // the *structural* properties the experiments depend on — degree
 // skew, diameter, locality of a block ordering — are preserved. See
 // DESIGN.md §2 for the substitution table.

@@ -15,7 +15,7 @@ namespace {
 // millions); average degrees are the paper's. This keeps each graph's
 // relative size and density so cross-graph comparisons (Table II,
 // Fig 4) retain their shape while a full suite sweep stays tractable
-// on one core.
+// on a 4-vCPU host (ranks are threads, each with MPI+X workers).
 const std::vector<SuiteEntry> kSuite = {
     {"lj", GraphClass::kSocial, 54'000, 14},
     {"orkut", GraphClass::kSocial, 31'000, 38},

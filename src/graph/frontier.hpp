@@ -94,10 +94,8 @@ struct SlotGid {
 template <typename Notify>
 class FrontierStepper {
  public:
-  explicit FrontierStepper(count_t max_send_bytes = 0,
-                           comm::ShardPolicy policy = comm::ShardPolicy::kFlat,
-                           comm::Backend backend = comm::Backend::kTwoSided)
-      : ex_(max_send_bytes, policy, backend) {
+  explicit FrontierStepper(count_t max_send_bytes = 0)
+      : ex_(max_send_bytes) {
     ex_.set_label("graph::FrontierStepper");
   }
 

@@ -7,10 +7,7 @@
 
 namespace xtra::graph {
 
-HaloPlan::HaloPlan(sim::Comm& comm, const DistGraph& g,
-                   comm::ShardPolicy policy, comm::Backend backend) {
-  policy_ = policy;
-  backend_ = backend;
+HaloPlan::HaloPlan(sim::Comm& comm, const DistGraph& g) {
   add_lane();  // lane 0 — the ring grows on demand (set_pipeline_lanes)
   comm::Exchanger& ex = lanes_.front()->ex;
   // Ghosts register with their owners: send each ghost gid to its

@@ -9,11 +9,10 @@
 //
 // The plan owns its wire machinery: a ring of prefetch *lanes*, each a
 // persistent staging buffer plus a comm::Exchanger (optionally
-// memory-bounded via set_max_send_bytes, routed flat or hierarchically,
-// pushed two-sided or pulled from one-sided windows per the Backend
-// knob). One lane is enough for the blocking and single-overlap paths;
-// set_pipeline_lanes() grows the ring so several refreshes can ride
-// the substrate's tagged channels (or exposure windows) at once.
+// memory-bounded via set_max_send_bytes). One lane is enough for the
+// blocking and single-overlap paths; set_pipeline_lanes() grows the
+// ring so several refreshes can ride the substrate's tagged channels
+// at once.
 //
 // Ways to refresh:
 //  * exchange(comm, vals) — blocking, gather + wire + scatter.
@@ -44,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "comm/backend.hpp"
 #include "comm/exchanger.hpp"
 #include "comm/scratch.hpp"
 #include "graph/dist_graph.hpp"
@@ -56,14 +54,8 @@ namespace xtra::graph {
 
 class HaloPlan {
  public:
-  /// Collective: ghosts register with their owners once. `policy`
-  /// selects flat or hierarchical routing and `backend` push (matched
-  /// alltoallv) or pull (one-sided windows) transport for the
-  /// registration and every subsequent exchange (bit-identical results
-  /// any way).
-  HaloPlan(sim::Comm& comm, const DistGraph& g,
-           comm::ShardPolicy policy = comm::ShardPolicy::kFlat,
-           comm::Backend backend = comm::Backend::kTwoSided);
+  /// Collective: ghosts register with their owners once.
+  HaloPlan(sim::Comm& comm, const DistGraph& g);
 
   /// Collective: copy vals[owned] into every ghost copy; vals must
   /// have size g.n_total() and element type T trivially copyable.
@@ -241,20 +233,6 @@ class HaloPlan {
     max_send_bytes_ = bytes;
     for (auto& ln : lanes_) ln->ex.set_max_send_bytes(bytes);
   }
-  /// Route subsequent exchanges flat or hierarchically (same value on
-  /// every rank; results are bit-identical either way).
-  void set_shard_policy(comm::ShardPolicy policy) {
-    policy_ = policy;
-    for (auto& ln : lanes_) ln->ex.set_shard_policy(policy);
-  }
-  /// Push (two-sided) or pull (one-sided windows) transport for
-  /// subsequent exchanges — same value on every rank, bit-identical
-  /// results either way.
-  void set_backend(comm::Backend backend) {
-    backend_ = backend;
-    for (auto& ln : lanes_) ln->ex.set_backend(backend);
-  }
-  comm::Backend backend() const { return backend_; }
 
   /// Aggregate ledger over every lane (by value — lanes are folded).
   comm::ExchangeStats stats() const {
@@ -276,14 +254,11 @@ class HaloPlan {
   struct Lane {
     comm::ScratchBuffer scratch;
     comm::Exchanger ex;
-    Lane(count_t max_send_bytes, comm::ShardPolicy policy,
-         comm::Backend backend)
-        : ex(max_send_bytes, policy, backend) {}
+    explicit Lane(count_t max_send_bytes) : ex(max_send_bytes) {}
   };
 
   void add_lane() {
-    lanes_.push_back(
-        std::make_unique<Lane>(max_send_bytes_, policy_, backend_));
+    lanes_.push_back(std::make_unique<Lane>(max_send_bytes_));
     lanes_.back()->ex.set_label("graph::HaloPlan lane");
   }
 
@@ -310,8 +285,6 @@ class HaloPlan {
 
   // Wire configuration, mirrored here so lanes added later inherit it.
   count_t max_send_bytes_ = 0;
-  comm::ShardPolicy policy_ = comm::ShardPolicy::kFlat;
-  comm::Backend backend_ = comm::Backend::kTwoSided;
 
   // FIFO ring of prefetch lanes: prefetch_next starts head_, drains
   // complete at tail_ in start order. unique_ptr keeps lanes pinned
@@ -322,12 +295,19 @@ class HaloPlan {
   int inflight_ = 0;
 };
 
-/// Ceiling on SuperstepPipeline depth. With the one-sided backend each
-/// in-flight lane holds an exposure window for its whole flight, and a
-/// drain transiently needs one more for the hierarchical rounds — so
-/// depth is capped at sim::kMaxWindows - 1; the two-sided backend's
-/// channel budget (sim::kMaxChannels) is looser.
+/// Ceiling on SuperstepPipeline depth. Each in-flight lane holds one
+/// substrate channel for its whole flight. A drain needs no channel of
+/// its own: successor phases are re-posted on the lane's channel
+/// (Exchanger::drain_step_bytes). The one auxiliary exchange a
+/// superstep may run while lanes are in flight is a blocking
+/// Exchanger::exchange from the mid() hook (e.g. DenseContext::aux()),
+/// which holds one more channel until it returns. The remaining
+/// channels stay free for exchanges the caller itself keeps in flight
+/// around a pipelined kernel.
 inline constexpr int kMaxPipelineDepth = 3;
+static_assert(kMaxPipelineDepth + 1 <= sim::kMaxChannels,
+              "pipeline lanes plus the mid() exchange must fit the "
+              "substrate's channels");
 
 /// Cross-superstep pipelined ghost-refresh driver.
 ///

@@ -1,11 +1,13 @@
 // Simulated message-passing runtime (the "MPI" substrate).
 //
 // The paper runs XtraPuLP as MPI+OpenMP on up to 8192 nodes of Blue
-// Waters. This environment has no MPI and a single core, so — per the
-// documented substitution in DESIGN.md — we provide an in-process
-// runtime with the same semantics: each *rank* is a std::thread with
-// private data, and ranks may exchange data only through the
-// collectives below. Because XtraPuLP is bulk-synchronous (local
+// Waters. This environment has no MPI, so — per the documented
+// substitution in DESIGN.md — we provide an in-process runtime with the
+// same semantics: each *rank* is a std::thread with private data, and
+// ranks may exchange data only through the collectives below. Ranks
+// run in parallel on the host's cores (the reference host has 4 vCPUs),
+// and each rank may fan local work out to its MPI+X worker pool
+// (util/parallel.hpp). Because XtraPuLP is bulk-synchronous (local
 // compute + Alltoallv + Allreduce per iteration), running the identical
 // program over this runtime exercises the same distribution logic,
 // ghost-update protocol, and oscillation behaviour as real MPI; only
@@ -25,12 +27,6 @@
 // channel, and interleave starts, finishes, and other collectives in
 // the same order (find_free_channel() is deterministic for exactly
 // this reason).
-//
-// A second, one-sided surface emulates RDMA verbs: win_expose posts a
-// region of rank memory for passive-target win_get/win_put by peers,
-// win_fence separates access epochs, win_unexpose closes the window.
-// Puts and gets are NOT collectives — they bill per-op to the origin
-// rank, the target does not participate.
 //
 // Every collective accounts the bytes a real MPI rank would put on the
 // wire (self-destined data is free), so benches can report
@@ -79,20 +75,14 @@ struct CommStats {
   /// the overlap credit is wall clock — but it is monotone in overlap,
   /// which is all the depth contract needs.
   double exposed_seconds = 0.0;
-  count_t one_sided_gets = 0;   ///< win_get ops issued by this rank
-  count_t one_sided_puts = 0;   ///< win_put ops issued by this rank
-  count_t one_sided_bytes = 0;  ///< get/put payload bytes (self free)
 };
 
 /// Tagged in-flight channels per rank: up to this many nonblocking
 /// alltoallvs may be pending concurrently on one rank.
 inline constexpr int kMaxChannels = 8;
-/// Concurrent one-sided exposure windows per rank.
-inline constexpr int kMaxWindows = 4;
 
 // The verifier sits below this header and mirrors the slot counts.
 static_assert(verify::kChannelSlots == kMaxChannels);
-static_assert(verify::kWindowSlots == kMaxWindows);
 
 /// Alpha-beta wire model behind CommStats::exposed_seconds. The modeled
 /// link is deliberately slow (1 MB/s, 2 ms startup) so that on the
@@ -115,23 +105,20 @@ namespace detail {
 /// Shared state for one world of ranks. Internal to the runtime.
 class WorldState {
  public:
-  explicit WorldState(int nranks, int ranks_per_node = 1)
+  explicit WorldState(int nranks)
       : nranks_(nranks),
-        ranks_per_node_(std::clamp(ranks_per_node, 1, nranks)),
         barrier_(nranks),
         slots_(static_cast<std::size_t>(nranks)),
         aux_slots_(static_cast<std::size_t>(nranks)),
         size_slots_(static_cast<std::size_t>(nranks), 0),
         async_slots_(static_cast<std::size_t>(nranks) * kMaxChannels),
         async_aux_slots_(static_cast<std::size_t>(nranks) * kMaxChannels),
-        win_slots_(static_cast<std::size_t>(nranks) * kMaxWindows),
         stats_(static_cast<std::size_t>(nranks)),
         // Inert (zero-rank) when the verifier is compiled out — the
         // hooks that would key into it fold away too.
         ledger_(verify::kEnabled ? nranks : 0) {}
 
   int nranks() const { return nranks_; }
-  int ranks_per_node() const { return ranks_per_node_; }
 
   /// Barrier that converts a peer failure into WorldAborted.
   void sync() {
@@ -165,28 +152,12 @@ class WorldState {
                             static_cast<std::size_t>(rank)];
   }
 
-  /// One-sided exposure slot: base/extent of the region `rank` has
-  /// posted on window `win`, plus an optional free-of-charge metadata
-  /// pointer (typically per-destination counts — the registration-time
-  /// descriptor a real RDMA rendezvous would carry).
-  struct WinSlot {
-    std::byte* base = nullptr;
-    std::size_t bytes = 0;
-    const count_t* meta = nullptr;
-  };
-  WinSlot& win_slot(int rank, int win) {
-    return win_slots_[static_cast<std::size_t>(win) *
-                          static_cast<std::size_t>(nranks_) +
-                      static_cast<std::size_t>(rank)];
-  }
-
   CommStats& stats(int rank) { return stats_[static_cast<std::size_t>(rank)]; }
 
   verify::WorldLedger& ledger() { return ledger_; }
 
  private:
   int nranks_;
-  int ranks_per_node_;
   std::barrier<> barrier_;
   std::atomic<bool> failed_{false};
   // Publication slots: each rank writes only its own entry between the
@@ -200,8 +171,6 @@ class WorldState {
   // and across starts/finishes on other channels.
   std::vector<const void*> async_slots_;
   std::vector<const void*> async_aux_slots_;
-  // Per-(window, rank) one-sided exposure slots.
-  std::vector<WinSlot> win_slots_;
   std::vector<CommStats> stats_;
   verify::WorldLedger ledger_;
 };
@@ -217,27 +186,6 @@ class Comm {
   int rank() const { return rank_; }
   int size() const { return world_->nranks(); }
   bool is_root() const { return rank_ == 0; }
-
-  // --- Node topology view --------------------------------------------
-  // Ranks are grouped into "nodes" of ranks_per_node consecutive ranks
-  // (the last node may be smaller); run_world picks the grouping. A
-  // node's leader is its lowest rank. The hierarchical exchange routes
-  // inter-node traffic through leaders; everything else ignores the
-  // grouping (the default is one rank per node).
-  int ranks_per_node() const { return world_->ranks_per_node(); }
-  int node_of(int rank) const { return rank / ranks_per_node(); }
-  int my_node() const { return node_of(rank_); }
-  int node_count() const {
-    return (size() + ranks_per_node() - 1) / ranks_per_node();
-  }
-  /// Lowest rank of `node` — its leader.
-  int node_leader(int node) const { return node * ranks_per_node(); }
-  bool is_node_leader() const { return rank_ % ranks_per_node() == 0; }
-  /// Half-open rank range [begin, end) of `node`.
-  int node_begin(int node) const { return node * ranks_per_node(); }
-  int node_end(int node) const {
-    return std::min(size(), (node + 1) * ranks_per_node());
-  }
 
   /// Block until every rank in the world reaches the barrier.
   void barrier() {
@@ -492,7 +440,6 @@ class Comm {
   }
 
   static constexpr int max_channels() { return kMaxChannels; }
-  static constexpr int max_windows() { return kMaxWindows; }
 
   /// Lowest channel with no exchange in flight on this rank. Because
   /// channels are acquired and released only by collective calls, the
@@ -684,174 +631,6 @@ class Comm {
     return n;
   }
 
-  // --- One-sided windows (RDMA emulation) ----------------------------
-  // Exposure epochs follow MPI_Win_fence semantics: win_expose opens an
-  // epoch (collective), win_fence separates epochs (collective), and
-  // win_unexpose closes the window (collective). Between fences, peers
-  // may win_get/win_put the exposed region passively — the target rank
-  // does not participate and per-op costs bill to the origin. The
-  // origin must not read bytes a peer may concurrently put, and the
-  // owner must not rewrite bytes a peer may concurrently get; the
-  // fences are the synchronization points, exactly as on hardware.
-
-  /// Lowest window not currently exposed by this rank; rank-uniform for
-  /// the same reason as find_free_channel. Throws on exhaustion.
-  int find_free_window() const {
-    for (int w = 0; w < kMaxWindows; ++w)
-      if (!win_active_[static_cast<std::size_t>(w)]) return w;
-    std::string msg = "mpisim: all " + std::to_string(kMaxWindows) +
-                      " one-sided windows are exposed on this rank (rank " +
-                      std::to_string(rank_) + "):";
-    for (int w = 0; w < kMaxWindows; ++w) {
-      const char* label = win_label_[static_cast<std::size_t>(w)];
-      msg += "\n  window " + std::to_string(w) + ": '" +
-             (label ? label : "(unlabeled)") +
-             "' — exposed at this rank's collective #" +
-             std::to_string(win_opened_at_[static_cast<std::size_t>(w)]);
-    }
-    throw std::runtime_error(msg);
-  }
-
-  /// Collective: expose [base, base+bytes) for passive-target access on
-  /// window `win` until win_unexpose. `meta`, if non-null, must stay
-  /// valid for the window's lifetime; peers read it free of charge via
-  /// win_meta (the descriptor a real rendezvous registration carries —
-  /// the Exchanger publishes per-destination counts through it).
-  void win_expose(void* base, std::size_t bytes,
-                  const count_t* meta = nullptr, int win = 0,
-                  const char* label = nullptr) {
-    vguard("win_expose");
-    XTRA_ASSERT(win >= 0 && win < kMaxWindows);
-    if (win_active_[static_cast<std::size_t>(win)])
-      throw std::runtime_error(
-          "mpisim: window " + std::to_string(win) +
-          " is already exposed ('" +
-          (win_label_[static_cast<std::size_t>(win)]
-               ? win_label_[static_cast<std::size_t>(win)]
-               : "(unlabeled)") +
-          "', exposed at this rank's collective #" +
-          std::to_string(win_opened_at_[static_cast<std::size_t>(win)]) +
-          "); expose by '" + (label ? label : "(unlabeled)") + "' rejected");
-    XTRA_ASSERT_MSG(bytes == 0 || base != nullptr,
-                    "win_expose needs a base pointer when bytes > 0");
-    Timer t;
-    auto& slot = world_->win_slot(rank_, win);
-    slot.base = static_cast<std::byte*>(base);
-    slot.bytes = bytes;
-    slot.meta = meta;
-    win_label_[static_cast<std::size_t>(win)] = label;
-    win_opened_at_[static_cast<std::size_t>(win)] =
-        world_->stats(rank_).collectives;
-    if constexpr (verify::kEnabled) {
-      // Guard armed before the barrier: peers cannot touch the region
-      // until their own expose returns, i.e. after we pass it.
-      world_->ledger().window_open(rank_, win, label, base, bytes);
-    }
-    vsync(verify::Op::kWinExpose, win, 0, bytes);
-    win_active_[static_cast<std::size_t>(win)] = true;
-    note(0, 0, t);
-  }
-
-  /// Whether this rank currently exposes window `win`.
-  bool win_exposed(int win = 0) const {
-    XTRA_ASSERT(win >= 0 && win < kMaxWindows);
-    return win_active_[static_cast<std::size_t>(win)];
-  }
-
-  /// Extent of the region `target` exposes on `win`.
-  std::size_t win_bytes(int target, int win = 0) const {
-    XTRA_ASSERT(win_active_[static_cast<std::size_t>(win)]);
-    return world_->win_slot(target, win).bytes;
-  }
-
-  /// Metadata pointer `target` registered with its exposure (may be
-  /// null). Reading it is free — it is part of the registration.
-  const count_t* win_meta(int target, int win = 0) const {
-    XTRA_ASSERT(win_active_[static_cast<std::size_t>(win)]);
-    return world_->win_slot(target, win).meta;
-  }
-
-  /// Passive-target read: copy `len` bytes at `offset` of `target`'s
-  /// exposed region into `dst`. Not a collective; bills to this rank
-  /// (self-target reads are free, as ever).
-  void win_get(int win, int target, std::size_t offset, std::size_t len,
-               void* dst) {
-    vguard("win_get");
-    if constexpr (verify::kEnabled)
-      verify_win_access("win_get", win, target, offset, len);
-    const auto& slot = checked_win_slot(target, win, offset, len);
-    // Zero-length gets are legal at any in-bounds offset and may pass a
-    // null dst; skip the copy so that stays UB-free.
-    if (len > 0) std::memcpy(dst, slot.base + offset, len);
-    note_one_sided(target, len, /*is_put=*/false);
-  }
-
-  /// Passive-target write: copy `len` bytes from `src` into `target`'s
-  /// exposed region at `offset`. Not a collective; bills to this rank.
-  void win_put(int win, int target, std::size_t offset, std::size_t len,
-               const void* src) {
-    vguard("win_put");
-    if constexpr (verify::kEnabled) {
-      verify_win_access("win_put", win, target, offset, len);
-      // Counted before the copy lands so the target's mutation check
-      // stands down for any epoch containing peer puts.
-      world_->ledger().note_put(target, win);
-    }
-    const auto& slot = checked_win_slot(target, win, offset, len);
-    if (len > 0) std::memcpy(slot.base + offset, src, len);
-    note_one_sided(target, len, /*is_put=*/true);
-  }
-
-  /// Collective epoch separator: all puts/gets issued before the fence
-  /// complete before any rank's post-fence accesses (barrier
-  /// semantics = MPI_Win_fence).
-  void win_fence(int win = 0) {
-    vguard("win_fence");
-    XTRA_ASSERT(win_active_[static_cast<std::size_t>(win)]);
-    Timer t;
-    vsync(verify::Op::kWinFence, win, 0, 0);
-    if constexpr (verify::kEnabled) {
-      // Between the two barriers no peer can be mid-put (they are all
-      // fenced too), so the owner-mutation check and checksum re-arm
-      // read a quiescent buffer; the second (unbilled) barrier keeps
-      // next-epoch puts from racing the re-arm.
-      world_->ledger().window_epoch_verify(rank_, win, /*closing=*/false);
-      world_->sync();
-    }
-    note(0, 0, t);
-  }
-
-  /// Collective: close the exposure epoch and free the window slot.
-  /// The barrier guarantees every peer's accesses completed before the
-  /// region is invalidated, so the owner may free/reuse the memory on
-  /// return.
-  void win_unexpose(int win = 0) {
-    vguard("win_unexpose");
-    XTRA_ASSERT(win >= 0 && win < kMaxWindows);
-    if constexpr (verify::kEnabled) {
-      if (!win_active_[static_cast<std::size_t>(win)])
-        throw verify::ProtocolError(
-            "comm verifier: win_unexpose without a matching win_expose "
-            "(rank " +
-            std::to_string(rank_) + ", window " + std::to_string(win) + ": " +
-            world_->ledger().window_attribution(rank_, win) + ")");
-    }
-    XTRA_ASSERT_MSG(win_active_[static_cast<std::size_t>(win)],
-                    "win_unexpose without a matching win_expose");
-    Timer t;
-    vsync(verify::Op::kWinUnexpose, win, 0, 0);
-    if constexpr (verify::kEnabled) {
-      // All peer accesses completed at the barrier and no new epoch
-      // can open on this window, so one barrier suffices here.
-      world_->ledger().window_epoch_verify(rank_, win, /*closing=*/true);
-      world_->ledger().window_close(rank_, win);
-    }
-    world_->win_slot(rank_, win) = detail::WorldState::WinSlot{};
-    win_active_[static_cast<std::size_t>(win)] = false;
-    win_label_[static_cast<std::size_t>(win)] = nullptr;
-    note(0, 0, t);
-  }
-
   /// Gather variable-length contributions to `root` (others get {}).
   template <typename T>
   std::vector<T> gatherv(const std::vector<T>& send, int root = 0) {
@@ -916,9 +695,8 @@ class Comm {
   /// Collective; the benches' one-stop aggregate.
   CommStats world_stats() {
     const CommStats mine = stats();
-    std::vector<count_t> c{mine.bytes_sent,     mine.messages_sent,
-                           mine.collectives,    mine.one_sided_gets,
-                           mine.one_sided_puts, mine.one_sided_bytes};
+    std::vector<count_t> c{mine.bytes_sent, mine.messages_sent,
+                           mine.collectives};
     allreduce_sum(c);
     std::vector<double> d{mine.comm_seconds, mine.exposed_seconds};
     allreduce_sum(d);
@@ -926,9 +704,6 @@ class Comm {
     out.bytes_sent = c[0];
     out.messages_sent = c[1];
     out.collectives = c[2];
-    out.one_sided_gets = c[3];
-    out.one_sided_puts = c[4];
-    out.one_sided_bytes = c[5];
     out.comm_seconds = d[0];
     out.exposed_seconds = d[1];
     return out;
@@ -936,7 +711,7 @@ class Comm {
 
   /// Teardown checks, called by run_world after the rank function
   /// returns (no-op when the verifier is compiled out): leaked
-  /// channels/windows throw with the opener's attribution, then a
+  /// channels throw with the opener's attribution, then a
   /// final lockstep fingerprint converts "this rank exited while peers
   /// still communicate" into an attributed divergence error instead of
   /// a deadlock.
@@ -947,11 +722,6 @@ class Comm {
         if (!async_[static_cast<std::size_t>(c)].active) continue;
         leaks += "\n  channel " + std::to_string(c) + " still in flight (" +
                  world_->ledger().channel_attribution(rank_, c) + ")";
-      }
-      for (int w = 0; w < kMaxWindows; ++w) {
-        if (!win_active_[static_cast<std::size_t>(w)]) continue;
-        leaks += "\n  window " + std::to_string(w) + " still exposed (" +
-                 world_->ledger().window_attribution(rank_, w) + ")";
       }
       if (!leaks.empty())
         throw verify::ProtocolError(
@@ -995,35 +765,6 @@ class Comm {
       return 0;
   }
 
-  /// Epoch/bounds preconditions for win_get/win_put, as attributed
-  /// ProtocolErrors (the XTRA_ASSERTs in checked_win_slot cover
-  /// non-verify builds).
-  void verify_win_access(const char* what, int win, int target,
-                         std::size_t offset, std::size_t len) const {
-    if (win < 0 || win >= kMaxWindows ||
-        !win_active_[static_cast<std::size_t>(win)]) {
-      const std::string attribution =
-          (win >= 0 && win < kMaxWindows)
-              ? world_->ledger().window_attribution(rank_, win)
-              : std::string("no such window");
-      throw verify::ProtocolError(
-          std::string("comm verifier: ") + what +
-          " outside an exposure epoch (rank " + std::to_string(rank_) +
-          ", window " + std::to_string(win) + ": " + attribution + ")");
-    }
-    const auto& slot = world_->win_slot(target, win);
-    if (offset + len > slot.bytes) {
-      throw verify::ProtocolError(
-          std::string("comm verifier: ") + what +
-          " past the exposed region (rank " + std::to_string(rank_) +
-          " accessing rank " + std::to_string(target) + ", window " +
-          std::to_string(win) + ": offset " + std::to_string(offset) +
-          " + len " + std::to_string(len) + " > " +
-          std::to_string(slot.bytes) + " bytes exposed; " +
-          world_->ledger().window_attribution(target, win) + ")");
-    }
-  }
-
   void note(count_t bytes, count_t msgs, const Timer& t) {
     note_seconds(bytes, msgs, t.seconds());
   }
@@ -1041,32 +782,6 @@ class Comm {
   void note_blocking_exposure(count_t wire_in_bytes) {
     world_->stats(rank_).exposed_seconds +=
         modeled_wire_seconds(wire_in_bytes);
-  }
-
-  const detail::WorldState::WinSlot& checked_win_slot(int target, int win,
-                                                      std::size_t offset,
-                                                      std::size_t len) const {
-    XTRA_ASSERT(win >= 0 && win < kMaxWindows);
-    XTRA_ASSERT_MSG(win_active_[static_cast<std::size_t>(win)],
-                    "one-sided access outside an exposure epoch");
-    const auto& slot = world_->win_slot(target, win);
-    XTRA_ASSERT_MSG(offset + len <= slot.bytes,
-                    "one-sided access past the exposed region");
-    return slot;
-  }
-
-  /// Per-op one-sided billing: gets/puts are point-to-point segments,
-  /// not collectives; self-target traffic is free, and remote payload
-  /// exposes its beta cost (the alpha is absorbed by the epoch's
-  /// collective fences, as on a doorbell-batched RDMA engine).
-  void note_one_sided(int target, std::size_t len, bool is_put) {
-    CommStats& s = world_->stats(rank_);
-    (is_put ? s.one_sided_puts : s.one_sided_gets) += 1;
-    if (target == rank_ || len == 0) return;
-    s.one_sided_bytes += static_cast<count_t>(len);
-    s.bytes_sent += static_cast<count_t>(len);
-    s.messages_sent += 1;
-    s.exposed_seconds += static_cast<double>(len) / kModelBytesPerSecond;
   }
 
   detail::WorldState* world_;
@@ -1088,20 +803,12 @@ class Comm {
     count_t opened_at = 0;
   };
   std::array<AsyncState, kMaxChannels> async_{};
-  // Local mirror of this rank's exposed windows (rank-uniform, since
-  // expose/unexpose are collective), with always-on attribution.
-  std::array<bool, kMaxWindows> win_active_{};
-  std::array<const char*, kMaxWindows> win_label_{};
-  std::array<count_t, kMaxWindows> win_opened_at_{};
 };
 
 /// Launch `nranks` rank threads, each running fn(comm). Blocks until
 /// all ranks finish; rethrows the first rank exception (after cleanly
-/// unwinding the rest of the world). `ranks_per_node` groups
-/// consecutive ranks into simulated nodes for the hierarchical
-/// exchange (1 = every rank its own node, the flat default).
-void run_world(int nranks, const std::function<void(Comm&)>& fn,
-               int ranks_per_node = 1);
+/// unwinding the rest of the world).
+void run_world(int nranks, const std::function<void(Comm&)>& fn);
 
 /// run_world, collecting fn's per-rank return values in rank order.
 template <typename T>

@@ -6,11 +6,10 @@
 
 namespace xtra::sim {
 
-void run_world(int nranks, const std::function<void(Comm&)>& fn,
-               int ranks_per_node) {
+void run_world(int nranks, const std::function<void(Comm&)>& fn) {
   XTRA_ASSERT_MSG(nranks >= 1, "world needs at least one rank");
 
-  detail::WorldState world(nranks, ranks_per_node);
+  detail::WorldState world(nranks);
   std::exception_ptr first_error;
   std::mutex error_mutex;
 

@@ -20,7 +20,7 @@
 // Every time in this header is VIRTUAL seconds — the scheduler's
 // deterministic clock (serve/clock.hpp), never wall clock. Same seed
 // + same config => byte-identical per-query latencies at any thread
-// width and on either wire backend.
+// width.
 #pragma once
 
 #include <cstdint>

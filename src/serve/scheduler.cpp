@@ -58,8 +58,7 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
   if (n == 0) return results;
 
   graph::FrontierStepper<graph::SlotGid> stepper(
-      cfg_.engine.max_exchange_bytes, cfg_.engine.shard_policy,
-      cfg_.engine.backend);
+      cfg_.engine.max_exchange_bytes);
   const lid_t stride = g.n_total();
   // Slot-major level planes, reset per admission (slot reuse).
   std::vector<count_t> levels(

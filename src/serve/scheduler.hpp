@@ -20,7 +20,7 @@
 // the shared query list and allreduced counters, so all ranks run the
 // identical collective sequence (the verifier's lockstep checker
 // stays green) and per-query latencies are byte-identical at any
-// thread width and on either wire backend. With zero in-flight
+// thread width. With zero in-flight
 // queries the scheduler issues NO collectives at all — idle gaps are
 // a clock jump to the next arrival, not a polling loop.
 #pragma once
@@ -36,8 +36,8 @@
 namespace xtra::serve {
 
 struct ServeConfig {
-  /// Transport knobs for the packed frontier exchange (shard policy,
-  /// backend, max_exchange_bytes, num_threads). Pipeline/coalesce
+  /// Transport knobs for the packed frontier exchange
+  /// (max_exchange_bytes, num_threads). Pipeline/coalesce
   /// fields are dense-mode knobs and ignored here.
   engine::Config engine;
   /// Concurrent query slots: the packing width of a superstep. 1

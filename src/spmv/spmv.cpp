@@ -46,9 +46,7 @@ std::vector<int> owners_from_parts(const std::vector<part_t>& parts) {
 }
 
 DistSpmv::DistSpmv(sim::Comm& comm, const graph::EdgeList& el,
-                   const std::vector<int>& owners, Layout layout,
-                   comm::ShardPolicy policy) {
-  ex_.set_shard_policy(policy);
+                   const std::vector<int>& owners, Layout layout) {
   ex_.set_label("spmv::DistSpmv");
   XTRA_ASSERT(owners.size() == el.n);
   XTRA_ASSERT_MSG(!el.directed, "SpMV expects an undirected edge list");

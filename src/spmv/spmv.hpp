@@ -45,12 +45,9 @@ class DistSpmv {
   /// Collective. `owners[v]` in [0, comm.size()) assigns vector entry
   /// v (and, under 1D, matrix row v) to a rank — derive it from a
   /// partition to measure that partition's SpMV behaviour. The edge
-  /// list must be undirected; duplicates merge. `policy` routes the
-  /// setup round trips, the per-iteration x import, and the y fold
-  /// flat or hierarchically (identical results either way).
+  /// list must be undirected; duplicates merge.
   DistSpmv(sim::Comm& comm, const graph::EdgeList& el,
-           const std::vector<int>& owners, Layout layout,
-           comm::ShardPolicy policy = comm::ShardPolicy::kFlat);
+           const std::vector<int>& owners, Layout layout);
 
   /// Collective: run `iters` multiply+normalize steps.
   SpmvStats run(sim::Comm& comm, int iters);

@@ -18,9 +18,6 @@ const char* op_name(Op op) {
     case Op::kAlltoallvBytes: return "alltoallv_bytes";
     case Op::kA2avStart: return "alltoallv_bytes_start";
     case Op::kA2avFinish: return "alltoallv_bytes_finish";
-    case Op::kWinExpose: return "win_expose";
-    case Op::kWinFence: return "win_fence";
-    case Op::kWinUnexpose: return "win_unexpose";
     case Op::kGatherv: return "gatherv";
     case Op::kAllgatherv: return "allgatherv";
     case Op::kEndOfWorld: return "end-of-world (rank fn returned)";
@@ -57,7 +54,7 @@ int fingerprint_id(std::uint64_t fp) {
 
 namespace {
 
-/// "alltoallv_bytes_start" or "win_fence(win 2)" — decoded from a
+/// "alltoallv_bytes_start [channel 2]" — decoded from a
 /// packed fingerprint for divergence tables.
 std::string describe_fp(std::uint64_t fp) {
   if (fp == 0) return "(no collective recorded)";
@@ -70,11 +67,6 @@ std::string describe_fp(std::uint64_t fp) {
       case Op::kA2avStart:
       case Op::kA2avFinish:
         os << " [channel " << id << "]";
-        break;
-      case Op::kWinExpose:
-      case Op::kWinFence:
-      case Op::kWinUnexpose:
-        os << " [window " << id << "]";
         break;
       case Op::kBcast:
       case Op::kGatherv:
@@ -91,9 +83,7 @@ std::string describe_fp(std::uint64_t fp) {
 }  // namespace
 
 WorldLedger::WorldLedger(int nranks)
-    : nranks_(nranks),
-      ranks_(static_cast<std::size_t>(nranks)),
-      puts_(static_cast<std::size_t>(nranks) * kWindowSlots) {}
+    : nranks_(nranks), ranks_(static_cast<std::size_t>(nranks)) {}
 
 void WorldLedger::begin(int rank, Op op, int id, std::uint64_t uniform,
                         std::uint64_t local) {
@@ -203,61 +193,6 @@ void WorldLedger::channel_close(int rank, int channel) {
   g.open = false;
 }
 
-void WorldLedger::window_open(int rank, int win, const char* label, void* base,
-                              std::size_t bytes) {
-  RankState& me = ranks_[static_cast<std::size_t>(rank)];
-  WindowGuard& g = me.windows[static_cast<std::size_t>(win)];
-  g.open = true;
-  g.label = label;
-  g.base = static_cast<const std::byte*>(base);
-  g.bytes = bytes;
-  g.checksum = fnv1a(base, bytes);
-  g.puts_seen =
-      puts_[static_cast<std::size_t>(rank) * kWindowSlots +
-            static_cast<std::size_t>(win)]
-          .load(std::memory_order_acquire);
-  g.opened_seq = me.seq;
-}
-
-void WorldLedger::window_epoch_verify(int rank, int win, bool closing) {
-  RankState& me = ranks_[static_cast<std::size_t>(rank)];
-  WindowGuard& g = me.windows[static_cast<std::size_t>(win)];
-  if (!g.open) return;
-  const count_t puts_now =
-      puts_[static_cast<std::size_t>(rank) * kWindowSlots +
-            static_cast<std::size_t>(win)]
-          .load(std::memory_order_acquire);
-  // Peers wrote into the window this epoch — the owner's region
-  // legitimately changed, so the mutation check stands down.
-  if (puts_now == g.puts_seen && fnv1a(g.base, g.bytes) != g.checksum) {
-    std::ostringstream os;
-    os << "comm verifier: exposed window buffer mutated by its owner "
-       << (closing ? "before win_unexpose" : "between fences") << " on rank "
-       << rank << ", window " << win << " (" << window_attribution(rank, win)
-       << ", " << g.bytes << " bytes exposed). An exposed region is readable "
-       << "by every peer until the next fence; the owner must not write it "
-       << "mid-epoch.";
-    throw ProtocolError(os.str());
-  }
-  if (!closing) {
-    g.checksum = fnv1a(g.base, g.bytes);
-    g.puts_seen = puts_now;
-  }
-}
-
-void WorldLedger::window_close(int rank, int win) {
-  RankState& me = ranks_[static_cast<std::size_t>(rank)];
-  WindowGuard& g = me.windows[static_cast<std::size_t>(win)];
-  g.open = false;
-  g.closed_seq = me.seq;
-}
-
-void WorldLedger::note_put(int target, int win) {
-  puts_[static_cast<std::size_t>(target) * kWindowSlots +
-        static_cast<std::size_t>(win)]
-      .fetch_add(1, std::memory_order_acq_rel);
-}
-
 std::string WorldLedger::channel_attribution(int rank, int channel) const {
   const ChannelGuard& g =
       ranks_[static_cast<std::size_t>(rank)].channels[static_cast<std::size_t>(
@@ -265,25 +200,6 @@ std::string WorldLedger::channel_attribution(int rank, int channel) const {
   if (!g.open) return "idle";
   std::ostringstream os;
   os << "opened by '" << (g.label ? g.label : "(unlabeled)")
-     << "' at this rank's collective #" << g.opened_seq;
-  return os.str();
-}
-
-std::string WorldLedger::window_attribution(int rank, int win) const {
-  const WindowGuard& g =
-      ranks_[static_cast<std::size_t>(rank)].windows[static_cast<std::size_t>(
-          win)];
-  if (!g.open) {
-    std::ostringstream os;
-    os << "idle";
-    if (g.label != nullptr) {
-      os << " (last exposed by '" << g.label << "', unexposed at this rank's "
-         << "collective #" << g.closed_seq << ")";
-    }
-    return os.str();
-  }
-  std::ostringstream os;
-  os << "exposed by '" << (g.label ? g.label : "(unlabeled)")
      << "' at this rank's collective #" << g.opened_seq;
   return os.str();
 }

@@ -1,19 +1,19 @@
 // Communication-correctness verifier (the MUST-style checking layer).
 //
 // The substrate's correctness rules — rank-uniform collective order,
-// same-channel-on-every-rank, epoch separation on one-sided windows,
-// in-flight buffer immutability, no comm from worker threads — are
-// protocol contracts: violating them produces hangs or silently wrong
-// answers, never a crash at the faulty call site. This layer mechanizes
-// those contracts. It is compiled in when XTRA_VERIFY_COMM is defined
-// (CMake option of the same name; ON by default in Debug builds, always
-// OFF in Release unless forced) and costs nothing when absent: every
-// hook in sim::Comm folds to a no-op behind `if constexpr`.
+// same-channel-on-every-rank, in-flight buffer immutability, no comm
+// from worker threads — are protocol contracts: violating them
+// produces hangs or silently wrong answers, never a crash at the
+// faulty call site. This layer mechanizes those contracts. It is
+// compiled in when XTRA_VERIFY_COMM is defined (CMake option of the
+// same name; ON by default in Debug builds, always OFF in Release
+// unless forced) and costs nothing when absent: every hook in
+// sim::Comm folds to a no-op behind `if constexpr`.
 //
 // Checkers (DESIGN.md §8 has the rule → detector → error table):
 //
 //  * Lockstep: every collective call records a packed fingerprint
-//    (op kind, channel/window/root id, a hash of the rank-uniform
+//    (op kind, channel/root id, a hash of the rank-uniform
 //    arguments) into a per-world ledger slot immediately before its
 //    first barrier; immediately after, every rank cross-checks all
 //    slots. Divergence — two ranks entering *different* collectives at
@@ -22,19 +22,14 @@
 //    deadlocking or corrupting slot reads. Per-rank-varying arguments
 //    (send counts, payload sizes) are hashed into the trace for the
 //    diagnostic but never cross-compared: they differ legitimately.
-//  * Channel & window lifecycle: start/finish and expose/unexpose are
-//    bracketed in per-rank guards carrying an attribution tag (caller
-//    label + the rank's collective count at open). Double-start,
-//    finish-without-start, access outside an exposure epoch, and
-//    leaks at run_world teardown (channel still in flight, window
-//    still exposed when the rank function returns) all throw with the
-//    opener's attribution.
+//  * Channel lifecycle: start/finish are bracketed in per-rank guards
+//    carrying an attribution tag (caller label + the rank's collective
+//    count at open). Double-start, finish-without-start, and leaks at
+//    run_world teardown (channel still in flight when the rank function
+//    returns) all throw with the opener's attribution.
 //  * In-flight aliasing: the published send payload is checksummed at
-//    start and re-verified at finish; an exposed window region is
-//    checksummed at expose and re-verified at each fence and at
-//    unexpose (skipped for epochs in which peers legitimately
-//    win_put). A mismatch means the caller mutated a buffer the wire
-//    still owned.
+//    start and re-verified at finish. A mismatch means the caller
+//    mutated a buffer the wire still owned.
 //  * Thread context: every sim::Comm entry asserts the calling thread
 //    is not inside a par::for_chunks region — pool workers (and chunk
 //    bodies on the rank thread) must never touch comm (DESIGN.md §6).
@@ -59,8 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "util/types.hpp"
-
 namespace xtra::verify {
 
 #if defined(XTRA_VERIFY_COMM) && XTRA_VERIFY_COMM
@@ -69,11 +62,9 @@ inline constexpr bool kEnabled = true;
 inline constexpr bool kEnabled = false;
 #endif
 
-/// Mirrors sim::kMaxChannels / sim::kMaxWindows (static_asserted in
-/// mpisim/comm.hpp — verify.hpp sits below the substrate and cannot
-/// include it).
+/// Mirrors sim::kMaxChannels (static_asserted in mpisim/comm.hpp —
+/// verify.hpp sits below the substrate and cannot include it).
 inline constexpr int kChannelSlots = 8;
-inline constexpr int kWindowSlots = 4;
 
 /// Entries kept in each rank's recent-call ring for divergence reports.
 inline constexpr int kTraceLen = 16;
@@ -97,9 +88,6 @@ enum class Op : std::uint8_t {
   kAlltoallvBytes,
   kA2avStart,
   kA2avFinish,
-  kWinExpose,
-  kWinFence,
-  kWinUnexpose,
   kGatherv,
   kAllgatherv,
   kEndOfWorld,
@@ -116,8 +104,8 @@ inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
 }
 
 /// Packed lockstep fingerprint: op(6 bits) | id+1 (10 bits) | a 48-bit
-/// fold of the rank-uniform argument hash. Ids are channels, windows,
-/// or bcast/gatherv roots; -1 (no id) packs to 0.
+/// fold of the rank-uniform argument hash. Ids are channels or
+/// bcast/gatherv roots; -1 (no id) packs to 0.
 std::uint64_t pack_fingerprint(Op op, int id, std::uint64_t uniform);
 Op fingerprint_op(std::uint64_t fp);
 int fingerprint_id(std::uint64_t fp);
@@ -134,8 +122,7 @@ struct TraceEntry {
 /// Per-world verifier state. Lives inside detail::WorldState; every
 /// hook is keyed by rank. Each rank writes only its own slots; the
 /// fingerprint slots are double-buffered atomics read cross-rank after
-/// a barrier (the barrier is the happens-before edge), and the put
-/// counters are atomics incremented by origin ranks mid-epoch.
+/// a barrier (the barrier is the happens-before edge).
 class WorldLedger {
  public:
   explicit WorldLedger(int nranks);
@@ -158,24 +145,9 @@ class WorldLedger {
   void channel_verify(int rank, int channel) const;
   void channel_close(int rank, int channel);
 
-  // --- Window guards (one-sided exposure epochs) ---------------------
-  void window_open(int rank, int win, const char* label, void* base,
-                   std::size_t bytes);
-  /// Verify the owner did not mutate its exposed region during the
-  /// epoch that just ended (skipped when peers win_put into it), then
-  /// re-arm the checksum for the next epoch. Call between the fence's
-  /// two barriers (or after unexpose's barrier). `closing` adds the
-  /// unexpose wording.
-  void window_epoch_verify(int rank, int win, bool closing);
-  void window_close(int rank, int win);
-  /// Origin-side record of a win_put into (target, win)'s current
-  /// epoch — the owner's mutation check stands down for that epoch.
-  void note_put(int target, int win);
-
-  /// Diagnostic description of an open channel/window guard ("label
-  /// 'x', opened at this rank's collective #n"), or "idle".
+  /// Diagnostic description of an open channel guard ("opened by 'x'
+  /// at this rank's collective #n"), or "idle".
   std::string channel_attribution(int rank, int channel) const;
-  std::string window_attribution(int rank, int win) const;
 
   int nranks() const { return nranks_; }
 
@@ -188,16 +160,6 @@ class WorldLedger {
     std::uint64_t checksum = 0;
     std::uint64_t opened_seq = 0;
   };
-  struct WindowGuard {
-    bool open = false;
-    const char* label = nullptr;
-    const std::byte* base = nullptr;
-    std::size_t bytes = 0;
-    std::uint64_t checksum = 0;
-    count_t puts_seen = 0;  ///< put-counter snapshot at epoch start
-    std::uint64_t opened_seq = 0;
-    std::uint64_t closed_seq = 0;  ///< attribution for use-after-close
-  };
   struct RankState {
     /// Double-buffered packed fingerprints, indexed by (seq & 1): the
     /// writer's next begin targets the other slot, and a barrier
@@ -207,7 +169,6 @@ class WorldLedger {
     std::uint64_t seq = 0;  ///< collectives begun by this rank
     std::array<TraceEntry, kTraceLen> trace{};
     std::array<ChannelGuard, kChannelSlots> channels{};
-    std::array<WindowGuard, kWindowSlots> windows{};
   };
 
   std::string describe_divergence(int rank, std::uint64_t mine) const;
@@ -215,9 +176,6 @@ class WorldLedger {
 
   int nranks_ = 0;
   std::vector<RankState> ranks_;
-  /// Per-(target, window) put counters for the current epoch; origin
-  /// ranks increment, the owner snapshots at epoch boundaries.
-  std::vector<std::atomic<count_t>> puts_;
 };
 
 /// Throws ProtocolError if the calling thread is inside a

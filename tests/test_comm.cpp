@@ -8,13 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
-#include <string_view>
 #include <vector>
 
-#include "analytics/analytics.hpp"
 #include "comm/coalescing.hpp"
 #include "comm/dest_buckets.hpp"
 #include "comm/exchanger.hpp"
@@ -25,29 +22,12 @@
 #include "graph/dist_graph.hpp"
 #include "graph/halo.hpp"
 #include "mpisim/comm.hpp"
-#include "spmv/spmv.hpp"
 
 namespace xtra {
 namespace {
 
 using comm::DestBuckets;
 using comm::Exchanger;
-
-/// CI matrix hook: XTRA_TEST_BACKEND=onesided / XTRA_TEST_SHARD=hier
-/// re-drive the end-to-end result-correctness tests through the
-/// alternate transport. The exact-billing tests never read these.
-comm::Backend env_backend() {
-  const char* v = std::getenv("XTRA_TEST_BACKEND");
-  return v && std::string_view(v) == "onesided" ? comm::Backend::kOneSided
-                                                : comm::Backend::kTwoSided;
-}
-
-comm::ShardPolicy env_shard() {
-  const char* v = std::getenv("XTRA_TEST_SHARD");
-  return v && std::string_view(v) == "hier"
-             ? comm::ShardPolicy::kHierarchical
-             : comm::ShardPolicy::kFlat;
-}
 
 // ---------------------------------------------------------------------------
 // DestBuckets
@@ -421,190 +401,6 @@ TEST(Exchanger, EmptyRoundsInterleaveWithNonEmptyOnes) {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical (node-aware) exchange
-
-/// Deterministic per-(source, dest) record counts with some zero runs.
-count_t ragged_count(int src, int dst, int salt) {
-  const unsigned h = static_cast<unsigned>(src * 7919 + dst * 104729 +
-                                           salt * 1299721);
-  return static_cast<count_t>((h >> 3) % 5);  // 0..4 records
-}
-
-struct HierCase {
-  int nranks;
-  int ranks_per_node;
-};
-
-class HierWorlds : public ::testing::TestWithParam<HierCase> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Topologies, HierWorlds,
-    ::testing::Values(HierCase{4, 1}, HierCase{4, 2}, HierCase{8, 3},
-                      HierCase{8, 4}, HierCase{16, 4}, HierCase{16, 16}),
-    [](const auto& inf) {
-      return "ranks_" + std::to_string(inf.param.nranks) + "_rpn_" +
-             std::to_string(inf.param.ranks_per_node);
-    });
-
-TEST_P(HierWorlds, HierarchicalBitIdenticalToFlatUnderAnyBound) {
-  const auto [nranks, rpn] = GetParam();
-  // Adversarial bounds: sub-record, one record, a bound that splits
-  // inside the leaders' coalesced per-destination runs (3 records),
-  // an odd mid-size, and effectively unbounded.
-  for (const count_t bound :
-       {count_t(0), count_t(1), count_t(8), count_t(24), count_t(40),
-        count_t(1) << 20}) {
-    sim::run_world(
-        nranks,
-        [&](sim::Comm& comm) {
-          std::vector<count_t> counts(static_cast<std::size_t>(nranks));
-          std::vector<std::uint64_t> send;
-          for (int d = 0; d < nranks; ++d) {
-            counts[static_cast<std::size_t>(d)] =
-                ragged_count(comm.rank(), d, static_cast<int>(bound % 97));
-            for (count_t i = 0; i < counts[static_cast<std::size_t>(d)]; ++i)
-              send.push_back(static_cast<std::uint64_t>(comm.rank()) *
-                                 1'000'000 +
-                             static_cast<std::uint64_t>(d) * 1'000 +
-                             static_cast<std::uint64_t>(i));
-          }
-          std::vector<count_t> expect_rcounts;
-          const std::vector<std::uint64_t> expect =
-              comm.alltoallv(send, counts, &expect_rcounts);
-
-          Exchanger ex(bound, comm::ShardPolicy::kHierarchical);
-          std::vector<count_t> rcounts;
-          const auto got = ex.exchange(comm, send, counts, &rcounts);
-          ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
-                    expect)
-              << "bound=" << bound;
-          EXPECT_EQ(rcounts, expect_rcounts);
-          EXPECT_EQ(ex.stats().exchanges, 1);
-        },
-        rpn);
-  }
-}
-
-TEST_P(HierWorlds, HierarchicalStartFinishSurvivesBufferDestruction) {
-  const auto [nranks, rpn] = GetParam();
-  for (const count_t bound : {count_t(0), count_t(8), count_t(64)}) {
-    sim::run_world(
-        nranks,
-        [&](sim::Comm& comm) {
-          std::vector<count_t> counts(static_cast<std::size_t>(nranks));
-          std::vector<std::uint64_t> send;
-          for (int d = 0; d < nranks; ++d) {
-            counts[static_cast<std::size_t>(d)] =
-                ragged_count(comm.rank(), d, 7);
-            for (count_t i = 0; i < counts[static_cast<std::size_t>(d)]; ++i)
-              send.push_back(static_cast<std::uint64_t>(comm.rank()) *
-                                 1'000'000 +
-                             static_cast<std::uint64_t>(d) * 1'000 +
-                             static_cast<std::uint64_t>(i));
-          }
-          std::vector<count_t> expect_rcounts;
-          const std::vector<std::uint64_t> expect =
-              comm.alltoallv(send, counts, &expect_rcounts);
-
-          Exchanger ex(bound, comm::ShardPolicy::kHierarchical);
-          ex.start(comm, send, counts);
-          EXPECT_TRUE(ex.in_flight());
-          // The hierarchical start copies the payload into its own
-          // round-1 staging: the caller's buffer is dead immediately,
-          // and blocking collectives may interleave mid-flight.
-          std::fill(send.begin(), send.end(), 0xDEADBEEFu);
-          send.clear();
-          send.shrink_to_fit();
-          EXPECT_EQ(comm.allreduce_sum<count_t>(1),
-                    static_cast<count_t>(nranks));
-          std::vector<count_t> rcounts;
-          const auto got = ex.finish<std::uint64_t>(comm, &rcounts);
-          EXPECT_FALSE(ex.in_flight());
-          ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
-                    expect)
-              << "bound=" << bound;
-          EXPECT_EQ(rcounts, expect_rcounts);
-          EXPECT_EQ(ex.stats().overlapped, 1);
-        },
-        rpn);
-  }
-}
-
-TEST(HierarchicalExchange, FewerInterNodeMessagesSameInterNodeBytes) {
-  // 8 ranks in 2 nodes of 4, everyone sending to everyone: the flat
-  // path ships one message per off-node peer per rank, the
-  // hierarchical path exactly one leader-to-leader message per node
-  // pair — same payload bytes crossing nodes, far fewer messages.
-  const int nranks = 8;
-  const count_t per_dest = 5;
-  std::vector<count_t> flat_msgs(nranks), hier_msgs(nranks);
-  std::vector<count_t> flat_inter(nranks), hier_inter(nranks);
-  sim::run_world(
-      nranks,
-      [&](sim::Comm& comm) {
-        const auto send = staged_payload(comm.rank(), nranks, per_dest);
-        const std::vector<count_t> counts(static_cast<std::size_t>(nranks),
-                                          per_dest);
-        Exchanger flat(0, comm::ShardPolicy::kFlat);
-        Exchanger hier(0, comm::ShardPolicy::kHierarchical);
-        const auto a = flat.exchange(comm, send, counts);
-        const std::vector<std::uint64_t> expect(a.begin(), a.end());
-        const auto b = hier.exchange(comm, send, counts);
-        EXPECT_EQ(std::vector<std::uint64_t>(b.begin(), b.end()), expect);
-
-        const auto me = static_cast<std::size_t>(comm.rank());
-        flat_msgs[me] = flat.stats().inter_node_msgs;
-        hier_msgs[me] = hier.stats().inter_node_msgs;
-        flat_inter[me] = flat.stats().inter_node_bytes;
-        hier_inter[me] = hier.stats().inter_node_bytes;
-        // Ledger sanity: inter + intra must cover all wire bytes.
-        EXPECT_EQ(flat.stats().inter_node_bytes +
-                      flat.stats().intra_node_bytes,
-                  flat.stats().bytes_sent);
-        EXPECT_EQ(hier.stats().inter_node_bytes +
-                      hier.stats().intra_node_bytes,
-                  hier.stats().bytes_sent);
-      },
-      4);
-  const auto sum = [](const std::vector<count_t>& v) {
-    return std::accumulate(v.begin(), v.end(), count_t(0));
-  };
-  // Every record crossing a node boundary crosses it exactly once on
-  // either path; the hierarchical routing only merges the envelopes.
-  EXPECT_EQ(sum(hier_inter), sum(flat_inter));
-  // Flat: 8 ranks x 4 off-node peers; hierarchical: 2 leaders x 1.
-  EXPECT_EQ(sum(flat_msgs), 32);
-  EXPECT_EQ(sum(hier_msgs), 2);
-}
-
-TEST(HierarchicalExchange, AllEmptyAndSingleNodeDegenerate) {
-  sim::run_world(
-      6,
-      [](sim::Comm& comm) {
-        // All-empty: no wire rounds at all, on any policy.
-        Exchanger hier(32, comm::ShardPolicy::kHierarchical);
-        const std::vector<count_t> zero(6, 0);
-        const std::vector<std::uint64_t> none;
-        const auto got = hier.exchange(comm, none, zero);
-        EXPECT_TRUE(got.empty());
-        EXPECT_EQ(hier.stats().phases, 0);
-
-        // Single node (all six ranks co-located): the leader rounds
-        // vanish and nothing crosses a node boundary.
-        const std::vector<count_t> counts(6, 2);
-        const auto send = staged_payload(comm.rank(), 6, 2);
-        const std::vector<std::uint64_t> expect =
-            comm.alltoallv(send, counts);
-        const auto got2 = hier.exchange(comm, send, counts);
-        EXPECT_EQ(std::vector<std::uint64_t>(got2.begin(), got2.end()),
-                  expect);
-        EXPECT_EQ(hier.stats().inter_node_bytes, 0);
-        EXPECT_EQ(hier.stats().inter_node_msgs, 0);
-      },
-      8);
-}
-
-// ---------------------------------------------------------------------------
 // Cross-superstep coalescing
 
 TEST(CoalescingExchanger, BatchesRoundsUntilThresholdThenFlushes) {
@@ -652,27 +448,19 @@ TEST(CoalescingExchanger, BatchesRoundsUntilThresholdThenFlushes) {
     EXPECT_EQ(co.stats().coalesced_flushes, 2);
     // The wire saw two exchanges for three logical rounds.
     EXPECT_EQ(co.stats().exchanges, 2);
-  });
-}
 
-TEST(CoalescingExchanger, HierarchicalPolicyAppliesToFlushes) {
-  sim::run_world(
-      8,
-      [](sim::Comm& comm) {
-        comm::CoalescingExchanger co(0, 0,
-                                     comm::ShardPolicy::kHierarchical);
-        const std::vector<count_t> counts(8, 2);
-        const auto send = staged_payload(comm.rank(), 8, 2);
-        const std::vector<std::uint64_t> expect =
-            comm.alltoallv(send, counts);
-        EXPECT_FALSE(co.enqueue(comm, send, counts).has_value());
-        const auto got = co.flush<std::uint64_t>(comm);
-        EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
-                  expect);
-        // Two nodes of four: at most one leader-to-leader message.
-        EXPECT_LE(co.stats().inter_node_msgs, 1);
-      },
-      4);
+    // Explicit-flush-only mode (flush_bytes == 0): enqueue stays local
+    // and the flush equals one raw alltoallv of the staged round.
+    comm::CoalescingExchanger manual(0);
+    const std::vector<count_t> two(static_cast<std::size_t>(nranks), 2);
+    const auto send = staged_payload(comm.rank(), nranks, 2);
+    const std::vector<std::uint64_t> expect = comm.alltoallv(send, two);
+    const count_t collectives = comm.stats().collectives;
+    EXPECT_FALSE(manual.enqueue(comm, send, two).has_value());
+    EXPECT_EQ(comm.stats().collectives, collectives);
+    const auto got = manual.flush<std::uint64_t>(comm);
+    EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -718,7 +506,7 @@ TEST(BoundedExchange, HaloRefreshIdenticalUnderAnyBound) {
     sim::run_world(3, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 3, 5));
-      graph::HaloPlan halo(comm, g, env_shard(), env_backend());
+      graph::HaloPlan halo(comm, g);
       halo.set_max_send_bytes(bound);
       std::vector<gid_t> vals(g.n_total(), 0);
       for (lid_t v = 0; v < g.n_local(); ++v) vals[v] = g.gid_of(v) * 3 + 1;
@@ -740,8 +528,8 @@ TEST(BoundedExchange, HaloPrefetchInterleavedIdenticalUnderAnyBound) {
     sim::run_world(3, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 3, 5));
-      graph::HaloPlan blocking_halo(comm, g, env_shard(), env_backend());
-      graph::HaloPlan overlap_halo(comm, g, env_shard(), env_backend());
+      graph::HaloPlan blocking_halo(comm, g);
+      graph::HaloPlan overlap_halo(comm, g);
       blocking_halo.set_max_send_bytes(bound);
       overlap_halo.set_max_send_bytes(bound);
       // Meter only the replayed exchanges, not the constructor's
@@ -792,8 +580,6 @@ TEST(BoundedExchange, UpdateExchangerSplitMatchesRun) {
           comm, el, graph::VertexDist::block(el.n, 3));
       core::UpdateExchanger run_ex(bound);
       core::UpdateExchanger split_ex(bound);
-      run_ex.set_backend(env_backend());
-      split_ex.set_backend(env_backend());
       std::vector<part_t> run_parts(g.n_total(), 0);
       std::vector<part_t> split_parts(g.n_total(), 0);
       for (int it = 0; it < 3; ++it) {
@@ -901,158 +687,12 @@ TEST(UpdateExchangerSendRanks, SendBufferMatchesPerArcOwnerWalk) {
           EXPECT_EQ(a.phases, b.phases);
           EXPECT_EQ(a.records_sent, b.records_sent);
           EXPECT_EQ(a.bytes_sent, b.bytes_sent);
-          EXPECT_EQ(a.inter_node_bytes, b.inter_node_bytes);
-          EXPECT_EQ(a.intra_node_bytes, b.intra_node_bytes);
-          EXPECT_EQ(a.inter_node_msgs, b.inter_node_msgs);
           EXPECT_EQ(a.overlapped, b.overlapped);
           EXPECT_EQ(a.max_inflight_bytes, b.max_inflight_bytes);
         });
       }
     }
   }
-}
-
-TEST(HierarchicalCallers, HaloPrefetchIdenticalUnderHierRouting) {
-  // The overlapped halo pipeline, rerouted hierarchically, must leave
-  // vals exactly as the flat blocking exchange would — including
-  // multi-phase bounds and mid-flight mutation of vals.
-  const graph::EdgeList el = gen::erdos_renyi(400, 8, 29);
-  for (const count_t bound : {count_t(0), count_t(8), count_t(1) << 14}) {
-    sim::run_world(
-        6,
-        [&](sim::Comm& comm) {
-          const auto g = graph::build_dist_graph(
-              comm, el, graph::VertexDist::random(el.n, 6, 5));
-          graph::HaloPlan flat_halo(comm, g);
-          graph::HaloPlan hier_halo(comm, g,
-                                    comm::ShardPolicy::kHierarchical);
-          flat_halo.set_max_send_bytes(bound);
-          hier_halo.set_max_send_bytes(bound);
-
-          std::vector<gid_t> expect(g.n_total());
-          std::vector<gid_t> vals(g.n_total());
-          for (lid_t v = 0; v < g.n_total(); ++v)
-            expect[v] = vals[v] = g.gid_of(v);
-          for (int iter = 1; iter <= 3; ++iter) {
-            for (lid_t v = 0; v < g.n_local(); ++v)
-              expect[v] = expect[v] * 5 + static_cast<gid_t>(iter);
-            flat_halo.exchange(comm, expect);
-
-            for (const lid_t v : hier_halo.boundary_lids())
-              vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
-            hier_halo.prefetch_next(comm, vals);
-            for (lid_t v = 0; v < g.n_local(); ++v)
-              if (!hier_halo.is_boundary(v))
-                vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
-            (void)comm.allreduce_sum<count_t>(1);
-            hier_halo.finish_prefetch(comm, vals);
-            ASSERT_EQ(vals, expect) << "bound=" << bound
-                                    << " iter=" << iter;
-          }
-        },
-        3);
-  }
-}
-
-TEST(HierarchicalCallers, UpdateExchangerIdenticalUnderHierRouting) {
-  const graph::EdgeList el = gen::erdos_renyi(300, 10, 31);
-  for (const count_t bound : {count_t(0), count_t(sizeof(core::PartUpdate)),
-                              count_t(1) << 12}) {
-    sim::run_world(
-        6,
-        [&](sim::Comm& comm) {
-          const auto g = graph::build_dist_graph(
-              comm, el, graph::VertexDist::block(el.n, 6));
-          core::UpdateExchanger flat_ex(bound);
-          core::UpdateExchanger hier_ex(bound);
-          hier_ex.set_shard_policy(comm::ShardPolicy::kHierarchical);
-          std::vector<part_t> flat_parts(g.n_total(), 0);
-          std::vector<part_t> hier_parts(g.n_total(), 0);
-          for (int it = 0; it < 3; ++it) {
-            std::vector<lid_t> queue;
-            if (!(comm.rank() % 2 == 0 && it == 1))
-              for (lid_t v = 0; v < g.n_local(); v += 3) {
-                flat_parts[v] = hier_parts[v] =
-                    static_cast<part_t>((v + static_cast<lid_t>(it)) % 4);
-                queue.push_back(v);
-              }
-            flat_ex.run(comm, g, flat_parts, queue);
-            hier_ex.start(comm, g, hier_parts, queue);
-            (void)comm.allreduce_sum<count_t>(1);
-            hier_ex.finish(comm, g, hier_parts);
-            ASSERT_EQ(hier_parts, flat_parts) << "bound=" << bound
-                                              << " iter=" << it;
-          }
-        },
-        2);
-  }
-}
-
-TEST(HierarchicalCallers, AnalyticsAndSpmvIdenticalUnderHierRouting) {
-  const graph::EdgeList el = gen::erdos_renyi(350, 7, 41);
-  sim::run_world(
-      6,
-      [&](sim::Comm& comm) {
-        const auto g = graph::build_dist_graph(
-            comm, el, graph::VertexDist::block(el.n, 6));
-        const auto wcc_flat = analytics::weakly_connected_components(
-            comm, g, comm::ShardPolicy::kFlat);
-        const auto wcc_hier = analytics::weakly_connected_components(
-            comm, g, comm::ShardPolicy::kHierarchical);
-        EXPECT_EQ(wcc_hier.component, wcc_flat.component);
-        EXPECT_EQ(wcc_hier.num_components, wcc_flat.num_components);
-
-        const auto lp_flat = analytics::label_propagation(
-            comm, g, 4, comm::ShardPolicy::kFlat);
-        const auto lp_hier = analytics::label_propagation(
-            comm, g, 4, comm::ShardPolicy::kHierarchical);
-        EXPECT_EQ(lp_hier.label, lp_flat.label);
-        EXPECT_EQ(lp_hier.num_communities, lp_flat.num_communities);
-
-        std::vector<int> owners(el.n);
-        for (gid_t v = 0; v < el.n; ++v)
-          owners[v] = static_cast<int>(v % 6);
-        spmv::DistSpmv flat_spmv(comm, el, owners, spmv::Layout::kOneD);
-        spmv::DistSpmv hier_spmv(comm, el, owners, spmv::Layout::kOneD,
-                                 comm::ShardPolicy::kHierarchical);
-        const auto sf = flat_spmv.run(comm, 5);
-        const auto sh = hier_spmv.run(comm, 5);
-        // Same arrival grouping and order => bit-identical doubles.
-        EXPECT_EQ(sh.checksum, sf.checksum);
-      },
-      3);
-}
-
-TEST(HierarchicalCallers, PartitionBitIdenticalUnderShardPolicy) {
-  const graph::EdgeList el = gen::erdos_renyi(300, 6, 23);
-  core::Params params;
-  params.nparts = 4;
-  params.outer_iters = 1;
-
-  auto run = [&](comm::ShardPolicy policy, count_t bound) {
-    params.shard_policy = policy;
-    params.max_exchange_bytes = bound;
-    std::vector<part_t> global;
-    sim::run_world(
-        6,
-        [&](sim::Comm& comm) {
-          const auto g = graph::build_dist_graph(
-              comm, el, graph::VertexDist::block(el.n, 6));
-          const auto r = core::partition(comm, g, params);
-          const auto gp = core::gather_global_parts(comm, g, r.parts);
-          if (comm.rank() == 0) global = gp;
-        },
-        2);
-    return global;
-  };
-
-  const std::vector<part_t> flat = run(comm::ShardPolicy::kFlat, 0);
-  ASSERT_EQ(flat.size(), el.n);
-  EXPECT_EQ(run(comm::ShardPolicy::kHierarchical, 0), flat);
-  EXPECT_EQ(run(comm::ShardPolicy::kHierarchical, 256), flat);
-  EXPECT_EQ(run(comm::ShardPolicy::kHierarchical,
-                sizeof(core::PartUpdate)),
-            flat);
 }
 
 TEST(BoundedExchange, PartitionBitIdenticalUnderAnyBound) {
@@ -1082,152 +722,6 @@ TEST(BoundedExchange, PartitionBitIdenticalUnderAnyBound) {
   EXPECT_EQ(run(sizeof(core::PartUpdate)), unbounded);
   EXPECT_EQ(run(256), unbounded);
   EXPECT_EQ(run(count_t(1) << 24), unbounded);
-}
-
-// ---------------------------------------------------------------------------
-// One-sided (pull-mode) backend
-
-TEST(OneSidedExchange, BitIdenticalToTwoSidedAndSameWireBytes) {
-  const int nranks = 4;
-  sim::run_world(nranks, [&](sim::Comm& comm) {
-    // Ragged payload: rank r sends (r + d) records to destination d.
-    std::vector<count_t> counts(static_cast<std::size_t>(nranks));
-    std::vector<std::uint64_t> send;
-    for (int d = 0; d < nranks; ++d) {
-      counts[static_cast<std::size_t>(d)] = comm.rank() + d;
-      for (count_t i = 0; i < counts[static_cast<std::size_t>(d)]; ++i)
-        send.push_back(static_cast<std::uint64_t>(comm.rank()) * 1'000'000 +
-                       static_cast<std::uint64_t>(d) * 1'000 +
-                       static_cast<std::uint64_t>(i));
-    }
-
-    comm.barrier();
-    comm.reset_stats();
-    Exchanger push;
-    std::vector<count_t> push_rcounts;
-    const auto pushed = push.exchange(comm, send, counts, &push_rcounts);
-    const std::vector<std::uint64_t> expect(pushed.begin(), pushed.end());
-    const count_t push_wire = comm.stats().bytes_sent;
-
-    comm.barrier();
-    comm.reset_stats();
-    Exchanger pull(0, comm::ShardPolicy::kFlat, comm::Backend::kOneSided);
-    EXPECT_EQ(pull.backend(), comm::Backend::kOneSided);
-    std::vector<count_t> pull_rcounts;
-    const auto got = pull.exchange(comm, send, counts, &pull_rcounts);
-    EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
-    EXPECT_EQ(pull_rcounts, push_rcounts);
-    // Consumers fetch exactly the records the push would have
-    // delivered, so the wire payload matches byte for byte; the
-    // ledger shows how it traveled.
-    EXPECT_EQ(comm.stats().bytes_sent, push_wire);
-    EXPECT_EQ(pull.stats().bytes_sent, push.stats().bytes_sent);
-    EXPECT_EQ(pull.stats().exchanges, 1);
-    EXPECT_EQ(pull.stats().phases, 1);
-    EXPECT_GT(pull.stats().one_sided_gets, 0);
-    EXPECT_GT(comm.stats().one_sided_bytes, 0);
-    EXPECT_EQ(push.stats().one_sided_gets, 0);
-  });
-}
-
-TEST(OneSidedExchange, StartFinishOverlapsAndSurvivesBufferDeath) {
-  const int nranks = 4;
-  const count_t per_dest = 6;
-  sim::run_world(nranks, [&](sim::Comm& comm) {
-    auto send = staged_payload(comm.rank(), nranks, per_dest);
-    const std::vector<count_t> counts(static_cast<std::size_t>(nranks),
-                                      per_dest);
-    const std::vector<std::uint64_t> expect = comm.alltoallv(send, counts);
-
-    Exchanger ex(0, comm::ShardPolicy::kFlat, comm::Backend::kOneSided);
-    ex.start(comm, send, counts);
-    EXPECT_TRUE(ex.in_flight());
-    EXPECT_EQ(ex.phases_remaining(), 1);
-    // The snapshot backs the exposed window — the caller's buffer may
-    // die, and blocking collectives may run, while peers still pull.
-    std::fill(send.begin(), send.end(), 0xDEADBEEFu);
-    send.clear();
-    send.shrink_to_fit();
-    EXPECT_EQ(comm.allreduce_sum<count_t>(1), static_cast<count_t>(nranks));
-    const auto got = ex.finish<std::uint64_t>(comm);
-    EXPECT_FALSE(ex.in_flight());
-    EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
-    EXPECT_EQ(ex.stats().overlapped, 1);
-  });
-}
-
-TEST(OneSidedExchange, HierarchicalRoutingBitIdentical) {
-  // 8 ranks, 4 per node: every leg of the 3-round hier protocol runs
-  // pull-mode, and the result must still match the flat push path.
-  const int nranks = 8;
-  const count_t per_dest = 5;
-  sim::run_world(
-      nranks,
-      [&](sim::Comm& comm) {
-        const auto send = staged_payload(comm.rank(), nranks, per_dest);
-        const std::vector<count_t> counts(static_cast<std::size_t>(nranks),
-                                          per_dest);
-        const std::vector<std::uint64_t> expect = comm.alltoallv(send, counts);
-
-        Exchanger ex(0, comm::ShardPolicy::kHierarchical,
-                     comm::Backend::kOneSided);
-        std::vector<count_t> rcounts;
-        const auto got = ex.exchange(comm, send, counts, &rcounts);
-        EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
-        EXPECT_GT(ex.stats().one_sided_gets, 0);
-        EXPECT_GT(ex.stats().one_sided_bytes, 0);
-      },
-      4);
-}
-
-TEST(OneSidedExchange, CoalescerAndQueryReplyRidePullMode) {
-  sim::run_world(3, [](sim::Comm& comm) {
-    // Coalesced rounds flush through the pull path...
-    comm::CoalescingExchanger co(0, 0, comm::ShardPolicy::kFlat,
-                                 comm::Backend::kOneSided);
-    DestBuckets<std::uint64_t> b;
-    b.build(comm.size(), std::vector<std::uint64_t>{1, 2, 3},
-            [&](std::uint64_t v) {
-              return static_cast<int>(v) % comm.size();
-            },
-            [&](std::uint64_t v) {
-              return v * 10 + static_cast<std::uint64_t>(comm.rank());
-            });
-    EXPECT_FALSE(co.enqueue(comm, b).has_value());  // explicit-flush mode
-    const auto got = co.flush<std::uint64_t>(comm);
-    count_t mine = 0;
-    for (std::uint64_t v = 1; v <= 3; ++v)
-      if (static_cast<int>(v) % comm.size() == comm.rank())
-        mine += comm.size();
-    EXPECT_EQ(static_cast<count_t>(got.size()), mine);
-
-    // ...and the query/reply round trip answers correctly end to end.
-    Exchanger ex(0, comm::ShardPolicy::kFlat, comm::Backend::kOneSided);
-    DestBuckets<std::uint64_t> q;
-    q.build(comm.size(), std::vector<std::uint64_t>{0, 1, 2},
-            [&](std::uint64_t v) { return static_cast<int>(v) % comm.size(); },
-            [](std::uint64_t v) { return v; });
-    const auto replies = comm::query_reply(
-        comm, ex, q.records(), q.counts(),
-        [&](const std::uint64_t& v) { return v * 100 + 7; });
-    ASSERT_EQ(replies.size(), q.records().size());
-    for (std::size_t i = 0; i < replies.size(); ++i)
-      EXPECT_EQ(replies[i], q.records()[i] * 100 + 7);
-  });
-}
-
-TEST(OneSidedExchange, AllEmptyExchangeStillCollective) {
-  sim::run_world(3, [](sim::Comm& comm) {
-    Exchanger ex(0, comm::ShardPolicy::kFlat, comm::Backend::kOneSided);
-    const std::vector<count_t> counts(3, 0);
-    const std::vector<std::uint64_t> send;
-    std::vector<count_t> rcounts;
-    const auto got = ex.exchange(comm, send, counts, &rcounts);
-    EXPECT_TRUE(got.empty());
-    EXPECT_EQ(rcounts, counts);
-    EXPECT_EQ(ex.stats().bytes_sent, 0);
-    EXPECT_EQ(ex.stats().one_sided_bytes, 0);
-  });
 }
 
 }  // namespace

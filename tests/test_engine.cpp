@@ -1,14 +1,13 @@
 // Tests for the unified vertex-program engine (src/engine/): the
 // wrapper-vs-engine bit-identity matrix across the transport knobs
-// ({flat, hierarchical} x {two-sided, one-sided} x {pipeline depth
-// 0, 1, 2} x {coalesce 0, 1, 3}), the two engine-native workloads
-// against serial oracles (delta-capped SSSP vs Dijkstra, approximate
-// triangle count vs an exact serial count), and the Stats/Config
+// ({pipeline depth 0, 1, 2} x {coalesce 0, 1, 3}), the two
+// engine-native workloads against serial oracles (delta-capped SSSP vs
+// Dijkstra, approximate triangle count vs an exact serial count), and
+// the Stats/Config
 // plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <ostream>
 #include <queue>
@@ -42,66 +41,30 @@ std::vector<T> by_gid(sim::Comm& comm, const DistGraph& g,
   return global;
 }
 
-/// CI matrix hook: XTRA_TEST_BACKEND=onesided / XTRA_TEST_SHARD=hier
-/// re-drive the result-correctness tests through the alternate
-/// transport. Exact-billing assertions never read these — a billing
-/// contract is per-backend by definition.
-comm::Backend env_backend() {
-  const char* v = std::getenv("XTRA_TEST_BACKEND");
-  return v && std::string_view(v) == "onesided" ? comm::Backend::kOneSided
-                                                : comm::Backend::kTwoSided;
-}
-
-comm::ShardPolicy env_shard() {
-  const char* v = std::getenv("XTRA_TEST_SHARD");
-  return v && std::string_view(v) == "hier"
-             ? comm::ShardPolicy::kHierarchical
-             : comm::ShardPolicy::kFlat;
-}
-
-engine::Config env_cfg() {
-  engine::Config cfg;
-  cfg.backend = env_backend();
-  cfg.shard_policy = env_shard();
-  return cfg;
-}
-
-/// The knob matrix of the ISSUE: every transport configuration the
-/// engine must drive every kernel through. Pipeline depth and
-/// coalescing are exclusive staleness regimes, so the matrix sweeps
-/// depth {0, 1, 2} at coalesce 0 and coalesce {1, 3} at depth 0 —
-/// each crossed with both routing policies and both wire backends.
+/// The knob matrix: every transport configuration the engine must
+/// drive every kernel through. Pipeline depth and coalescing are
+/// exclusive staleness regimes, so the matrix sweeps depth {0, 1, 2}
+/// at coalesce 0 and coalesce {1, 3} at depth 0.
 std::vector<engine::Config> knob_matrix() {
   std::vector<engine::Config> cfgs;
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical})
-    for (const comm::Backend backend :
-         {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-      for (const int depth : {0, 1, 2}) {
-        engine::Config cfg;
-        cfg.shard_policy = policy;
-        cfg.backend = backend;
-        cfg.pipeline_depth = depth;
-        cfgs.push_back(cfg);
-      }
-      for (const int coalesce : {1, 3}) {
-        engine::Config cfg;
-        cfg.shard_policy = policy;
-        cfg.backend = backend;
-        cfg.coalesce_every = coalesce;
-        cfgs.push_back(cfg);
-      }
-    }
+  for (const int depth : {0, 1, 2}) {
+    engine::Config cfg;
+    cfg.pipeline_depth = depth;
+    cfgs.push_back(cfg);
+  }
+  for (const int coalesce : {1, 3}) {
+    engine::Config cfg;
+    cfg.coalesce_every = coalesce;
+    cfgs.push_back(cfg);
+  }
   return cfgs;
 }
 
 std::string cfg_name(const engine::Config& cfg) {
-  return std::string(cfg.shard_policy == comm::ShardPolicy::kFlat
-                         ? "flat"
-                         : "hier") +
-         (cfg.backend == comm::Backend::kOneSided ? "/1s" : "/2s") +
-         "/d" + std::to_string(cfg.pipeline_depth) + "/c" +
-         std::to_string(cfg.coalesce_every);
+  return std::string("d")
+      .append(std::to_string(cfg.pipeline_depth))
+      .append("/c")
+      .append(std::to_string(cfg.coalesce_every));
 }
 
 // ---------------------------------------------------------------------------
@@ -125,21 +88,18 @@ TEST(EngineMatrix, WccBitIdenticalAcrossAllKnobs) {
     }
   });
   for (const engine::Config& cfg : knob_matrix()) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g =
-              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-          WccProgram p;
-          engine::run(comm, g, p, cfg);
-          const auto global = by_gid(comm, g, p.component);
-          if (comm.rank() == 0) {
-            EXPECT_EQ(global, ref) << cfg_name(cfg);
-            EXPECT_EQ(p.num_components, ref_num) << cfg_name(cfg);
-            EXPECT_EQ(p.largest_size, ref_largest) << cfg_name(cfg);
-          }
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
+      WccProgram p;
+      engine::run(comm, g, p, cfg);
+      const auto global = by_gid(comm, g, p.component);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(global, ref) << cfg_name(cfg);
+        EXPECT_EQ(p.num_components, ref_num) << cfg_name(cfg);
+        EXPECT_EQ(p.largest_size, ref_largest) << cfg_name(cfg);
+      }
+    });
   }
 }
 
@@ -154,21 +114,18 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
     if (comm.rank() == 0) ref = global;
   });
   for (const engine::Config& cfg : knob_matrix()) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g =
-              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
-          KCoreProgram p;
-          engine::Config run_cfg = cfg;
-          run_cfg.max_supersteps = 40;
-          engine::run(comm, g, p, run_cfg);
-          const auto global = by_gid(comm, g, p.core);
-          if (comm.rank() == 0) {
-            EXPECT_EQ(global, ref) << cfg_name(cfg);
-          }
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
+      KCoreProgram p;
+      engine::Config run_cfg = cfg;
+      run_cfg.max_supersteps = 40;
+      engine::run(comm, g, p, run_cfg);
+      const auto global = by_gid(comm, g, p.core);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(global, ref) << cfg_name(cfg);
+      }
+    });
   }
 }
 
@@ -192,36 +149,33 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
     if (comm.rank() == 0) ref = global;
   });
   for (const engine::Config& cfg : knob_matrix()) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g =
-              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
-          CommLpProgram p;
-          engine::Config run_cfg = cfg;
-          run_cfg.max_supersteps = 10;
-          engine::run(comm, g, p, run_cfg);
-          const bool exact =
-              cfg.pipeline_depth == 0 && cfg.coalesce_every <= 1;
-          const auto global = by_gid(comm, g, p.label);
-          if (comm.rank() == 0 && exact) {
-            EXPECT_EQ(global, ref) << cfg_name(cfg);
-          }
-          // Stale or not, the planted communities must be recovered.
-          EXPECT_EQ(p.num_communities, 2) << cfg_name(cfg);
-          for (lid_t v = 0; v < g.n_local(); ++v)
-            EXPECT_EQ(p.label[v], g.gid_of(v) < 20 ? 0u : 20u)
-                << cfg_name(cfg);
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
+      CommLpProgram p;
+      engine::Config run_cfg = cfg;
+      run_cfg.max_supersteps = 10;
+      engine::run(comm, g, p, run_cfg);
+      const bool exact =
+          cfg.pipeline_depth == 0 && cfg.coalesce_every <= 1;
+      const auto global = by_gid(comm, g, p.label);
+      if (comm.rank() == 0 && exact) {
+        EXPECT_EQ(global, ref) << cfg_name(cfg);
+      }
+      // Stale or not, the planted communities must be recovered.
+      EXPECT_EQ(p.num_communities, 2) << cfg_name(cfg);
+      for (lid_t v = 0; v < g.n_local(); ++v)
+        EXPECT_EQ(p.label[v], g.gid_of(v) < 20 ? 0u : 20u)
+            << cfg_name(cfg);
+    });
   }
 }
 
 // PageRank is fixed-iteration: the transport knobs that preserve the
-// read schedule (policy, chunk size, depth 0) are bit-identical; a
+// read schedule (chunk size, depth 0) are bit-identical; a
 // depth-1 run reads one-superstep-stale ghost contributions but must
 // still conserve mass.
-TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
+TEST(EngineMatrix, PageRankChunkBitIdentical) {
   const EdgeList el = gen::erdos_renyi(1'000, 8, 11);
   std::vector<double> ref;
   sim::run_world(4, [&](sim::Comm& comm) {
@@ -234,31 +188,25 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
     comm.allreduce_max(global);
     if (comm.rank() == 0) ref = global;
   });
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical})
-    for (const count_t chunk : {count_t{0}, count_t{1} << 10}) {
-      sim::run_world(
-          4,
-          [&](sim::Comm& comm) {
-            const DistGraph g = build_dist_graph(
-                comm, el, VertexDist::random(el.n, 4, 3));
-            PageRankProgram p;
-            engine::Config cfg;
-            cfg.max_supersteps = 12;
-            cfg.shard_policy = policy;
-            cfg.max_exchange_bytes = chunk;
-            engine::run(comm, g, p, cfg);
-            std::vector<double> global(g.n_global(), 0.0);
-            for (lid_t v = 0; v < g.n_local(); ++v)
-              global[g.gid_of(v)] = p.rank[v];
-            comm.allreduce_max(global);
-            if (comm.rank() == 0) {
-              EXPECT_EQ(global, ref);
-            }
-            EXPECT_NEAR(p.sum, 1.0, 1e-9);
-          },
-          /*ranks_per_node=*/2);
-    }
+  for (const count_t chunk : {count_t{0}, count_t{1} << 10}) {
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
+      PageRankProgram p;
+      engine::Config cfg;
+      cfg.max_supersteps = 12;
+      cfg.max_exchange_bytes = chunk;
+      engine::run(comm, g, p, cfg);
+      std::vector<double> global(g.n_global(), 0.0);
+      for (lid_t v = 0; v < g.n_local(); ++v)
+        global[g.gid_of(v)] = p.rank[v];
+      comm.allreduce_max(global);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(global, ref);
+      }
+      EXPECT_NEAR(p.sum, 1.0, 1e-9);
+    });
+  }
   // Depth 1: stale-but-contracting — run to residual convergence,
   // where the one-superstep ghost lag has washed out and mass is
   // conserved (mid-run iterates are not mass-conserving by design).
@@ -277,28 +225,23 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
 }
 
 // The harmonic/SCC knob-plumbing gap: the Config overloads must
-// produce identical results under hierarchical routing.
-TEST(EngineMatrix, HarmonicAndSccIdenticalUnderHierarchicalRouting) {
+// produce identical results under any chunk size.
+TEST(EngineMatrix, HarmonicAndSccIdenticalUnderAnyChunk) {
   const EdgeList directed = gen::webcrawl(2'000, 10, 3);
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical}) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g = build_dist_graph(
-              comm, directed, VertexDist::random(directed.n, 4, 3));
-          engine::Config cfg;
-          cfg.shard_policy = policy;
-          const HarmonicResult flat_h = harmonic_centrality(comm, g, 4, 9);
-          const HarmonicResult h =
-              harmonic_centrality(comm, g, 4, 9, cfg);
-          EXPECT_EQ(h.centrality, flat_h.centrality);
-          const SccResult flat_s = largest_scc(comm, g);
-          const SccResult s = largest_scc(comm, g, cfg);
-          EXPECT_EQ(s.scc_size, flat_s.scc_size);
-          EXPECT_EQ(s.in_scc, flat_s.in_scc);
-        },
-        /*ranks_per_node=*/2);
+  for (const count_t chunk : {count_t{0}, count_t{64}}) {
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g = build_dist_graph(
+          comm, directed, VertexDist::random(directed.n, 4, 3));
+      engine::Config cfg;
+      cfg.max_exchange_bytes = chunk;
+      const HarmonicResult flat_h = harmonic_centrality(comm, g, 4, 9);
+      const HarmonicResult h = harmonic_centrality(comm, g, 4, 9, cfg);
+      EXPECT_EQ(h.centrality, flat_h.centrality);
+      const SccResult flat_s = largest_scc(comm, g);
+      const SccResult s = largest_scc(comm, g, cfg);
+      EXPECT_EQ(s.scc_size, flat_s.scc_size);
+      EXPECT_EQ(s.in_scc, flat_s.in_scc);
+    });
   }
 }
 
@@ -321,7 +264,8 @@ TEST(EngineFrontier, OneRootBfsMatchesBfsLevels) {
         build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
     std::vector<count_t> levels;
     const count_t ecc = graph::bfs_levels(comm, g, 1, levels);
-    const MultiBfsProgram<gid_t> p = one_root_bfs(comm, g, 1, env_cfg());
+    const MultiBfsProgram<gid_t> p =
+        one_root_bfs(comm, g, 1, engine::Config{});
     ASSERT_EQ(p.ecc.size(), 1u);
     EXPECT_EQ(p.ecc[0], ecc);
     for (lid_t v = 0; v < g.n_total(); ++v) {
@@ -346,14 +290,14 @@ TEST(EngineFrontier, MultiBfsMatchesPerSourceBfsWithFewerCollectives) {
     const count_t coll0 = comm.stats().collectives;
     MultiBfsProgram multi;
     multi.roots = roots;
-    engine::run(comm, g, multi, env_cfg());
+    engine::run(comm, g, multi, engine::Config{});
     const count_t multi_coll = comm.stats().collectives - coll0;
     ASSERT_EQ(multi.ecc.size(), roots.size());
     count_t single_coll = 0;
     for (std::size_t s = 0; s < roots.size(); ++s) {
       const count_t c0 = comm.stats().collectives;
       const MultiBfsProgram<gid_t> p =
-          one_root_bfs(comm, g, roots[s], env_cfg());
+          one_root_bfs(comm, g, roots[s], engine::Config{});
       single_coll += comm.stats().collectives - c0;
       EXPECT_EQ(multi.ecc[s], p.ecc[0]);
       for (lid_t v = 0; v < g.n_total(); ++v)
@@ -371,9 +315,8 @@ TEST(EngineFrontier, MultiBfsMatchesPerSourceBfsWithFewerCollectives) {
 // kernel's world-summed wire to the byte. The record layouts (gid,
 // {slot, gid}, {gid, dist}), the stepper's staging order and the
 // one-vote-per-level termination all show up here. Transport knobs
-// are pinned to the defaults and the graph is built in-core: a
-// billing contract is per-backend by definition, so the CI env hooks
-// are ignored. Thread width must not move a byte.
+// are pinned to the defaults and the graph is built in-core. Thread
+// width must not move a byte.
 
 struct LedgerKey {
   std::string_view kernel;
@@ -638,7 +581,7 @@ TEST(EngineStats, LedgerAndJsonExport) {
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
     WccProgram p;
-    const engine::Stats st = engine::run(comm, g, p, env_cfg());
+    const engine::Stats st = engine::run(comm, g, p, engine::Config{});
     EXPECT_GT(st.supersteps, 0);
     EXPECT_GT(st.seconds, 0.0);
     EXPECT_GT(st.exchange.exchanges, 0);
@@ -655,14 +598,10 @@ TEST(EngineStats, LedgerAndJsonExport) {
 
 TEST(EngineConfig, FromParamsMapsEveryKnob) {
   core::Params params;
-  params.shard_policy = comm::ShardPolicy::kHierarchical;
-  params.backend = comm::Backend::kOneSided;
   params.max_exchange_bytes = 1 << 14;
   params.pipeline_depth = 2;
   params.coalesce_every = 3;
   const engine::Config cfg = engine::Config::from_params(params);
-  EXPECT_EQ(cfg.shard_policy, comm::ShardPolicy::kHierarchical);
-  EXPECT_EQ(cfg.backend, comm::Backend::kOneSided);
   EXPECT_EQ(cfg.max_exchange_bytes, 1 << 14);
   EXPECT_EQ(cfg.pipeline_depth, 2);
   EXPECT_EQ(cfg.coalesce_every, 3);
@@ -696,15 +635,12 @@ TEST(EngineConfig, ZeroSuperstepCapRunsNone) {
 /// excluded), plus the superstep count.
 std::vector<count_t> wire_ledger(const engine::Stats& st) {
   const comm::ExchangeStats& ex = st.exchange;
-  return {st.comm_bytes,          st.supersteps,
-          ex.exchanges,           ex.phases,
-          ex.records_sent,        ex.bytes_sent,
-          ex.inter_node_bytes,    ex.intra_node_bytes,
-          ex.inter_node_msgs,     ex.coalesced_flushes,
-          ex.overlapped,          ex.max_inflight_bytes,
-          ex.drained_incrementally, ex.pipeline_carried,
-          ex.max_pipeline_depth,    ex.one_sided_gets,
-          ex.one_sided_bytes};
+  return {st.comm_bytes,         st.supersteps,
+          ex.exchanges,          ex.phases,
+          ex.records_sent,       ex.bytes_sent,
+          ex.coalesced_flushes,  ex.overlapped,
+          ex.max_inflight_bytes, ex.drained_incrementally,
+          ex.pipeline_carried,   ex.max_pipeline_depth};
 }
 
 TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
@@ -716,32 +652,29 @@ TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
     std::vector<double> ref;
     std::vector<count_t> ref_wire;
     for (const int threads : {1, 2, 8}) {
-      sim::run_world(
-          4,
-          [&](sim::Comm& comm) {
-            const DistGraph g =
-                build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-            PageRankProgram p;
-            engine::Config cfg = base;
-            cfg.max_supersteps = 12;
-            cfg.num_threads = threads;
-            const engine::Stats st = engine::run(comm, g, p, cfg);
-            EXPECT_EQ(st.num_threads, threads) << cfg_name(base);
-            const auto global = by_gid(comm, g, p.rank);
-            auto wire = wire_ledger(st);
-            comm.allreduce_max(wire);  // any rank drift fails the compare
-            if (comm.rank() != 0) return;
-            if (threads == 1) {
-              ref = global;
-              ref_wire = wire;
-            } else {
-              EXPECT_EQ(global, ref)
-                  << cfg_name(base) << " threads=" << threads;
-              EXPECT_EQ(wire, ref_wire)
-                  << cfg_name(base) << " threads=" << threads;
-            }
-          },
-          /*ranks_per_node=*/2);
+      sim::run_world(4, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
+        PageRankProgram p;
+        engine::Config cfg = base;
+        cfg.max_supersteps = 12;
+        cfg.num_threads = threads;
+        const engine::Stats st = engine::run(comm, g, p, cfg);
+        EXPECT_EQ(st.num_threads, threads) << cfg_name(base);
+        const auto global = by_gid(comm, g, p.rank);
+        auto wire = wire_ledger(st);
+        comm.allreduce_max(wire);  // any rank drift fails the compare
+        if (comm.rank() != 0) return;
+        if (threads == 1) {
+          ref = global;
+          ref_wire = wire;
+        } else {
+          EXPECT_EQ(global, ref)
+              << cfg_name(base) << " threads=" << threads;
+          EXPECT_EQ(wire, ref_wire)
+              << cfg_name(base) << " threads=" << threads;
+        }
+      });
     }
   }
 }
@@ -752,31 +685,28 @@ TEST(EngineThreads, CommLpBitIdenticalAcrossThreadCountsAndKnobs) {
     std::vector<gid_t> ref;
     std::vector<count_t> ref_wire;
     for (const int threads : {1, 2, 8}) {
-      sim::run_world(
-          4,
-          [&](sim::Comm& comm) {
-            const DistGraph g =
-                build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
-            CommLpProgram p;
-            engine::Config cfg = base;
-            cfg.max_supersteps = 10;
-            cfg.num_threads = threads;
-            const engine::Stats st = engine::run(comm, g, p, cfg);
-            const auto global = by_gid(comm, g, p.label);
-            auto wire = wire_ledger(st);
-            comm.allreduce_max(wire);
-            if (comm.rank() != 0) return;
-            if (threads == 1) {
-              ref = global;
-              ref_wire = wire;
-            } else {
-              EXPECT_EQ(global, ref)
-                  << cfg_name(base) << " threads=" << threads;
-              EXPECT_EQ(wire, ref_wire)
-                  << cfg_name(base) << " threads=" << threads;
-            }
-          },
-          /*ranks_per_node=*/2);
+      sim::run_world(4, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
+        CommLpProgram p;
+        engine::Config cfg = base;
+        cfg.max_supersteps = 10;
+        cfg.num_threads = threads;
+        const engine::Stats st = engine::run(comm, g, p, cfg);
+        const auto global = by_gid(comm, g, p.label);
+        auto wire = wire_ledger(st);
+        comm.allreduce_max(wire);
+        if (comm.rank() != 0) return;
+        if (threads == 1) {
+          ref = global;
+          ref_wire = wire;
+        } else {
+          EXPECT_EQ(global, ref)
+              << cfg_name(base) << " threads=" << threads;
+          EXPECT_EQ(wire, ref_wire)
+              << cfg_name(base) << " threads=" << threads;
+        }
+      });
     }
   }
 }
@@ -794,7 +724,7 @@ TEST(EngineThreads, SsspBitIdenticalAcrossThreadCounts) {
       DeltaSsspProgram p;
       p.root = 3;
       p.delta = 8;
-      engine::Config cfg = env_cfg();
+      engine::Config cfg;
       cfg.num_threads = threads;
       const engine::Stats st = engine::run(comm, g, p, cfg);
       const auto global = by_gid(comm, g, p.dist);
@@ -826,7 +756,7 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
           build_dist_graph(comm, el, VertexDist::random(el.n, 2, 3));
       TriangleCountProgram p;
       p.sample_cap = 64;
-      engine::Config cfg = env_cfg();
+      engine::Config cfg;
       cfg.max_supersteps = 1;  // single staging superstep, as the wrapper
       cfg.num_threads = threads;
       const engine::Stats st = engine::run(comm, g, p, cfg);
@@ -854,7 +784,7 @@ TEST(EngineStats, PipelineCarryRecordedAtDepth1) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
     WccProgram p;
-    engine::Config cfg = env_cfg();
+    engine::Config cfg;
     cfg.pipeline_depth = 1;
     const engine::Stats st = engine::run(comm, g, p, cfg);
     if (comm.size() > 1) {
@@ -863,37 +793,22 @@ TEST(EngineStats, PipelineCarryRecordedAtDepth1) {
   });
 }
 
-// ISSUE acceptance: at pipeline_depth = 2 the ledger must observe two
-// refreshes genuinely in flight (max_pipeline_depth == 2), under both
-// backends. One-sided runs must also bill their pulls.
+// At pipeline_depth = 2 the ledger must observe two refreshes
+// genuinely in flight (max_pipeline_depth == 2).
 TEST(EngineStats, MaxPipelineDepthObservedAtDepth2) {
   const EdgeList el = gen::erdos_renyi(800, 8, 5);
-  for (const comm::Backend backend :
-       {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g =
-              build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-          WccProgram p;
-          engine::Config cfg;
-          cfg.pipeline_depth = 2;
-          cfg.backend = backend;
-          const engine::Stats st = engine::run(comm, g, p, cfg);
-          EXPECT_GT(st.exchange.pipeline_carried, 0);
-          EXPECT_EQ(st.exchange.max_pipeline_depth, 2);
-          if (backend == comm::Backend::kOneSided) {
-            EXPECT_GT(st.exchange.one_sided_gets, 0);
-            EXPECT_GT(st.exchange.one_sided_bytes, 0);
-          } else {
-            EXPECT_EQ(st.exchange.one_sided_gets, 0);
-          }
-          const std::string json = st.to_json();
-          EXPECT_NE(json.find("\"one_sided_gets\""), std::string::npos);
-          EXPECT_NE(json.find("\"one_sided_bytes\""), std::string::npos);
-        },
-        /*ranks_per_node=*/2);
-  }
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
+    WccProgram p;
+    engine::Config cfg;
+    cfg.pipeline_depth = 2;
+    const engine::Stats st = engine::run(comm, g, p, cfg);
+    EXPECT_GT(st.exchange.pipeline_carried, 0);
+    EXPECT_EQ(st.exchange.max_pipeline_depth, 2);
+    const std::string json = st.to_json();
+    EXPECT_NE(json.find("\"max_pipeline_depth\""), std::string::npos);
+  });
 }
 
 }  // namespace

@@ -38,45 +38,6 @@ TEST_P(WorldSizes, BarrierCompletes) {
   });
 }
 
-TEST(Topology, DefaultIsOneRankPerNode) {
-  run_world(4, [](Comm& comm) {
-    EXPECT_EQ(comm.ranks_per_node(), 1);
-    EXPECT_EQ(comm.node_count(), comm.size());
-    EXPECT_EQ(comm.my_node(), comm.rank());
-    EXPECT_TRUE(comm.is_node_leader());
-  });
-}
-
-TEST(Topology, GroupsConsecutiveRanksWithUnevenTail) {
-  // 10 ranks, 4 per node: nodes {0..3}, {4..7}, {8,9} — the last node
-  // is smaller, its leader is rank 8.
-  run_world(
-      10,
-      [](Comm& comm) {
-        EXPECT_EQ(comm.ranks_per_node(), 4);
-        EXPECT_EQ(comm.node_count(), 3);
-        EXPECT_EQ(comm.my_node(), comm.rank() / 4);
-        EXPECT_EQ(comm.node_leader(comm.my_node()), (comm.rank() / 4) * 4);
-        EXPECT_EQ(comm.is_node_leader(), comm.rank() % 4 == 0);
-        EXPECT_EQ(comm.node_begin(2), 8);
-        EXPECT_EQ(comm.node_end(2), 10);
-        EXPECT_EQ(comm.node_end(0), 4);
-      },
-      4);
-}
-
-TEST(Topology, RanksPerNodeClampsToWorldSize) {
-  run_world(
-      3,
-      [](Comm& comm) {
-        EXPECT_EQ(comm.ranks_per_node(), 3);
-        EXPECT_EQ(comm.node_count(), 1);
-        EXPECT_EQ(comm.my_node(), 0);
-        EXPECT_EQ(comm.is_node_leader(), comm.rank() == 0);
-      },
-      64);
-}
-
 TEST_P(WorldSizes, BcastDeliversRootData) {
   const int n = GetParam();
   run_world(n, [n](Comm& comm) {
@@ -451,196 +412,6 @@ TEST(Channels, ExhaustionAndBusyStartThrow) {
     for (int c = 0; c < Comm::max_channels(); ++c)
       (void)comm.alltoallv_bytes_finish(recv, nullptr, c);
     EXPECT_EQ(comm.channels_in_flight(), 0);
-  });
-}
-
-// ---- One-sided windows ---------------------------------------------
-
-TEST_P(WorldSizes, WindowPassiveGetReadsPeerMemory) {
-  const int n = GetParam();
-  run_world(n, [&](Comm& comm) {
-    // Each rank exposes n slots; slot d holds rank*100 + d. Every rank
-    // pulls its own slot from every peer — passively, no target-side
-    // call between the expose and the unexpose.
-    std::vector<std::uint64_t> mem(static_cast<std::size_t>(n));
-    for (int d = 0; d < n; ++d)
-      mem[static_cast<std::size_t>(d)] =
-          static_cast<std::uint64_t>(comm.rank()) * 100 +
-          static_cast<std::uint64_t>(d);
-    const int win = comm.find_free_window();
-    EXPECT_EQ(win, 0);
-    comm.win_expose(mem.data(), mem.size() * sizeof(std::uint64_t), nullptr,
-                    win);
-    EXPECT_TRUE(comm.win_exposed(win));
-    for (int t = 0; t < n; ++t) {
-      EXPECT_EQ(comm.win_bytes(t, win), mem.size() * sizeof(std::uint64_t));
-      std::uint64_t got = 0;
-      comm.win_get(win, t,
-                   static_cast<std::size_t>(comm.rank()) *
-                       sizeof(std::uint64_t),
-                   sizeof(std::uint64_t), &got);
-      EXPECT_EQ(got, static_cast<std::uint64_t>(t) * 100 +
-                         static_cast<std::uint64_t>(comm.rank()));
-    }
-    comm.win_unexpose(win);
-    EXPECT_FALSE(comm.win_exposed(win));
-  });
-}
-
-TEST_P(WorldSizes, WindowFenceOrdersPutsBeforeReads) {
-  const int n = GetParam();
-  run_world(n, [&](Comm& comm) {
-    // Epoch 1: rank r puts its rank id into slot r of every peer.
-    // The fence separates the epochs, after which every slot is
-    // readable locally — MPI_Win_fence semantics.
-    std::vector<std::uint64_t> mem(static_cast<std::size_t>(n),
-                                   ~std::uint64_t{0});
-    comm.win_expose(mem.data(), mem.size() * sizeof(std::uint64_t));
-    const std::uint64_t me = static_cast<std::uint64_t>(comm.rank());
-    for (int t = 0; t < n; ++t)
-      comm.win_put(0, t, static_cast<std::size_t>(comm.rank()) *
-                             sizeof(std::uint64_t),
-                   sizeof(std::uint64_t), &me);
-    comm.win_fence(0);
-    for (int s = 0; s < n; ++s)
-      EXPECT_EQ(mem[static_cast<std::size_t>(s)],
-                static_cast<std::uint64_t>(s));
-    comm.win_unexpose(0);
-  });
-}
-
-TEST(Windows, MetaTravelsWithTheExposure) {
-  run_world(3, [](Comm& comm) {
-    // Registration metadata (per-destination counts) rides the expose
-    // for free — the rendezvous descriptor pattern.
-    std::vector<count_t> meta{10 + comm.rank(), 20 + comm.rank(),
-                              30 + comm.rank()};
-    std::uint64_t payload = 0;
-    comm.win_expose(&payload, sizeof(payload), meta.data());
-    for (int t = 0; t < 3; ++t) {
-      const count_t* m = comm.win_meta(t, 0);
-      ASSERT_NE(m, nullptr);
-      EXPECT_EQ(m[comm.rank()],
-                static_cast<count_t>((comm.rank() + 1) * 10 + t));
-    }
-    comm.win_unexpose(0);
-  });
-}
-
-TEST(Windows, BillingChargesOriginAndSelfIsFree) {
-  run_world(4, [](Comm& comm) {
-    std::vector<std::uint64_t> mem(4, 5);
-    comm.barrier();
-    comm.reset_stats();
-    comm.win_expose(mem.data(), mem.size() * sizeof(std::uint64_t));
-    std::uint64_t got = 0;
-    for (int t = 0; t < 4; ++t)
-      comm.win_get(0, t, 0, sizeof(std::uint64_t), &got);
-    const std::uint64_t one = 1;
-    comm.win_put(0, comm.rank(), 0, sizeof(std::uint64_t), &one);  // self
-    comm.win_fence(0);
-    comm.win_unexpose(0);
-    const CommStats st = comm.stats();
-    // 4 gets (one self) + 1 self put; only the 3 remote gets bill wire
-    // bytes, and expose/fence/unexpose are 3 collectives.
-    EXPECT_EQ(st.one_sided_gets, 4);
-    EXPECT_EQ(st.one_sided_puts, 1);
-    EXPECT_EQ(st.one_sided_bytes, 3 * sizeof(std::uint64_t));
-    EXPECT_EQ(st.bytes_sent, 3 * sizeof(std::uint64_t));
-    EXPECT_EQ(st.messages_sent, 3);
-    EXPECT_EQ(st.collectives, 3);
-  });
-}
-
-TEST(Windows, ExhaustionThrowsAndChannelsStayIndependent) {
-  run_world(2, [](Comm& comm) {
-    std::uint64_t x = 0;
-    for (int w = 0; w < Comm::max_windows(); ++w)
-      comm.win_expose(&x, sizeof(x), nullptr, w);
-    EXPECT_THROW((void)comm.find_free_window(), std::runtime_error);
-    // Windows and channels are separate namespaces: all windows busy,
-    // every channel still free.
-    EXPECT_EQ(comm.find_free_channel(), 0);
-    for (int w = 0; w < Comm::max_windows(); ++w) comm.win_unexpose(w);
-    EXPECT_EQ(comm.find_free_window(), 0);
-  });
-}
-
-TEST(Windows, ZeroByteGetIsLegalAnywhereInBounds) {
-  run_world(2, [](Comm& comm) {
-    // A zero-length get is a no-op, legal at any offset <= extent —
-    // including exactly at the end of the region — and bills an op but
-    // no bytes (matching MPI's zero-count RMA semantics).
-    std::vector<std::uint64_t> mem(4, 7);
-    comm.barrier();
-    comm.reset_stats();
-    comm.win_expose(mem.data(), mem.size() * sizeof(std::uint64_t));
-    const int peer = (comm.rank() + 1) % 2;
-    comm.win_get(0, peer, 0, 0, nullptr);
-    comm.win_get(0, peer, mem.size() * sizeof(std::uint64_t), 0, nullptr);
-    comm.win_unexpose(0);
-    EXPECT_EQ(comm.stats().one_sided_gets, 2);
-    EXPECT_EQ(comm.stats().one_sided_bytes, 0);
-    EXPECT_EQ(comm.stats().bytes_sent, 0);
-  });
-}
-
-TEST(Windows, AccessesRacingTheFenceTargetDisjointBytes) {
-  const int n = 4;
-  run_world(n, [&](Comm& comm) {
-    // Ranks reach the fence at different times, so one rank's put can
-    // race another rank's pre-fence get — legal as long as the bytes
-    // are disjoint. Layout: slots [0, n) are put targets (slot r is
-    // written only by origin r), slots [n, 2n) are stable values that
-    // peers get mid-epoch while the puts are still landing.
-    std::vector<std::uint64_t> mem(static_cast<std::size_t>(2 * n), 0);
-    for (int d = 0; d < n; ++d)
-      mem[static_cast<std::size_t>(n + d)] =
-          static_cast<std::uint64_t>(comm.rank()) * 1000 +
-          static_cast<std::uint64_t>(d);
-    comm.win_expose(mem.data(), mem.size() * sizeof(std::uint64_t));
-    const std::uint64_t me = static_cast<std::uint64_t>(comm.rank());
-    for (int t = 0; t < n; ++t) {
-      comm.win_put(0, t,
-                   static_cast<std::size_t>(comm.rank()) *
-                       sizeof(std::uint64_t),
-                   sizeof(std::uint64_t), &me);
-      std::uint64_t got = 0;
-      comm.win_get(0, t,
-                   static_cast<std::size_t>(n + comm.rank()) *
-                       sizeof(std::uint64_t),
-                   sizeof(std::uint64_t), &got);
-      EXPECT_EQ(got, static_cast<std::uint64_t>(t) * 1000 + me);
-    }
-    comm.win_fence(0);
-    for (int s = 0; s < n; ++s)
-      EXPECT_EQ(mem[static_cast<std::size_t>(s)],
-                static_cast<std::uint64_t>(s));
-    comm.win_unexpose(0);
-  });
-}
-
-TEST(Windows, UnexposeWaitsForPeersStillAccessingTheEpoch) {
-  run_world(3, [](Comm& comm) {
-    // Rank 0 calls win_unexpose immediately; peers keep pulling from
-    // rank 0's region right up to their own unexpose call. The
-    // collective barrier inside unexpose must hold rank 0's region
-    // valid until every peer's last pre-unexpose access completed.
-    std::vector<std::uint64_t> mem(64);
-    for (std::size_t i = 0; i < mem.size(); ++i)
-      mem[i] = static_cast<std::uint64_t>(comm.rank()) * 1000 + i;
-    comm.win_expose(mem.data(), mem.size() * sizeof(std::uint64_t));
-    if (comm.rank() != 0) {
-      for (std::size_t i = 0; i < mem.size(); ++i) {
-        std::uint64_t got = 0;
-        comm.win_get(0, 0, i * sizeof(std::uint64_t), sizeof(std::uint64_t),
-                     &got);
-        EXPECT_EQ(got, i);
-      }
-    }
-    comm.win_unexpose(0);
-    // The region is private again: the owner may rewrite it freely.
-    mem[0] = ~std::uint64_t{0};
   });
 }
 

@@ -1,7 +1,6 @@
 // Tests for the cross-superstep pipelined execution engine: the
 // Exchanger's incremental drain (drain_one / try_finish must be
-// bit-identical to the one-shot finish for any bound and either shard
-// policy), the HaloPlan's incremental prefetch drain, the
+// bit-identical to the one-shot finish for any bound), the HaloPlan's incremental prefetch drain, the
 // SuperstepPipeline (depth 0 bit-identical to the blocking superstep;
 // depth 1 carries refreshes across supersteps and flushes to the
 // owners' last-shipped values), and the analytics that ride it:
@@ -14,9 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
-#include <string_view>
 #include <vector>
 
 #include "analytics/analytics.hpp"
@@ -31,16 +28,6 @@ namespace xtra {
 namespace {
 
 using comm::Exchanger;
-
-/// CI matrix hook: XTRA_TEST_BACKEND=onesided re-drives the
-/// result-correctness pipeline tests over the pull-mode transport.
-/// The exact-billing drain tests below never read this — their phase
-/// arithmetic is a per-backend contract.
-comm::Backend env_backend() {
-  const char* v = std::getenv("XTRA_TEST_BACKEND");
-  return v && std::string_view(v) == "onesided" ? comm::Backend::kOneSided
-                                                : comm::Backend::kTwoSided;
-}
 
 /// Deterministic per-(source, dest) record counts with some zero runs.
 count_t ragged_count(int src, int dst, int salt) {
@@ -67,153 +54,127 @@ void ragged_payload(int me, int nranks, int salt,
 // ---------------------------------------------------------------------------
 // Exchanger::drain_one / try_finish
 
-struct DrainCase {
-  int nranks;
-  int ranks_per_node;
-  comm::ShardPolicy policy;
-};
-
-class DrainWorlds : public ::testing::TestWithParam<DrainCase> {};
+class DrainWorlds : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(
-    Topologies, DrainWorlds,
-    ::testing::Values(DrainCase{4, 1, comm::ShardPolicy::kFlat},
-                      DrainCase{8, 1, comm::ShardPolicy::kFlat},
-                      DrainCase{8, 4, comm::ShardPolicy::kHierarchical},
-                      DrainCase{16, 4, comm::ShardPolicy::kHierarchical}),
-    [](const auto& inf) {
-      return std::string(inf.param.policy == comm::ShardPolicy::kFlat
-                             ? "flat"
-                             : "hier") +
-             "_ranks_" + std::to_string(inf.param.nranks) + "_rpn_" +
-             std::to_string(inf.param.ranks_per_node);
-    });
+    Ranks, DrainWorlds, ::testing::Values(4, 8, 16),
+    [](const auto& inf) { return "ranks_" + std::to_string(inf.param); });
 
 TEST_P(DrainWorlds, DrainOneUntilDoneBitIdenticalToFinish) {
-  const auto [nranks, rpn, policy] = GetParam();
+  const int nranks = GetParam();
   // Bounds: sub-record, one record, odd 3-record chunks, and
   // effectively unbounded — phase counts from many to one.
   for (const count_t bound : {count_t(0), count_t(1), count_t(8),
                               count_t(24), count_t(1) << 20}) {
-    sim::run_world(
-        nranks,
-        [&, nranks = nranks, policy = policy](sim::Comm& comm) {
-          std::vector<count_t> counts;
-          std::vector<std::uint64_t> send;
-          ragged_payload(comm.rank(), nranks,
-                         static_cast<int>(bound % 97), counts, send);
-          std::vector<count_t> expect_rcounts;
-          const std::vector<std::uint64_t> expect =
-              comm.alltoallv(send, counts, &expect_rcounts);
-          const count_t expect_total = std::accumulate(
-              expect_rcounts.begin(), expect_rcounts.end(), count_t(0));
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      std::vector<count_t> counts;
+      std::vector<std::uint64_t> send;
+      ragged_payload(comm.rank(), nranks,
+                     static_cast<int>(bound % 97), counts, send);
+      std::vector<count_t> expect_rcounts;
+      const std::vector<std::uint64_t> expect =
+          comm.alltoallv(send, counts, &expect_rcounts);
+      const count_t expect_total = std::accumulate(
+          expect_rcounts.begin(), expect_rcounts.end(), count_t(0));
 
-          Exchanger ex(bound, policy);
-          ex.start(comm, send, counts);
-          // The handle owns a snapshot: the caller's buffer dies the
-          // moment start() returns, and blocking collectives may
-          // interleave between drain steps.
-          std::fill(send.begin(), send.end(), 0xDEADBEEFu);
-          send.clear();
-          send.shrink_to_fit();
+      Exchanger ex(bound);
+      ex.start(comm, send, counts);
+      // The handle owns a snapshot: the caller's buffer dies the
+      // moment start() returns, and blocking collectives may
+      // interleave between drain steps.
+      std::fill(send.begin(), send.end(), 0xDEADBEEFu);
+      send.clear();
+      send.shrink_to_fit();
 
-          // Reassemble the result purely from the consumer callback;
-          // segments must tile [0, expect_total) exactly once.
-          std::vector<std::uint64_t> assembled(
-              static_cast<std::size_t>(expect_total), 0);
-          std::vector<int> covered(static_cast<std::size_t>(expect_total),
-                                   0);
-          count_t drains = 0;
-          bool more = true;
-          while (more) {
-            more = ex.drain_one<std::uint64_t>(
-                comm, [&](int source, count_t dst_offset,
-                          std::span<const std::uint64_t> recs) {
-                  EXPECT_GE(source, 0);
-                  EXPECT_LT(source, nranks);
-                  for (std::size_t j = 0; j < recs.size(); ++j) {
-                    const auto at =
-                        static_cast<std::size_t>(dst_offset) + j;
-                    ASSERT_LT(at, assembled.size());
-                    assembled[at] = recs[j];
-                    ++covered[at];
-                  }
-                });
-            ++drains;
-            (void)comm.allreduce_sum<count_t>(1);  // interleaved collective
-          }
-          EXPECT_FALSE(ex.in_flight());
-          EXPECT_EQ(assembled, expect) << "bound=" << bound;
-          for (const int c : covered) EXPECT_EQ(c, 1);
-          EXPECT_EQ(ex.stats().exchanges, 1);
-          EXPECT_EQ(ex.stats().drained_incrementally, 1);
+      // Reassemble the result purely from the consumer callback;
+      // segments must tile [0, expect_total) exactly once.
+      std::vector<std::uint64_t> assembled(
+          static_cast<std::size_t>(expect_total), 0);
+      std::vector<int> covered(static_cast<std::size_t>(expect_total),
+                               0);
+      count_t drains = 0;
+      bool more = true;
+      while (more) {
+        more = ex.drain_one<std::uint64_t>(
+            comm, [&](int source, count_t dst_offset,
+                      std::span<const std::uint64_t> recs) {
+              EXPECT_GE(source, 0);
+              EXPECT_LT(source, nranks);
+              for (std::size_t j = 0; j < recs.size(); ++j) {
+                const auto at =
+                    static_cast<std::size_t>(dst_offset) + j;
+                ASSERT_LT(at, assembled.size());
+                assembled[at] = recs[j];
+                ++covered[at];
+              }
+            });
+        ++drains;
+        (void)comm.allreduce_sum<count_t>(1);  // interleaved collective
+      }
+      EXPECT_FALSE(ex.in_flight());
+      EXPECT_EQ(assembled, expect) << "bound=" << bound;
+      for (const int c : covered) EXPECT_EQ(c, 1);
+      EXPECT_EQ(ex.stats().exchanges, 1);
+      EXPECT_EQ(ex.stats().drained_incrementally, 1);
 
-          // The drain count is the globally agreed phase plan (the
-          // hierarchical protocol drains in one step).
-          if (policy == comm::ShardPolicy::kFlat)
-            EXPECT_EQ(drains, std::max<count_t>(ex.stats().phases, 1));
-          else
-            EXPECT_EQ(drains, 1);
+      // The drain count is the globally agreed phase plan.
+      EXPECT_EQ(drains, std::max<count_t>(ex.stats().phases, 1));
 
-          // One-shot finish on a fresh engine: same wire accounting.
-          Exchanger oneshot(bound, policy);
-          std::vector<count_t> counts2;
-          std::vector<std::uint64_t> send2;
-          ragged_payload(comm.rank(), nranks,
-                         static_cast<int>(bound % 97), counts2, send2);
-          oneshot.start(comm, send2, counts2);
-          std::vector<count_t> rcounts;
-          const auto got = oneshot.finish<std::uint64_t>(comm, &rcounts);
-          EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
-                    expect);
-          EXPECT_EQ(rcounts, expect_rcounts);
-          EXPECT_EQ(oneshot.stats().phases, ex.stats().phases);
-          EXPECT_EQ(oneshot.stats().bytes_sent, ex.stats().bytes_sent);
-          EXPECT_EQ(oneshot.stats().drained_incrementally, 0);
-        },
-        rpn);
+      // One-shot finish on a fresh engine: same wire accounting.
+      Exchanger oneshot(bound);
+      std::vector<count_t> counts2;
+      std::vector<std::uint64_t> send2;
+      ragged_payload(comm.rank(), nranks,
+                     static_cast<int>(bound % 97), counts2, send2);
+      oneshot.start(comm, send2, counts2);
+      std::vector<count_t> rcounts;
+      const auto got = oneshot.finish<std::uint64_t>(comm, &rcounts);
+      EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
+                expect);
+      EXPECT_EQ(rcounts, expect_rcounts);
+      EXPECT_EQ(oneshot.stats().phases, ex.stats().phases);
+      EXPECT_EQ(oneshot.stats().bytes_sent, ex.stats().bytes_sent);
+      EXPECT_EQ(oneshot.stats().drained_incrementally, 0);
+    });
   }
 }
 
 TEST_P(DrainWorlds, TryFinishPollsToCompletion) {
-  const auto [nranks, rpn, policy] = GetParam();
+  const int nranks = GetParam();
   for (const count_t bound : {count_t(0), count_t(8), count_t(64)}) {
-    sim::run_world(
-        nranks,
-        [&, nranks = nranks, policy = policy](sim::Comm& comm) {
-          std::vector<count_t> counts;
-          std::vector<std::uint64_t> send;
-          ragged_payload(comm.rank(), nranks, 13, counts, send);
-          std::vector<count_t> expect_rcounts;
-          const std::vector<std::uint64_t> expect =
-              comm.alltoallv(send, counts, &expect_rcounts);
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      std::vector<count_t> counts;
+      std::vector<std::uint64_t> send;
+      ragged_payload(comm.rank(), nranks, 13, counts, send);
+      std::vector<count_t> expect_rcounts;
+      const std::vector<std::uint64_t> expect =
+          comm.alltoallv(send, counts, &expect_rcounts);
 
-          Exchanger ex(bound, policy);
-          const count_t plan_before = ex.phases_remaining();
-          EXPECT_EQ(plan_before, 0);  // idle
-          ex.start(comm, send, counts);
-          count_t polls = 0;
-          std::vector<count_t> rcounts;
-          std::optional<std::span<const std::uint64_t>> got;
-          while (!got.has_value()) {
-            // phases_remaining is rank-uniform and counts the polls
-            // left; it must tick down by exactly one per call.
-            const count_t left = ex.phases_remaining();
-            EXPECT_GT(left, 0);
-            got = ex.try_finish<std::uint64_t>(comm, &rcounts);
-            EXPECT_EQ(ex.phases_remaining(), left - 1);
-            ++polls;
-          }
-          EXPECT_EQ(std::vector<std::uint64_t>(got->begin(), got->end()),
-                    expect);
-          EXPECT_EQ(rcounts, expect_rcounts);
-          EXPECT_FALSE(ex.in_flight());
-          EXPECT_EQ(ex.stats().drained_incrementally, 1);
-          if (policy == comm::ShardPolicy::kFlat && bound == 0) {
-            EXPECT_EQ(polls, 1);
-          }
-        },
-        rpn);
+      Exchanger ex(bound);
+      const count_t plan_before = ex.phases_remaining();
+      EXPECT_EQ(plan_before, 0);  // idle
+      ex.start(comm, send, counts);
+      count_t polls = 0;
+      std::vector<count_t> rcounts;
+      std::optional<std::span<const std::uint64_t>> got;
+      while (!got.has_value()) {
+        // phases_remaining is rank-uniform and counts the polls
+        // left; it must tick down by exactly one per call.
+        const count_t left = ex.phases_remaining();
+        EXPECT_GT(left, 0);
+        got = ex.try_finish<std::uint64_t>(comm, &rcounts);
+        EXPECT_EQ(ex.phases_remaining(), left - 1);
+        ++polls;
+      }
+      EXPECT_EQ(std::vector<std::uint64_t>(got->begin(), got->end()),
+                expect);
+      EXPECT_EQ(rcounts, expect_rcounts);
+      EXPECT_FALSE(ex.in_flight());
+      EXPECT_EQ(ex.stats().drained_incrementally, 1);
+      if (bound == 0) {
+        EXPECT_EQ(polls, 1);
+      }
+    });
   }
 }
 
@@ -243,10 +204,8 @@ TEST(HaloPipeline, IncrementalDrainMatchesFinishPrefetch) {
     sim::run_world(3, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 3, 5));
-      graph::HaloPlan blocking(comm, g, comm::ShardPolicy::kFlat,
-                               env_backend());
-      graph::HaloPlan incremental(comm, g, comm::ShardPolicy::kFlat,
-                                  env_backend());
+      graph::HaloPlan blocking(comm, g);
+      graph::HaloPlan incremental(comm, g);
       blocking.set_max_send_bytes(bound);
       incremental.set_max_send_bytes(bound);
 
@@ -284,41 +243,35 @@ void blocking_superstep(sim::Comm& comm, graph::HaloPlan& halo,
 
 TEST(HaloPipeline, Depth0BitIdenticalToBlockingSuperstep) {
   const graph::EdgeList el = gen::erdos_renyi(400, 8, 29);
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical}) {
-    for (const count_t bound : {count_t(0), count_t(8), count_t(1) << 14}) {
-      sim::run_world(
-          6,
-          [&](sim::Comm& comm) {
-            const auto g = graph::build_dist_graph(
-                comm, el, graph::VertexDist::random(el.n, 6, 5));
-            graph::HaloPlan ref_halo(comm, g, policy, env_backend());
-            graph::HaloPlan pipe_halo(comm, g, policy, env_backend());
-            ref_halo.set_max_send_bytes(bound);
-            pipe_halo.set_max_send_bytes(bound);
-            graph::SuperstepPipeline<gid_t> pipe(pipe_halo, 0);
+  for (const count_t bound : {count_t(0), count_t(8), count_t(1) << 14}) {
+    sim::run_world(6, [&](sim::Comm& comm) {
+      const auto g = graph::build_dist_graph(
+          comm, el, graph::VertexDist::random(el.n, 6, 5));
+      graph::HaloPlan ref_halo(comm, g);
+      graph::HaloPlan pipe_halo(comm, g);
+      ref_halo.set_max_send_bytes(bound);
+      pipe_halo.set_max_send_bytes(bound);
+      graph::SuperstepPipeline<gid_t> pipe(pipe_halo, 0);
 
-            std::vector<gid_t> expect(g.n_total()), vals(g.n_total());
-            for (lid_t v = 0; v < g.n_total(); ++v)
-              expect[v] = vals[v] = g.gid_of(v);
-            for (int iter = 1; iter <= 3; ++iter) {
-              blocking_superstep(comm, ref_halo, g, expect, [&](lid_t v) {
-                expect[v] = expect[v] * 5 + static_cast<gid_t>(iter);
-              });
-              pipe.superstep(
-                  comm, vals,
-                  [&](lid_t v) {
-                    vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
-                  },
-                  [&] { (void)comm.allreduce_sum<count_t>(1); });
-              EXPECT_FALSE(pipe.in_flight());
-              ASSERT_EQ(vals, expect) << "bound=" << bound;
-            }
-            pipe.flush(comm, vals);  // no-op at depth 0
-            ASSERT_EQ(vals, expect);
-          },
-          3);
-    }
+      std::vector<gid_t> expect(g.n_total()), vals(g.n_total());
+      for (lid_t v = 0; v < g.n_total(); ++v)
+        expect[v] = vals[v] = g.gid_of(v);
+      for (int iter = 1; iter <= 3; ++iter) {
+        blocking_superstep(comm, ref_halo, g, expect, [&](lid_t v) {
+          expect[v] = expect[v] * 5 + static_cast<gid_t>(iter);
+        });
+        pipe.superstep(
+            comm, vals,
+            [&](lid_t v) {
+              vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
+            },
+            [&] { (void)comm.allreduce_sum<count_t>(1); });
+        EXPECT_FALSE(pipe.in_flight());
+        ASSERT_EQ(vals, expect) << "bound=" << bound;
+      }
+      pipe.flush(comm, vals);  // no-op at depth 0
+      ASSERT_EQ(vals, expect);
+    });
   }
 }
 
@@ -328,8 +281,7 @@ TEST(HaloPipeline, Depth1CarriesRefreshAndFlushesToOwnersValues) {
     sim::run_world(4, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 4, 5));
-      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                           env_backend());
+      graph::HaloPlan halo(comm, g);
       halo.set_max_send_bytes(bound);
       halo.reset_stats();
       graph::SuperstepPipeline<gid_t> pipe(halo, 1);
@@ -374,8 +326,7 @@ TEST(HaloPipeline, Depth2KeepsTwoRefreshesInFlightAndFlushes) {
     sim::run_world(4, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 4, 5));
-      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                           env_backend());
+      graph::HaloPlan halo(comm, g);
       halo.set_max_send_bytes(bound);
       halo.reset_stats();
       graph::SuperstepPipeline<gid_t> pipe(halo, 2);
@@ -416,37 +367,6 @@ TEST(HaloPipeline, Depth2KeepsTwoRefreshesInFlightAndFlushes) {
   }
 }
 
-TEST(HaloPipeline, Depth2OneSidedBitIdenticalToTwoSided) {
-  const graph::EdgeList el = gen::erdos_renyi(400, 8, 43);
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const auto g = graph::build_dist_graph(
-        comm, el, graph::VertexDist::random(el.n, 4, 5));
-    constexpr int kIters = 4;
-    auto run = [&](comm::Backend backend) {
-      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat, backend);
-      graph::SuperstepPipeline<gid_t> pipe(halo, 2);
-      std::vector<std::vector<gid_t>> trace;
-      std::vector<gid_t> vals(g.n_total());
-      for (lid_t v = 0; v < g.n_total(); ++v) vals[v] = g.gid_of(v);
-      for (int iter = 1; iter <= kIters; ++iter) {
-        pipe.superstep(
-            comm, vals,
-            [&](lid_t v) {
-              vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
-            },
-            [] {});
-        trace.push_back(vals);
-      }
-      pipe.flush(comm, vals);
-      trace.push_back(vals);
-      return trace;
-    };
-    const auto pushed = run(comm::Backend::kTwoSided);
-    const auto pulled = run(comm::Backend::kOneSided);
-    ASSERT_EQ(pulled, pushed);
-  });
-}
-
 // MPI+X: the parallel drive (chunked sweeps at depth 0, lid-range
 // drain groups at depth >= 1) must land every superstep in the same
 // state as the serial grouping, with the same wire bytes. This is also
@@ -464,8 +384,7 @@ TEST(HaloPipeline, ParallelSuperstepBitIdenticalAtEveryDepth) {
       std::vector<std::vector<gid_t>> trace;
       count_t ref_bytes = 0;
       {
-        graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                             env_backend());
+        graph::HaloPlan halo(comm, g);
         graph::SuperstepPipeline<gid_t> pipe(halo, depth);
         std::vector<gid_t> vals(g.n_total());
         for (lid_t v = 0; v < g.n_total(); ++v) vals[v] = g.gid_of(v);
@@ -483,8 +402,7 @@ TEST(HaloPipeline, ParallelSuperstepBitIdenticalAtEveryDepth) {
         ref_bytes = halo.stats().bytes_sent;
       }
       {
-        graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
-                             env_backend());
+        graph::HaloPlan halo(comm, g);
         graph::SuperstepPipeline<gid_t> pipe(halo, depth);
         std::vector<gid_t> vals(g.n_total());
         for (lid_t v = 0; v < g.n_total(); ++v) vals[v] = g.gid_of(v);
@@ -514,7 +432,7 @@ TEST(HaloPipeline, DepthClampsToSubstrateLimit) {
         comm, el, graph::VertexDist::block(el.n, 2));
     graph::HaloPlan halo(comm, g);
     graph::SuperstepPipeline<gid_t> deep(halo, 7);
-    EXPECT_EQ(deep.depth(), graph::kMaxPipelineDepth);  // window budget
+    EXPECT_EQ(deep.depth(), graph::kMaxPipelineDepth);  // channel budget
     EXPECT_EQ(halo.pipeline_lanes(), graph::kMaxPipelineDepth);
     graph::SuperstepPipeline<gid_t> neg(halo, -2);
     EXPECT_EQ(neg.depth(), 0);
@@ -530,7 +448,7 @@ TEST(HaloPipeline, Depth1StressManySuperstepsSmallPhases) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
         comm, el, graph::VertexDist::random(el.n, 4, 7));
-    graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat, env_backend());
+    graph::HaloPlan halo(comm, g);
     halo.set_max_send_bytes(sizeof(gid_t));  // one record per phase
     graph::SuperstepPipeline<gid_t> pipe(halo, 1);
     std::vector<gid_t> vals(g.n_total(), 1);
@@ -696,9 +614,9 @@ TEST(PipelinedAnalytics, CommLpCoalesceEveryOneBitIdenticalToUncoalesced) {
     // exactly the full refresh (unchanged ghosts already agree), so
     // the runs must match bit for bit, supersteps included.
     const auto plain = analytics::label_propagation(
-        comm, g, 8, comm::ShardPolicy::kFlat, 0);
+        comm, g, 8, 0);
     const auto co = analytics::label_propagation(
-        comm, g, 8, comm::ShardPolicy::kFlat, 1);
+        comm, g, 8, 1);
     EXPECT_EQ(co.label, plain.label);
     EXPECT_EQ(co.num_communities, plain.num_communities);
     EXPECT_EQ(co.info.supersteps, plain.info.supersteps);
@@ -719,7 +637,7 @@ TEST(PipelinedAnalytics, CommLpCoalescedRecoversPlantedCommunities) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 4, 4));
       const auto r = analytics::label_propagation(
-          comm, g, 20, comm::ShardPolicy::kFlat, every);
+          comm, g, 20, every);
       EXPECT_EQ(r.num_communities, 2) << "every=" << every;
       for (lid_t v = 0; v < g.n_local(); ++v)
         EXPECT_EQ(r.label[v], g.gid_of(v) < 20 ? 0u : 20u)
@@ -736,7 +654,7 @@ TEST(PipelinedAnalytics, CommLpCoalescedGhostsConsistentOnExit) {
     const auto g = graph::build_dist_graph(
         comm, el, graph::VertexDist::random(el.n, 4, 5));
     const auto r = analytics::label_propagation(
-        comm, g, 5, comm::ShardPolicy::kFlat, 3);
+        comm, g, 5, 3);
     std::vector<gid_t> check(r.label);
     graph::HaloPlan halo(comm, g);
     halo.exchange(comm, check);

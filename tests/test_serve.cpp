@@ -1,8 +1,7 @@
 // Tests for the serving subsystem (src/serve/): deterministic load
 // generation, per-kind scheduler correctness against single-rank
-// serial references, the latency determinism contract across the
-// transport matrix ({flat, hier} x {two-sided, one-sided} x threads
-// {1, 8}), and the scheduler edge cases the ISSUE names — zero
+// serial references, the latency determinism contract across thread
+// widths {1, 8}, and the scheduler edge cases — zero
 // in-flight wire silence, mid-superstep arrival, slot exhaustion +
 // backfill ordering, and ghost sources.
 #include <gtest/gtest.h>
@@ -56,27 +55,24 @@ struct ServeOut {
 ServeOut run_serve(int nranks, const EdgeList& el, const ServeConfig& cfg,
                    const std::vector<Query>& queries) {
   ServeOut out;
-  sim::run_world(
-      nranks,
-      [&](sim::Comm& comm) {
-        const DistGraph g = build_dist_graph(
-            comm, el, VertexDist::random(el.n, nranks, kDistSalt));
-        comm.barrier();
-        const count_t coll0 = comm.stats().collectives;
-        const count_t bytes0 = comm.stats().bytes_sent;
-        Scheduler sched(cfg);
-        std::vector<QueryResult> results = sched.run(comm, g, queries);
-        const count_t coll = comm.stats().collectives - coll0;
-        const count_t bytes =
-            comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
-        if (comm.rank() == 0) {
-          out.results = std::move(results);
-          out.stats = sched.stats();
-          out.collectives = coll;
-          out.bytes = bytes;
-        }
-      },
-      /*ranks_per_node=*/nranks > 1 ? 2 : 1);
+  sim::run_world(nranks, [&](sim::Comm& comm) {
+    const DistGraph g = build_dist_graph(
+        comm, el, VertexDist::random(el.n, nranks, kDistSalt));
+    comm.barrier();
+    const count_t coll0 = comm.stats().collectives;
+    const count_t bytes0 = comm.stats().bytes_sent;
+    Scheduler sched(cfg);
+    std::vector<QueryResult> results = sched.run(comm, g, queries);
+    const count_t coll = comm.stats().collectives - coll0;
+    const count_t bytes =
+        comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
+    if (comm.rank() == 0) {
+      out.results = std::move(results);
+      out.stats = sched.stats();
+      out.collectives = coll;
+      out.bytes = bytes;
+    }
+  });
   return out;
 }
 
@@ -245,39 +241,31 @@ TEST(ServeScheduler, PackedBeatsPerQueryOnCollectivesSameAnswers) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism matrix (satellite: edge cases across the full matrix)
+// Determinism across thread widths
 
-TEST(ServeScheduler, LatenciesBitIdenticalAcrossBackendsAndThreads) {
+TEST(ServeScheduler, LatenciesBitIdenticalAcrossThreads) {
   const EdgeList el = test_graph();
   const std::vector<Query> queries = LoadGen::generate(test_trace(), el.n);
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical}) {
-    std::vector<QueryResult> base;
-    for (const comm::Backend backend :
-         {comm::Backend::kTwoSided, comm::Backend::kOneSided})
-      for (const int threads : {1, 8}) {
-        ServeConfig cfg;
-        cfg.slot_budget = 4;
-        cfg.engine.shard_policy = policy;
-        cfg.engine.backend = backend;
-        cfg.engine.num_threads = threads;
-        const ServeOut out = run_serve(4, el, cfg, queries);
-        ASSERT_EQ(out.results.size(), queries.size());
-        if (base.empty()) {
-          base = out.results;
-          continue;
-        }
-        // Same shard policy: the full latency ledger is bitwise
-        // identical — thread width and wire backend are pure
-        // throughput knobs.
-        for (std::size_t i = 0; i < base.size(); ++i) {
-          EXPECT_EQ(out.results[i].value, base[i].value);
-          EXPECT_EQ(out.results[i].score, base[i].score);
-          EXPECT_EQ(out.results[i].supersteps, base[i].supersteps);
-          EXPECT_EQ(out.results[i].start_seconds, base[i].start_seconds);
-          EXPECT_EQ(out.results[i].finish_seconds, base[i].finish_seconds);
-        }
-      }
+  std::vector<QueryResult> base;
+  for (const int threads : {1, 8}) {
+    ServeConfig cfg;
+    cfg.slot_budget = 4;
+    cfg.engine.num_threads = threads;
+    const ServeOut out = run_serve(4, el, cfg, queries);
+    ASSERT_EQ(out.results.size(), queries.size());
+    if (base.empty()) {
+      base = out.results;
+      continue;
+    }
+    // The full latency ledger is bitwise identical — thread width is a
+    // pure throughput knob.
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(out.results[i].value, base[i].value);
+      EXPECT_EQ(out.results[i].score, base[i].score);
+      EXPECT_EQ(out.results[i].supersteps, base[i].supersteps);
+      EXPECT_EQ(out.results[i].start_seconds, base[i].start_seconds);
+      EXPECT_EQ(out.results[i].finish_seconds, base[i].finish_seconds);
+    }
   }
 }
 

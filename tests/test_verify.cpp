@@ -6,7 +6,7 @@
 // verifier, would deadlock, corrupt slot reads, or silently produce
 // wrong answers; the tests therefore skip when XTRA_VERIFY_COMM is
 // compiled out (running them would hang the binary). The always-on
-// attribution paths (channel/window exhaustion and double-start
+// attribution paths (channel exhaustion and double-start
 // diagnostics) run in every build mode.
 #include <gtest/gtest.h>
 
@@ -101,7 +101,7 @@ TEST(VerifyLockstep, RankExitingEarlyIsAttributed) {
   expect_contains(msg, "end-of-world");
 }
 
-// --- Channel & window lifecycle checker -------------------------------
+// --- Channel lifecycle checker -------------------------------
 
 TEST(VerifyLifecycle, ChannelLeakAtTeardownNamesOpener) {
   SKIP_WITHOUT_VERIFIER();
@@ -117,19 +117,6 @@ TEST(VerifyLifecycle, ChannelLeakAtTeardownNamesOpener) {
   expect_contains(msg, "leaky-test-exchange");
 }
 
-TEST(VerifyLifecycle, WindowLeakAtTeardownNamesExposer) {
-  SKIP_WITHOUT_VERIFIER();
-  const std::string msg = protocol_error_of(2, [](Comm& comm) {
-    static std::vector<std::byte> region(64);
-    comm.win_expose(region.data(), region.size(), nullptr, 0,
-                    "leaky-test-window");
-    // No unexpose.
-  });
-  expect_contains(msg, "leaked at run_world teardown");
-  expect_contains(msg, "window 0 still exposed");
-  expect_contains(msg, "leaky-test-window");
-}
-
 TEST(VerifyLifecycle, FinishWithoutStartThrows) {
   SKIP_WITHOUT_VERIFIER();
   const std::string msg = protocol_error_of(2, [](Comm& comm) {
@@ -138,42 +125,6 @@ TEST(VerifyLifecycle, FinishWithoutStartThrows) {
   });
   expect_contains(msg, "alltoallv_bytes_finish");
   expect_contains(msg, "no exchange in flight");
-}
-
-TEST(VerifyLifecycle, GetOutsideEpochThrows) {
-  SKIP_WITHOUT_VERIFIER();
-  const std::string msg = protocol_error_of(2, [](Comm& comm) {
-    int x = 0;
-    comm.win_get(0, (comm.rank() + 1) % comm.size(), 0, sizeof(int), &x);
-  });
-  expect_contains(msg, "win_get outside an exposure epoch");
-}
-
-TEST(VerifyLifecycle, SelfGetAfterUnexposeIsAttributed) {
-  SKIP_WITHOUT_VERIFIER();
-  const std::string msg = protocol_error_of(2, [](Comm& comm) {
-    std::vector<int> region(4, comm.rank());
-    comm.win_expose(region.data(), region.size() * sizeof(int), nullptr, 0,
-                    "short-lived-window");
-    comm.win_unexpose(0);
-    int x = 0;
-    comm.win_get(0, comm.rank(), 0, sizeof(int), &x);
-  });
-  expect_contains(msg, "win_get outside an exposure epoch");
-  expect_contains(msg, "last exposed by 'short-lived-window'");
-}
-
-TEST(VerifyLifecycle, AccessPastExposedRegionThrows) {
-  SKIP_WITHOUT_VERIFIER();
-  const std::string msg = protocol_error_of(2, [](Comm& comm) {
-    std::vector<std::byte> region(16);
-    comm.win_expose(region.data(), region.size(), nullptr, 0, "small-window");
-    int x = 0;
-    comm.win_get(0, (comm.rank() + 1) % comm.size(), 14, sizeof(int), &x);
-    comm.win_unexpose(0);
-  });
-  expect_contains(msg, "win_get past the exposed region");
-  expect_contains(msg, "small-window");
 }
 
 // --- In-flight aliasing checker ---------------------------------------
@@ -193,37 +144,6 @@ TEST(VerifyAliasing, MutatedInFlightPayloadDetectedAtFinish) {
   });
   expect_contains(msg, "in-flight send payload mutated");
   expect_contains(msg, "aliased-exchange");
-}
-
-TEST(VerifyAliasing, OwnerMutatingExposedBufferBetweenFencesDetected) {
-  SKIP_WITHOUT_VERIFIER();
-  const std::string msg = protocol_error_of(2, [](Comm& comm) {
-    std::vector<int> region(8, comm.rank());
-    comm.win_expose(region.data(), region.size() * sizeof(int), nullptr, 0,
-                    "mutated-window");
-    if (comm.rank() == 0) region[3] = 999;  // owner writes mid-epoch
-    comm.win_fence(0);
-    comm.win_unexpose(0);
-  });
-  expect_contains(msg, "exposed window buffer mutated by its owner");
-  expect_contains(msg, "between fences");
-  expect_contains(msg, "mutated-window");
-}
-
-TEST(VerifyAliasing, PeerPutsStandDownTheOwnerMutationCheck) {
-  SKIP_WITHOUT_VERIFIER();
-  // A put legitimately changes the owner's exposed bytes; the epoch
-  // check must not misread that as an owner mutation.
-  run_world(2, [](Comm& comm) {
-    std::vector<int> region(8, comm.rank());
-    comm.win_expose(region.data(), region.size() * sizeof(int), nullptr, 0,
-                    "put-target");
-    const int me = comm.rank();
-    comm.win_put(0, (me + 1) % 2, 0, sizeof(int), &me);
-    comm.win_fence(0);
-    EXPECT_EQ(region[0], (me + 1) % 2);
-    comm.win_unexpose(0);
-  });
 }
 
 // --- Thread-context guard ---------------------------------------------
@@ -254,52 +174,41 @@ TEST(VerifyThreadGuard, CommInsideWidenedPoolRegionThrows) {
 
 TEST(VerifyCleanRun, ExchangerMatrixRunsCleanUnderVerifier) {
   SKIP_WITHOUT_VERIFIER();
-  // Phased two-sided, one-sided pull, and hierarchical routing all use
-  // channels/windows heavily; a false positive here would break the
-  // whole suite, so pin a clean multi-backend run explicitly.
-  struct Case {
-    comm::ShardPolicy policy;
-    comm::Backend backend;
-    count_t bound;
-  };
-  for (const Case& c :
-       {Case{comm::ShardPolicy::kFlat, comm::Backend::kTwoSided, 64},
-        Case{comm::ShardPolicy::kFlat, comm::Backend::kOneSided, 0},
-        Case{comm::ShardPolicy::kHierarchical, comm::Backend::kTwoSided, 0}}) {
-    run_world(
-        4,
-        [&](Comm& comm) {
-          comm::Exchanger ex(c.bound, c.policy, c.backend);
-          ex.set_label("clean-run-exchanger");
-          const int n = comm.size();
-          std::vector<count_t> counts(static_cast<std::size_t>(n));
-          std::vector<std::uint64_t> send;
-          for (int r = 0; r < n; ++r) {
-            counts[static_cast<std::size_t>(r)] = comm.rank() + r + 1;
-            for (count_t i = 0; i < counts[static_cast<std::size_t>(r)]; ++i)
-              send.push_back(static_cast<std::uint64_t>(comm.rank()) * 1000 +
-                             static_cast<std::uint64_t>(r));
-          }
-          // Blocking, then overlapped start/finish, twice each.
-          for (int round = 0; round < 2; ++round) {
-            std::vector<count_t> rcounts;
-            const auto recv = ex.exchange(comm, send, counts, &rcounts);
-            count_t expect_total = 0;
-            for (int s = 0; s < n; ++s)
-              expect_total += s + comm.rank() + 1;
-            ASSERT_EQ(static_cast<count_t>(recv.size()), expect_total);
-            ex.start(comm, send, counts);
-            (void)ex.finish<std::uint64_t>(comm);
-          }
-        },
-        /*ranks_per_node=*/2);
+  // Single-phase and phased exchanges use channels heavily; a false
+  // positive here would break the whole suite, so pin a clean run of
+  // both explicitly.
+  for (const count_t bound : {count_t(0), count_t(64)}) {
+    run_world(4, [&](Comm& comm) {
+      comm::Exchanger ex(bound);
+      ex.set_label("clean-run-exchanger");
+      const int n = comm.size();
+      std::vector<count_t> counts(static_cast<std::size_t>(n));
+      std::vector<std::uint64_t> send;
+      for (int r = 0; r < n; ++r) {
+        counts[static_cast<std::size_t>(r)] = comm.rank() + r + 1;
+        for (count_t i = 0; i < counts[static_cast<std::size_t>(r)]; ++i)
+          send.push_back(static_cast<std::uint64_t>(comm.rank()) * 1000 +
+                         static_cast<std::uint64_t>(r));
+      }
+      // Blocking, then overlapped start/finish, twice each.
+      for (int round = 0; round < 2; ++round) {
+        std::vector<count_t> rcounts;
+        const auto recv = ex.exchange(comm, send, counts, &rcounts);
+        count_t expect_total = 0;
+        for (int s = 0; s < n; ++s)
+          expect_total += s + comm.rank() + 1;
+        ASSERT_EQ(static_cast<count_t>(recv.size()), expect_total);
+        ex.start(comm, send, counts);
+        (void)ex.finish<std::uint64_t>(comm);
+      }
+    });
   }
 }
 
 TEST(VerifyCleanRun, VerifierBarriersAreUnbilled) {
   SKIP_WITHOUT_VERIFIER();
-  // The verifier adds extra syncs inside finish and fence; the comm
-  // ledger must not see them — one collective per call, exactly as in
+  // The verifier adds an extra sync inside finish; the comm ledger
+  // must not see it — one collective per call, exactly as in
   // a non-verify build (bench/check_comm_baseline.py --compare-bench
   // gates the same property end-to-end in CI).
   run_world(2, [](Comm& comm) {
@@ -308,19 +217,11 @@ TEST(VerifyCleanRun, VerifierBarriersAreUnbilled) {
     std::vector<std::byte> recv;
 
     comm.barrier();
-    count_t before = comm.stats().collectives;
+    const count_t before = comm.stats().collectives;
     (void)comm.alltoallv_bytes_start(payload.data(), sizeof(int), counts, 0,
                                      "billing-probe");
     (void)comm.alltoallv_bytes_finish(recv);
     EXPECT_EQ(comm.stats().collectives, before + 1);  // start+finish = one
-
-    std::vector<int> region(4, 0);
-    before = comm.stats().collectives;
-    comm.win_expose(region.data(), region.size() * sizeof(int), nullptr, 0,
-                    "billing-probe-window");
-    comm.win_fence(0);
-    comm.win_unexpose(0);
-    EXPECT_EQ(comm.stats().collectives, before + 3);
   });
 }
 
@@ -378,34 +279,6 @@ TEST(ChannelAttribution, DoubleStartNamesBothParties) {
     }
     std::vector<std::byte> recv;
     (void)comm.alltoallv_bytes_finish(recv);
-  });
-}
-
-TEST(ChannelAttribution, WindowExhaustionNamesEveryExposer) {
-  run_world(2, [](Comm& comm) {
-    static std::vector<std::byte> region(64);
-    std::vector<std::string> labels;
-    for (int w = 0; w < kMaxWindows; ++w)
-      labels.push_back("exposer-" + std::to_string(w));
-    for (int w = 0; w < kMaxWindows; ++w)
-      comm.win_expose(region.data(), region.size(), nullptr, w,
-                      labels[static_cast<std::size_t>(w)].c_str());
-    try {
-      (void)comm.find_free_window();
-      ADD_FAILURE() << "expected window exhaustion";
-    } catch (const std::runtime_error& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("all 4 one-sided windows are exposed"),
-                std::string::npos)
-          << msg;
-      for (int w = 0; w < kMaxWindows; ++w) {
-        EXPECT_NE(msg.find("window " + std::to_string(w) + ": 'exposer-" +
-                           std::to_string(w) + "'"),
-                  std::string::npos)
-            << msg;
-      }
-    }
-    for (int w = 0; w < kMaxWindows; ++w) comm.win_unexpose(w);
   });
 }
 

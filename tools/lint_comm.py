@@ -3,7 +3,7 @@
 
 Rules, matched against comment- and string-stripped source:
 
-  A  substrate-calls  Raw substrate calls (alltoallv*, win_*) may appear
+  A  substrate-calls  Raw substrate calls (alltoall*, alltoallv*) may appear
                       only in the comm layer (src/comm/, src/mpisim/),
                       the verifier that sits under it (src/verify/), and
                       tests/. Everything else must route through
@@ -55,8 +55,7 @@ SOURCE_EXTS = (".cpp", ".hpp", ".cc", ".h")
 # Rule A: token -> allowed path prefixes (POSIX-style, repo-relative).
 SUBSTRATE_CALL = re.compile(
     r"\b(alltoallv(?:_bytes)?(?:_start|_finish)?|alltoall|"
-    r"win_(?:expose|unexpose|get|put|fence|meta|bytes|exposed)|"
-    r"find_free_(?:channel|window))\s*(?:<[^<>]*>\s*)?\("
+    r"find_free_channel)\s*(?:<[^<>]*>\s*)?\("
 )
 SUBSTRATE_ALLOWED = (
     "src/comm/",
@@ -255,16 +254,16 @@ def run_lint(root):
 SELF_TEST_CASES = [
     # (relpath, source, expected rule letters)
     ("src/core/foo.cpp", "comm.alltoallv_bytes_start(p, 8, c);\n", ["A"]),
-    ("src/core/foo.cpp", "x.win_get(0, t, 0, n, dst);\n", ["A"]),
+    ("src/core/foo.cpp", "int c = x.find_free_channel();\n", ["A"]),
     ("src/comm/foo.cpp", "comm.alltoallv_bytes_start(p, 8, c);\n", []),
-    ("src/mpisim/foo.hpp", "win_put(0, t, 0, n, src);\n", []),
-    ("src/verify/foo.cpp", "comm.win_fence(0);\n", []),
-    ("tests/test_x.cpp", "comm.win_fence(0);\n", []),
+    ("src/mpisim/foo.hpp", "alltoallv_bytes_finish(r, nullptr, c);\n", []),
+    ("src/verify/foo.cpp", "comm.alltoall(counts);\n", []),
+    ("tests/test_x.cpp", "comm.alltoallv(send, counts);\n", []),
     # Rule A fires even with a waiver.
-    ("src/core/foo.cpp", "comm.win_fence(0);  // lint-ok: nope\n", ["A"]),
+    ("src/core/foo.cpp", "comm.alltoall(c);  // lint-ok: nope\n", ["A"]),
     # Comments and strings never fire.
-    ("src/core/foo.cpp", "// calls win_get(0) and std::rand()\n", []),
-    ("src/core/foo.cpp", 'err = "win_get(0) failed: std::rand()";\n', []),
+    ("src/core/foo.cpp", "// calls alltoall(c) and std::rand()\n", []),
+    ("src/core/foo.cpp", 'err = "alltoall(c) failed: std::rand()";\n', []),
     ("src/core/foo.cpp", "/* system_clock in prose\n spanning */ int x;\n", []),
     ("src/core/foo.cpp", "int n = std::rand();\n", ["B"]),
     ("tests/test_x.cpp", "std::random_device rd;\n", ["B"]),
@@ -282,7 +281,7 @@ SELF_TEST_CASES = [
     ("src/util/parallel.cpp", "int current_slot() { return tl_slot; }\n", []),
     ("src/core/foo.cpp", "auto id = std::this_thread::get_id();\n", ["D"]),
     # A declaration is not a call: no parenthesis-following-token, no fire.
-    ("src/core/foo.cpp", "count_t win_bytes_total;\n", []),
+    ("src/core/foo.cpp", "count_t alltoall_bytes_total;\n", []),
     ("src/core/foo.cpp", 'FILE* f = std::fopen(p, "rb");\n', ["E"]),
     ("src/engine/foo.cpp", "std::ifstream in(path);\n", ["E"]),
     ("src/comm/foo.cpp", "void* m = ::mmap(nullptr, n, p, f, fd, 0);\n", ["E"]),
