@@ -101,11 +101,13 @@ KCoreResult kcore_approx(sim::Comm& comm, const graph::DistGraph& g,
                          int rounds = 20, int pipeline_depth = 0);
 
 /// Harmonic centrality (HC) of `num_sources` sampled vertices:
-/// HC(v) = sum_u 1/d(u,v). All sources run as slots of ONE
-/// MultiBfsProgram run — one sweep and one exchange per level for the
-/// whole sample, bit-identical to a per-source loop. cfg routes the
-/// shared notification exchange (chunk size). An empty
-/// graph yields empty `sources` and `centrality`.
+/// HC(v) = sum_u 1/d(u,v). All sources advance as bits of ONE
+/// bit-parallel MultiBfsProgram run — one expansion per frontier
+/// vertex, one wire record per touched ghost and one exchange per
+/// level for the whole sample, bit-identical to a per-source loop.
+/// cfg routes the shared notification exchange (chunk size). An empty
+/// graph yields empty `sources` and `centrality`; a negative
+/// `num_sources` throws std::invalid_argument on every rank.
 struct HarmonicResult {
   RunInfo info;
   std::vector<gid_t> sources;

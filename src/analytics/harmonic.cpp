@@ -1,3 +1,5 @@
+#include <stdexcept>
+
 #include "analytics/analytics.hpp"
 #include "analytics/detail.hpp"
 #include "analytics/programs.hpp"
@@ -10,6 +12,9 @@ HarmonicResult harmonic_centrality(sim::Comm& comm,
                                    const graph::DistGraph& g,
                                    int num_sources, std::uint64_t seed,
                                    const engine::Config& cfg) {
+  // Rank-uniform check ahead of any collective: every rank throws.
+  if (num_sources < 0)
+    throw std::invalid_argument("harmonic_centrality: num_sources < 0");
   HarmonicResult result;
   detail::Meter meter(comm, result.info);
 
@@ -24,12 +29,12 @@ HarmonicResult harmonic_centrality(sim::Comm& comm,
     result.sources.push_back(
         splitmix64(seed + static_cast<std::uint64_t>(i)) % g.n_global());
 
-  // One batched run: every source is a slot of the multi-source BFS,
-  // so all N traversals share each level's sweep, exchange, and
-  // termination allreduce. Slots never interact, so slot s's levels —
-  // and hence each centrality sum below, accumulated in the same lid
-  // order and reduced in the same rank order — are bit-identical to
-  // the retired per-source loop's.
+  // One bit-parallel run: every source is one bit of the multi-source
+  // BFS masks, so all N traversals share each level's adjacency visit,
+  // wire record and termination allreduce. Source s's levels — and
+  // hence each centrality sum below, accumulated in the same lid order
+  // and reduced in the same rank order — are bit-identical to the
+  // retired per-source loop's.
   MultiBfsProgram bfs;
   bfs.roots = result.sources;
   engine::run(comm, g, bfs, cfg);

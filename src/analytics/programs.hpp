@@ -362,24 +362,28 @@ struct SccTrimProgram {
 // ---------------------------------------------------------------------------
 // BFS — the frontier program behind harmonic centrality's sampled
 // sources (N roots) and SCC's masked forward/backward reachability
-// (one root): unit-distance levels, one dense slot per root, optional
-// active-subgraph mask, optional in-edge traversal. All roots advance
-// one level per superstep through a single sweep and a single
-// exchange; slot s's level plane is bit-identical to a one-root run
-// from roots[s] — slots never interact — but the whole batch costs
-// one termination allreduce per level instead of one per root.
+// (one root): unit-distance levels, optional active-subgraph mask,
+// optional in-edge traversal. Bit-parallel (MS-BFS, Then et al.,
+// PVLDB 2014): root s is bit s of every vertex's mask, and
+// graph::MaskFrontierStepper expands each frontier vertex once per
+// level for all the roots that first reached it together, so the
+// whole batch shares each adjacency visit, each wire record and the
+// one termination allreduce per level. Root s's level plane is
+// bit-identical to a one-root run from roots[s]: its bit spreads
+// along the same edges at the same levels.
 //
-// `Record` is the wire record. graph::SlotGid (the default) names its
-// slot and serves any number of roots; a bare gid_t serves exactly one
-// root (slot 0) at half the bytes per notification.
+// `Record` is the wire record. graph::MaskGid (the default) carries
+// one 64-root mask word per record and serves any number of roots; a
+// bare gid_t serves exactly one root at half the bytes per
+// notification.
 
-template <typename Record = graph::SlotGid>
+template <typename WireRecord = graph::MaskGid>
 struct MultiBfsProgram {
-  using Notify = Record;
-  using Ctx = engine::FrontierContext<MultiBfsProgram>;
-  static constexpr bool kSlotted = !std::is_same_v<Record, gid_t>;
+  using Record = WireRecord;
+  using Ctx = engine::MaskFrontierContext<MultiBfsProgram>;
+  static constexpr bool kOneRoot = std::is_same_v<Record, gid_t>;
 
-  std::vector<gid_t> roots;  ///< one per slot, slot id = index
+  std::vector<gid_t> roots;  ///< root s is mask bit s, slot s
   bool use_in_edges = false;
   const std::vector<std::uint8_t>* active = nullptr;  ///< optional mask
 
@@ -390,83 +394,60 @@ struct MultiBfsProgram {
   std::vector<count_t> ecc;        ///< per-slot global eccentricity (finish)
   lid_t stride = 0;                ///< n_total
 
-  /// Level of a masked-out vertex during the run: any value other than
-  /// kInfDist fails improves() and try_mark(), so the mask costs the
-  /// per-edge test nothing. finish() turns it back into kInfDist.
-  static constexpr count_t kMasked = -1;
-
   count_t level_of(count_t slot, lid_t l) const {
     return levels[static_cast<std::size_t>(slot) * stride + l];
-  }
-  bool try_mark(Ctx& ctx, count_t slot, lid_t u) {
-    count_t& lv = levels[static_cast<std::size_t>(slot) * stride + u];
-    if (lv != kInfDist) return false;
-    lv = ctx.superstep + 1;
-    return true;
   }
 
   void init(Ctx& ctx) {
     // Rank-uniform checks ahead of any collective: every rank throws.
-    if (!kSlotted && roots.size() > 1)
+    if (kOneRoot && roots.size() > 1)
       throw std::invalid_argument("MultiBfsProgram<gid_t>: one root only");
     for (const gid_t root : roots)
       if (root >= ctx.g.n_global())
         throw std::invalid_argument("MultiBfsProgram: root out of range");
-    ctx.num_slots = static_cast<count_t>(roots.size());
+    const auto n = static_cast<count_t>(roots.size());
+    ctx.stepper.reset(ctx.g, n);
     stride = ctx.g.n_total();
     levels.assign(roots.size() * static_cast<std::size_t>(stride), kInfDist);
-    if (active)
-      for (std::size_t base = 0; base < levels.size(); base += stride)
-        for (lid_t l = 0; l < stride; ++l)
-          if (!(*active)[l]) levels[base + l] = kMasked;
     max_level.assign(roots.size(), 0);
-    for (count_t s = 0; s < ctx.num_slots; ++s) {
+    if (active)
+      for (lid_t l = 0; l < stride; ++l)
+        if (!(*active)[l]) ctx.stepper.block(l);
+    for (count_t s = 0; s < n; ++s) {
       const gid_t root = roots[static_cast<std::size_t>(s)];
       if (ctx.g.owner_of_gid(root) != ctx.comm.rank()) continue;
       const lid_t l = ctx.g.lid_of(root);
       XTRA_ASSERT(l != kInvalidLid);
-      count_t& lv = levels[static_cast<std::size_t>(s) * stride + l];
-      if (lv == kMasked) continue;
-      lv = 0;
-      ctx.frontier.push_back({s, l});
+      if (ctx.stepper.seed(l, s))
+        levels[static_cast<std::size_t>(s) * stride + l] = 0;
     }
   }
-  std::span<const lid_t> nbrs(Ctx& ctx, count_t /*slot*/, lid_t v) const {
+  std::span<const lid_t> nbrs(Ctx& ctx, lid_t v) const {
     return use_in_edges ? ctx.g.in_arcs(v) : ctx.g.arcs(v);
   }
-  bool improves(Ctx&, count_t slot, lid_t /*v*/, lid_t u) const {
-    return level_of(slot, u) == kInfDist;
-  }
-  bool relax(Ctx& ctx, count_t slot, lid_t /*v*/, lid_t u) {
-    return try_mark(ctx, slot, u);
-  }
-  Notify make_notify(Ctx& ctx, count_t slot, lid_t l) const {
-    if constexpr (kSlotted)
-      return {slot, ctx.g.gid_of(l)};
-    else
-      return ctx.g.gid_of(l);
-  }
-  graph::SlotVertex receive(Ctx& ctx, const Notify& n) {
-    count_t slot = 0;
-    gid_t gid = 0;
-    if constexpr (kSlotted) {
-      slot = n.slot;
-      gid = n.gid;
-    } else {
-      gid = n;
-    }
-    const lid_t l = ctx.g.lid_of(gid);
-    XTRA_ASSERT(l != kInvalidLid && ctx.g.is_owned(l));
-    // Arrivals land within the level that reached them: ctx.superstep
-    // has not advanced yet, so the mark is level superstep + 1.
-    return {slot, try_mark(ctx, slot, l) ? l : kInvalidLid};
-  }
-  void post_level(Ctx& ctx) {
-    for (const graph::SlotVertex& e : ctx.next)
-      max_level[static_cast<std::size_t>(e.slot)] = ctx.superstep;
+  void reached(Ctx& ctx, std::span<const lid_t> owned,
+               std::span<const lid_t> ghosts) {
+    // Reached during the expansion of level ctx.superstep.
+    const count_t level = ctx.superstep + 1;
+    const auto& st = ctx.stepper;
+    // One task per root plane: a task writes only its own plane and
+    // max_level cell, so its stores stay inside one n_total stripe.
+    par::for_tasks(static_cast<count_t>(roots.size()), [&](count_t s) {
+      const auto w = static_cast<std::size_t>(s / 64);
+      const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+      count_t* plane = levels.data() + static_cast<std::size_t>(s) * stride;
+      bool owned_hit = false;
+      for (const lid_t l : owned)
+        if (st.gained(l)[w] & bit) {
+          plane[l] = level;
+          owned_hit = true;
+        }
+      if (owned_hit) max_level[static_cast<std::size_t>(s)] = level;
+      for (const lid_t l : ghosts)
+        if (st.gained(l)[w] & bit) plane[l] = level;
+    });
   }
   void finish(Ctx& ctx) {
-    if (active) std::replace(levels.begin(), levels.end(), kMasked, kInfDist);
     ecc = max_level;
     ctx.comm.allreduce_max(ecc);
   }

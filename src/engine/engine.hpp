@@ -8,7 +8,7 @@
 // by every kernel at once, the way RFP's uniform interface hides the
 // transport-mode choice from its callers.
 //
-// Two execution modes, dispatched on the program's shape:
+// Three execution modes, dispatched on the program's shape:
 //  * dense (typename P::Value): one published value per vertex,
 //    refreshed through HaloPlan/SuperstepPipeline — or, at
 //    cfg.coalesce_every > 0, as sparse changed-value records batched
@@ -17,8 +17,12 @@
 //    slot-keyed active sets (one slot for a single-source kernel)
 //    through graph::FrontierStepper, ghost relaxations travelling as
 //    program-defined wire records. See engine/frontier.hpp.
+//  * mask frontier (typename P::Record): bit-parallel BFS from N
+//    sources through graph::MaskFrontierStepper, one bit per source
+//    and one record per touched ghost per level. See
+//    engine/frontier.hpp.
 //
-// Both return engine::Stats — RunInfo's triple merged with the
+// All three return engine::Stats — RunInfo's triple merged with the
 // aggregated ExchangeStats ledger of every wire engine the run owned,
 // JSON-exportable. The concrete programs for the paper's six Fig-8
 // workloads plus the two engine-native ones (delta-capped SSSP,
@@ -28,6 +32,7 @@
 #pragma once
 
 #include <concepts>
+#include <span>
 
 #include "engine/config.hpp"
 #include "engine/dense.hpp"
@@ -62,6 +67,19 @@ concept FrontierVertexProgram =
       { p.receive(ctx, n) } -> std::convertible_to<graph::SlotVertex>;
     };
 
+/// Mask frontier mode: advances N BFS sources as one bit each, one
+/// expansion per frontier vertex and one P::Record per touched ghost
+/// per level; reached() records what each level reached.
+template <typename P>
+concept MaskFrontierProgram =
+    requires(P p, MaskFrontierContext<P>& ctx, lid_t v,
+             std::span<const lid_t> lids) {
+      typename P::Record;
+      p.init(ctx);
+      { p.nbrs(ctx, v) } -> std::convertible_to<std::span<const lid_t>>;
+      p.reached(ctx, lids, lids);
+    };
+
 /// Collective: execute a vertex program under cfg's transport knobs.
 /// Result state lives in the program object; returns the unified
 /// measurement.
@@ -75,6 +93,12 @@ template <FrontierVertexProgram P>
 Stats run(sim::Comm& comm, const graph::DistGraph& g, P& p,
           const Config& cfg = {}) {
   return run_frontier(comm, g, p, cfg);
+}
+
+template <MaskFrontierProgram P>
+Stats run(sim::Comm& comm, const graph::DistGraph& g, P& p,
+          const Config& cfg = {}) {
+  return run_mask_frontier(comm, g, p, cfg);
 }
 
 }  // namespace xtra::engine

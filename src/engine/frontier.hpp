@@ -1,19 +1,29 @@
-// Frontier vertex-program driver: the one level-synchronous loop
-// behind every BFS-style traversal (harmonic centrality's sampled
-// sources, SCC's masked forward/backward reachability, delta-capped
-// SSSP).
+// Frontier vertex-program drivers: the level-synchronous loops behind
+// every BFS-style traversal. Two program shapes, one per stepper in
+// graph/frontier.hpp:
 //
-// A frontier program owns a frontier of (slot, active owned vertex)
-// entries — N independent traversals, one per dense slot id, with
-// single-source programs using slot 0 only. Each superstep the engine
-// expands every slot one level through graph::FrontierStepper in a
-// single sweep and a single exchange — ghost relaxations staged and
-// shipped as the program's `Notify` records while the owned
-// relaxations run mid-flight — and the program's hooks define what
-// "relax" means. The engine::Config chunk size applies to the
-// notification exchange with no per-kernel plumbing.
+//  * slot-keyed (run_frontier; delta-capped SSSP): a frontier of
+//    (slot, active owned vertex) entries — N independent traversals,
+//    one per dense slot id, with single-source programs using slot 0
+//    only. Each superstep the engine expands every slot one level
+//    through graph::FrontierStepper in a single sweep and a single
+//    exchange — ghost relaxations staged and shipped as the program's
+//    `Notify` records while the owned relaxations run mid-flight —
+//    and the program's hooks define what "relax" means.
+//  * mask-keyed (run_mask_frontier; analytics::MultiBfsProgram, behind
+//    harmonic centrality's sampled sources and SCC's masked
+//    reachability): unit-distance BFS from N sources advanced
+//    bit-parallel by graph::MaskFrontierStepper — one bit per source,
+//    one expansion per frontier vertex and one `Record` per touched
+//    ghost per level for the whole batch. The program only seeds the
+//    stepper, names the neighbors to follow and records what each
+//    level reached.
 //
-// Program shape (see analytics/programs.hpp for the concrete two):
+// The engine::Config chunk size applies to the notification exchange
+// with no per-kernel plumbing.
+//
+// Slot-keyed program shape (see DeltaSsspProgram in
+// analytics/programs.hpp):
 //
 //   struct P {
 //     using Notify = ...;   // trivially copyable wire record; a
@@ -33,14 +43,27 @@
 //     void finish(Ctx&);             // optional epilogue
 //   };
 //
-// The loop terminates when every slot's frontier is empty on every
-// rank (one allreduce per level for the whole batch, not per slot) or
+// Mask-keyed program shape (see MultiBfsProgram):
+//
+//   struct P {
+//     using Record = ...;   // graph::MaskGid, or gid_t for one source
+//     void init(Ctx&);      // ctx.stepper.reset / block / seed
+//     std::span<const lid_t> nbrs(Ctx&, lid_t v);
+//     void reached(Ctx&,     // per level: the vertices it reached;
+//                  std::span<const lid_t> owned,  // ctx.stepper.gained
+//                  std::span<const lid_t> ghosts);  //   names sources
+//     void finish(Ctx&);             // optional epilogue
+//   };
+//
+// Both loops terminate when the frontier is empty on every rank (one
+// allreduce per level for the whole batch, not per slot or source) or
 // at cfg.max_supersteps. During a level's hooks ctx.superstep is the
 // level being expanded (root = level 0); it increments before
 // post_level, so post_level sees the number of completed levels.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -107,6 +130,57 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
     ++ctx.superstep;
     if constexpr (requires { p.post_level(ctx); }) p.post_level(ctx);
     std::swap(ctx.frontier, ctx.next);
+  }
+
+  if constexpr (requires { p.finish(ctx); }) p.finish(ctx);
+
+  stats.supersteps = ctx.superstep;
+  merge(stats.exchange, stepper.exchanger().stats());
+  stats.seconds = timer.seconds();
+  stats.comm_bytes = comm.stats().bytes_sent - start_bytes;
+  return stats;
+}
+
+/// Everything a mask-keyed frontier program's hooks see: the stepper
+/// holding the masks (init() resets and seeds it) and the level being
+/// expanded (root = level 0).
+template <typename P>
+struct MaskFrontierContext {
+  sim::Comm& comm;
+  const graph::DistGraph& g;
+  const Config& cfg;
+  graph::MaskFrontierStepper<typename P::Record>& stepper;
+  count_t superstep = 0;  ///< levels completed; current level in hooks
+};
+
+/// Collective: execute a mask-keyed frontier program until the
+/// frontier empties on every rank (or the superstep cap) under cfg's
+/// transport knobs. Each source's reach is bit-identical to a
+/// one-source run; results live in the program object.
+template <typename P>
+Stats run_mask_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
+                        const Config& cfg) {
+  Stats stats;
+  // Ambient thread width for the stepper's parallel expansion scan.
+  par::ThreadScope threads(cfg.num_threads);
+  stats.num_threads = par::num_threads();
+  const count_t start_bytes = comm.stats().bytes_sent;
+  Timer timer;
+
+  graph::MaskFrontierStepper<typename P::Record> stepper(
+      cfg.max_exchange_bytes);
+  MaskFrontierContext<P> ctx{comm, g, cfg, stepper};
+  p.init(ctx);
+
+  const count_t limit = detail::superstep_limit(cfg);
+  while (ctx.superstep < limit &&
+         comm.allreduce_or(!stepper.frontier_empty())) {
+    stepper.step(
+        comm, g, [&](lid_t v) { return p.nbrs(ctx, v); },
+        [&](std::span<const lid_t> owned, std::span<const lid_t> ghosts) {
+          p.reached(ctx, owned, ghosts);
+        });
+    ++ctx.superstep;
   }
 
   if constexpr (requires { p.finish(ctx); }) p.finish(ctx);

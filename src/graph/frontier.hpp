@@ -1,13 +1,18 @@
-// The one overlapped frontier-expansion step behind every
-// level-synchronous traversal (graph::bfs_levels, the engine's
-// frontier programs — BFS, SCC's masked reachability, delta-capped
-// SSSP, harmonic centrality's sampled sources — and the serve
-// scheduler's packed query supersteps).
+// The two level-synchronous frontier steps behind every BFS-style
+// traversal.
 //
-// A step advances N independent traversals, one per dense slot id in
-// [0, num_slots), by one level in a single adjacency sweep and a
-// single exchange. Single-source kernels are the one-slot case. Slots
-// never interact — the dedup mask and every hook are keyed on
+// FrontierStepper, slot-keyed, serves graph::bfs_levels, the engine's
+// delta-capped SSSP and the serve scheduler's packed query
+// supersteps. MaskFrontierStepper, mask-keyed, serves the engine's
+// BFS program: harmonic centrality's sampled sources and SCC's masked
+// reachability. Both scan the frontier on the rank's pool and replay
+// it serially in chunk order, and both overlap the owned expansion
+// with the notification exchange; see each class for its keying.
+//
+// FrontierStepper advances N independent traversals, one per dense
+// slot id in [0, num_slots), by one level in a single adjacency sweep
+// and a single exchange. Single-source kernels are the one-slot case.
+// Slots never interact — the dedup mask and every hook are keyed on
 // (slot, vertex) — so slot s's marks, next-frontier order, and wire
 // records are exactly what a one-slot run from that source produces.
 // Batching only amortizes: one exchange and one termination
@@ -41,7 +46,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "comm/dest_buckets.hpp"
@@ -60,8 +68,8 @@ struct SlotVertex {
   lid_t v;
 };
 
-/// Wire record of the slot-keyed gid traversals (multi-source BFS, the
-/// serve scheduler): 16 bytes, the slot first.
+/// Wire record of the serve scheduler's slot-keyed gid traversals:
+/// 16 bytes, the slot first.
 struct SlotGid {
   count_t slot;
   gid_t gid;
@@ -234,6 +242,244 @@ class FrontierStepper {
   std::vector<std::vector<Cand>> scan_owned_;
   std::vector<std::vector<Cand>> scan_ghost_;
   std::vector<count_t> scan_edges_;
+};
+
+/// Wire record of the bit-parallel BFS (MaskFrontierStepper): 16
+/// bytes. `key` is gid * words + word, so a one-word traversal ships
+/// {gid, mask}; `mask` holds the sources of that 64-source word that
+/// first reached the vertex this level.
+struct MaskGid {
+  gid_t key;
+  std::uint64_t mask;
+};
+
+/// Bit-parallel multi-source BFS level step (MS-BFS: Then et al., "The
+/// More the Merrier", PVLDB 8(4), 2014). Source s is bit s % 64 of
+/// mask word s / 64; every vertex holds a `seen` mask (the sources
+/// that reached it) and every frontier vertex a frontier mask (the
+/// sources that first reached it last level). A level expands each
+/// frontier vertex once, for all its sources together: neighbour u
+/// gains `frontier[v] & ~seen[u]`. A bit spreads along exactly the
+/// edges, and at exactly the levels, of a one-source BFS from its
+/// source, so every source's reach is bit-identical to its own
+/// traversal while the adjacency visit, the wire record and the level
+/// collectives are shared by the whole batch.
+///
+/// `Record` is the wire record: MaskGid for any number of sources, or
+/// a bare gid_t for at most one source (the mask is implied), which
+/// ships exactly what FrontierStepper<gid_t> ships for a one-slot BFS.
+///
+/// Per step the scan runs on the rank's pool (read-only candidate
+/// collection) and the mask merge replays it serially in chunk order,
+/// the FrontierStepper split: touched ghosts, the next frontier and
+/// the wire records come out in the order of one serial scan at any
+/// thread count. Ghost gains ship one record per touched ghost and
+/// non-zero word; owned gains are merged while the records travel.
+template <typename Record>
+class MaskFrontierStepper {
+  static constexpr bool kMaskRecord = std::is_same_v<Record, MaskGid>;
+  static_assert(kMaskRecord || std::is_same_v<Record, gid_t>,
+                "MaskFrontierStepper ships MaskGid or bare gid_t records");
+
+ public:
+  explicit MaskFrontierStepper(count_t max_send_bytes = 0)
+      : ex_(max_send_bytes) {
+    ex_.set_label("graph::MaskFrontierStepper");
+  }
+
+  /// Starts a traversal of `sources` sources over g: nothing seen and
+  /// an empty frontier. Throws std::length_error, on every rank alike,
+  /// when a MaskGid key (gid * words + word) could overflow.
+  void reset(const DistGraph& g, count_t sources) {
+    XTRA_ASSERT(sources >= 0 && (kMaskRecord || sources <= 1));
+    words_ = static_cast<std::size_t>((sources + 63) / 64);
+    if (words_ > 0 &&
+        g.n_global() > std::numeric_limits<gid_t>::max() / words_)
+      throw std::length_error("MaskFrontierStepper: record key overflow");
+    const std::size_t cells = static_cast<std::size_t>(g.n_total()) * words_;
+    seen_.assign(cells, 0);
+    cur_.assign(cells, 0);
+    gain_.assign(cells, 0);
+    frontier_.clear();
+  }
+
+  /// Keeps vertex l out of every traversal: never reached, never
+  /// expanded, never notified.
+  void block(lid_t l) {
+    std::fill_n(seen_.begin() + static_cast<std::ptrdiff_t>(cell(l)),
+                words_, ~std::uint64_t{0});
+  }
+
+  /// Seeds source s at owned vertex l (level 0). Returns false, and
+  /// seeds nothing, when l is blocked.
+  bool seed(lid_t l, count_t s) {
+    const std::size_t c = cell(l) + static_cast<std::size_t>(s / 64);
+    const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+    if (seen_[c] & bit) return false;
+    if (empty(cur_, l)) frontier_.push_back(l);
+    seen_[c] |= bit;
+    cur_[c] |= bit;
+    return true;
+  }
+
+  std::size_t words() const { return words_; }
+  bool frontier_empty() const { return frontier_.empty(); }
+
+  /// The words() mask words of the sources that first reached l this
+  /// level; meaningful inside step()'s reached hook.
+  std::span<const std::uint64_t> gained(lid_t l) const {
+    return {gain_.data() + cell(l), words_};
+  }
+
+  /// One level. Hooks:
+  ///  * nbrs(v) — neighbor span (lids) to follow out of frontier
+  ///    vertex v
+  ///  * reached(owned, ghosts) — once per level, after the arrivals:
+  ///    the owned vertices whose seen mask grew (the next frontier)
+  ///    and the ghosts whose seen mask grew (the notified ones), each
+  ///    in step order; gained(l) names the sources that first reached
+  ///    l.
+  template <typename Nbrs, typename Reached>
+  void step(sim::Comm& comm, const DistGraph& g, Nbrs&& nbrs,
+            Reached&& reached) {
+    next_.clear();
+    touched_.clear();
+    cand_.clear();
+
+    // Phase A (parallel, read-only): each frontier chunk collects the
+    // edges that can grow their head's seen mask at scan start.
+    const count_t nf = static_cast<count_t>(frontier_.size());
+    const count_t nchunks = par::chunk_count(nf);
+    if (static_cast<count_t>(scan_owned_.size()) < nchunks) {
+      scan_owned_.resize(static_cast<std::size_t>(nchunks));
+      scan_ghost_.resize(static_cast<std::size_t>(nchunks));
+    }
+    par::for_chunks(nf, [&](count_t c, count_t lo, count_t hi) {
+      auto& owned = scan_owned_[static_cast<std::size_t>(c)];
+      auto& ghost = scan_ghost_[static_cast<std::size_t>(c)];
+      owned.clear();
+      ghost.clear();
+      for (count_t i = lo; i < hi; ++i) {
+        const lid_t v = frontier_[static_cast<std::size_t>(i)];
+        for (const lid_t u : nbrs(v))
+          if (can_grow(v, u))
+            (g.is_owned(u) ? owned : ghost).push_back({v, u});
+      }
+    });
+    // Phase B (serial, chunk order): merge the ghost candidates, so
+    // the touched list is in first-gain order of one serial scan; a
+    // candidate whose bits were taken earlier in the replay merges to
+    // nothing. Owned candidates concatenate for the mid-flight merge.
+    for (count_t c = 0; c < nchunks; ++c) {
+      for (const Cand& cd : scan_ghost_[static_cast<std::size_t>(c)])
+        if (merge(cd.u, cur_.data() + cell(cd.v))) touched_.push_back(cd.u);
+      const auto& owned = scan_owned_[static_cast<std::size_t>(c)];
+      cand_.insert(cand_.end(), owned.begin(), owned.end());
+    }
+    buckets_.begin(comm.size());
+    for (const lid_t l : touched_)
+      for (std::size_t w = 0; w < words_; ++w)
+        if (gain_[cell(l) + w] != 0) buckets_.count(g.owner_of(l));
+    buckets_.commit();
+    for (const lid_t l : touched_)
+      for (std::size_t w = 0; w < words_; ++w)
+        if (const std::uint64_t bits = gain_[cell(l) + w]; bits != 0) {
+          if constexpr (kMaskRecord)
+            buckets_.push(g.owner_of(l),
+                          MaskGid{g.gid_of(l) * words_ + w, bits});
+          else
+            buckets_.push(g.owner_of(l), g.gid_of(l));
+        }
+    ex_.start_inplace(comm, buckets_);
+
+    // Mid-flight: merge the owned candidates while the records travel.
+    for (const Cand& cd : cand_)
+      if (merge(cd.u, cur_.data() + cell(cd.v))) next_.push_back(cd.u);
+    for (const Record& r : ex_.finish<Record>(comm)) {
+      gid_t gid = 0;
+      std::size_t w = 0;
+      std::uint64_t bits = 1;
+      if constexpr (kMaskRecord) {
+        gid = r.key / words_;
+        w = static_cast<std::size_t>(r.key % words_);
+        bits = r.mask;
+      } else {
+        gid = r;
+      }
+      const lid_t l = g.lid_of(gid);
+      XTRA_ASSERT(l != kInvalidLid && g.is_owned(l));
+      if (merge_word(l, w, bits)) next_.push_back(l);
+    }
+
+    reached(std::span<const lid_t>(next_), std::span<const lid_t>(touched_));
+
+    // Retire the level: the old frontier's masks and the ghost gains
+    // clear, and the owned gains become the next frontier's masks.
+    for (const lid_t v : frontier_) clear(cur_, v);
+    for (const lid_t l : touched_) clear(gain_, l);
+    std::swap(cur_, gain_);
+    std::swap(frontier_, next_);
+  }
+
+  /// The wire engine, for stats readout.
+  comm::Exchanger& exchanger() { return ex_; }
+  const comm::Exchanger& exchanger() const { return ex_; }
+
+ private:
+  struct Cand {
+    lid_t v;  ///< frontier vertex
+    lid_t u;  ///< neighbor it can grow
+  };
+
+  std::size_t cell(lid_t l) const {
+    return static_cast<std::size_t>(l) * words_;
+  }
+  bool empty(const std::vector<std::uint64_t>& m, lid_t l) const {
+    for (std::size_t w = 0; w < words_; ++w)
+      if (m[cell(l) + w] != 0) return false;
+    return true;
+  }
+  void clear(std::vector<std::uint64_t>& m, lid_t l) {
+    std::fill_n(m.begin() + static_cast<std::ptrdiff_t>(cell(l)), words_, 0);
+  }
+  /// Read-only: does frontier vertex v carry a source u has not seen?
+  bool can_grow(lid_t v, lid_t u) const {
+    for (std::size_t w = 0; w < words_; ++w)
+      if (cur_[cell(v) + w] & ~seen_[cell(u) + w]) return true;
+    return false;
+  }
+  /// Adds `bits` of word w to u's seen mask and this level's gain;
+  /// true when u gained its first bits of the level.
+  bool merge_word(lid_t u, std::size_t w, std::uint64_t bits) {
+    const std::size_t c = cell(u) + w;
+    const std::uint64_t fresh = bits & ~seen_[c];
+    if (fresh == 0) return false;
+    const bool first = empty(gain_, u);
+    seen_[c] |= fresh;
+    gain_[c] |= fresh;
+    return first;
+  }
+  /// merge_word over every word of a frontier mask.
+  bool merge(lid_t u, const std::uint64_t* mask) {
+    bool first = false;
+    for (std::size_t w = 0; w < words_; ++w)
+      if (mask[w] != 0 && merge_word(u, w, mask[w])) first = true;
+    return first;
+  }
+
+  comm::Exchanger ex_;
+  comm::DestBuckets<Record> buckets_;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> seen_;  ///< sources that reached l
+  std::vector<std::uint64_t> cur_;   ///< frontier masks (owned)
+  std::vector<std::uint64_t> gain_;  ///< this level's first reaches
+  std::vector<lid_t> frontier_;      ///< owned lids with a cur_ mask
+  std::vector<lid_t> next_;          ///< owned lids with a gain_ mask
+  std::vector<lid_t> touched_;       ///< ghost lids with a gain_ mask
+  std::vector<Cand> cand_;           ///< owned candidate edges
+  /// Per-chunk phase-A scratch (persistent across levels).
+  std::vector<std::vector<Cand>> scan_owned_;
+  std::vector<std::vector<Cand>> scan_ghost_;
 };
 
 }  // namespace xtra::graph

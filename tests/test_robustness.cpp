@@ -164,8 +164,9 @@ TEST(DegenerateAnalytics, EmptyGraphHarmonic) {
 
 // Frontier programs check their parameters in init(), ahead of any
 // collective, so every rank throws alike and the world stays in
-// lockstep: delta or max_weight below 1 would divide by zero, and a
-// root past n_global() names no vertex.
+// lockstep: delta or max_weight below 1 would divide by zero, a root
+// past n_global() names no vertex, and a negative harmonic source
+// count sizes no sample.
 TEST(DegenerateAnalytics, FrontierProgramsRejectBadParameters) {
   const EdgeList el = gen::erdos_renyi(200, 4, 3);
   for (const int nranks : {1, 2}) {
@@ -185,6 +186,10 @@ TEST(DegenerateAnalytics, FrontierProgramsRejectBadParameters) {
       analytics::MultiBfsProgram<gid_t> one_root;
       one_root.roots = {1, 2};
       EXPECT_THROW(engine::run(comm, g, one_root), std::invalid_argument);
+      // A negative source count is rejected before the sample is
+      // drawn.
+      EXPECT_THROW(analytics::harmonic_centrality(comm, g, -1, 1),
+                   std::invalid_argument);
       // The rejected runs issued no collective: the next run agrees.
       EXPECT_GT(analytics::sssp(comm, g, 0).reached, 1);
     });
