@@ -1,6 +1,8 @@
 #include "graph/dist_graph.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "comm/dest_buckets.hpp"
@@ -18,26 +20,13 @@ struct Arc {
   gid_t dst;
 };
 
-/// Bucket arcs by owner(src) and exchange them so that every arc lands
-/// on the rank owning its source.
-std::vector<Arc> exchange_arcs(sim::Comm& comm, comm::Exchanger& ex,
-                               const VertexDist& dist,
-                               const std::vector<Arc>& arcs) {
-  comm::DestBuckets<Arc> buckets;
-  buckets.build(
-      comm.size(), arcs, [&dist](const Arc& a) { return dist.owner(a.src); },
-      [](const Arc& a) { return a; });
-  const std::span<const Arc> recv = ex.exchange(comm, buckets);
-  return {recv.begin(), recv.end()};
-}
-
-/// CSR over owned vertices from arcs whose src is owned here. Ghost
-/// discovery happens via `intern`, which maps a gid to a lid (creating
-/// ghost lids on first sight).
+/// CSR over owned vertices from arcs whose src is owned here, read
+/// straight from the build exchange's receive span. Ghost discovery
+/// happens via `intern`, which maps a gid to a lid (creating ghost
+/// lids on first sight).
 template <typename InternFn>
-void build_csr(const std::vector<Arc>& arcs, lid_t n_local,
-               InternFn&& intern, std::vector<count_t>& offsets,
-               std::vector<lid_t>& adj) {
+void build_csr(std::span<const Arc> arcs, lid_t n_local, InternFn&& intern,
+               std::vector<count_t>& offsets, std::vector<lid_t>& adj) {
   std::vector<count_t> deg(n_local, 0);
   for (const Arc& a : arcs) {
     const lid_t s = intern(a.src);
@@ -53,6 +42,36 @@ void build_csr(const std::vector<Arc>& arcs, lid_t n_local,
   }
 }
 
+/// Move the arcs `emit(edge, sink)` yields for each edge of the rank's
+/// slice to the ranks owning their sources, and build that CSR from
+/// the arrivals. The arcs are bucketed straight from the slice (a
+/// count pass, then a fill pass in the same order) and the buckets are
+/// freed as soon as the exchange returns, so one arc payload and its
+/// send buckets are the most this holds at once. Self-loops carry no
+/// partitioning signal and are skipped.
+template <typename EmitFn, typename InternFn>
+void exchange_into_csr(sim::Comm& comm, const VertexDist& dist,
+                       std::span<const Edge> slice, EmitFn&& emit,
+                       lid_t n_local, InternFn&& intern,
+                       std::vector<count_t>& offsets,
+                       std::vector<lid_t>& adj) {
+  comm::Exchanger ex;
+  std::span<const Arc> recv;
+  {
+    comm::DestBuckets<Arc> buckets;
+    buckets.begin(comm.size());
+    for (const Edge& e : slice)
+      if (e.u != e.v)
+        emit(e, [&](const Arc& a) { buckets.count(dist.owner(a.src)); });
+    buckets.commit();
+    for (const Edge& e : slice)
+      if (e.u != e.v)
+        emit(e, [&](const Arc& a) { buckets.push(dist.owner(a.src), a); });
+    recv = ex.exchange(comm, buckets);
+  }
+  build_csr(recv, n_local, intern, offsets, adj);
+}
+
 }  // namespace
 
 count_t DistGraph::local_degree_sum() const {
@@ -64,67 +83,63 @@ count_t DistGraph::local_degree_sum() const {
 DistGraph build_dist_graph(sim::Comm& comm, const EdgeList& el,
                            const VertexDist& dist) {
   XTRA_ASSERT(dist.nranks() == comm.size());
+  // Every rank holds the same list and map, so this throws on all ranks
+  // alike, before any collective.
+  if (dist.n_global() < el.n)
+    throw std::invalid_argument(
+        "build_dist_graph: the vertex distribution covers " +
+        std::to_string(dist.n_global()) + " vertices but the edge list has " +
+        std::to_string(el.n));
   const int rank = comm.rank();
   DistGraph g(dist, rank);
   g.directed_ = el.directed;
 
-  // 1. Each rank ingests a contiguous slice of the global edge array,
-  //    mimicking a parallel loader; the exchange below moves every arc
-  //    to the rank owning its source vertex.
-  const std::size_t m_in = el.edges.size();
-  const std::size_t p = static_cast<std::size_t>(comm.size());
-  const std::size_t lo = m_in * static_cast<std::size_t>(rank) / p;
-  const std::size_t hi = m_in * (static_cast<std::size_t>(rank) + 1) / p;
-
-  std::vector<Arc> out_arcs;
-  out_arcs.reserve((hi - lo) * (el.directed ? 1 : 2));
-  std::vector<Arc> in_arcs;  // directed graphs only
-  if (el.directed) in_arcs.reserve(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const Edge& e = el.edges[i];
-    if (e.u == e.v) continue;  // self-loops carry no partitioning signal
-    XTRA_ASSERT(e.u < el.n && e.v < el.n);
-    if (el.directed) {
-      out_arcs.push_back({e.u, e.v});
-      in_arcs.push_back({e.v, e.u});
-    } else {
-      out_arcs.push_back({e.u, e.v});
-      out_arcs.push_back({e.v, e.u});
-    }
-  }
-
-  comm::Exchanger ex;  // one wire engine for the whole build
-  std::vector<Arc> my_out = exchange_arcs(comm, ex, dist, out_arcs);
-  std::vector<Arc> my_in;
-  if (el.directed) my_in = exchange_arcs(comm, ex, dist, in_arcs);
-  out_arcs.clear();
-  out_arcs.shrink_to_fit();
-  in_arcs.clear();
-  in_arcs.shrink_to_fit();
-
-  // 2. Enumerate owned vertices in gid order -> lids [0, n_local).
-  for (gid_t v = 0; v < dist.n_global(); ++v) {
-    if (dist.owner(v) == rank) {
-      g.gid_to_lid_.insert(v, static_cast<lid_t>(g.lid_to_gid_.size()));
-      g.lid_to_gid_.push_back(v);
-    }
-  }
-  g.n_local_ = static_cast<lid_t>(g.lid_to_gid_.size());
-
-  // 3. Build CSRs, interning ghosts on first sight.
-  auto intern = [&g](gid_t gid) -> lid_t {
-    lid_t l = g.gid_to_lid_.find(gid);
-    if (l != kInvalidLid) return l;
-    l = static_cast<lid_t>(g.lid_to_gid_.size());
+  // 1. Enumerate owned vertices in gid order -> lids [0, n_local); the
+  //    CSR builds below intern ghosts after them on first sight. This
+  //    is the only place lids are minted.
+  auto mint = [&g](gid_t gid) -> lid_t {
+    XTRA_ASSERT_MSG(g.lid_to_gid_.size() < kInvalidLid,
+                    "a rank's owned plus ghost vertices exceed the 32-bit "
+                    "lid limit of 2^32 - 1");
+    const auto l = static_cast<lid_t>(g.lid_to_gid_.size());
     g.gid_to_lid_.insert(gid, l);
     g.lid_to_gid_.push_back(gid);
     return l;
   };
-  build_csr(my_out, g.n_local_, intern, g.offsets_, g.adj_);
-  if (el.directed) build_csr(my_in, g.n_local_, intern, g.in_offsets_, g.in_adj_);
+  for (gid_t v = 0; v < dist.n_global(); ++v)
+    if (dist.owner(v) == rank) mint(v);
+  g.n_local_ = static_cast<lid_t>(g.lid_to_gid_.size());
+  auto intern = [&g, &mint](gid_t gid) -> lid_t {
+    const lid_t l = g.gid_to_lid_.find(gid);
+    return l != kInvalidLid ? l : mint(gid);
+  };
+
+  // 2. Each rank ingests a contiguous slice of the global edge array,
+  //    mimicking a parallel loader; every arc moves to the rank owning
+  //    its source vertex. Undirected edges give (u,v) then (v,u) to the
+  //    out-CSR; directed edges give (u,v) to it and (v,u) to the
+  //    in-CSR, which is exchanged only after the out-CSR is built.
+  const std::size_t m_in = el.edges.size();
+  const std::size_t p = static_cast<std::size_t>(comm.size());
+  const std::size_t lo = m_in * static_cast<std::size_t>(rank) / p;
+  const std::size_t hi = m_in * (static_cast<std::size_t>(rank) + 1) / p;
+  const std::span<const Edge> slice(el.edges.data() + lo, hi - lo);
+  exchange_into_csr(
+      comm, dist, slice,
+      [&el](const Edge& e, auto&& sink) {
+        XTRA_ASSERT(e.u < el.n && e.v < el.n);
+        sink(Arc{e.u, e.v});
+        if (!el.directed) sink(Arc{e.v, e.u});
+      },
+      g.n_local_, intern, g.offsets_, g.adj_);
+  if (el.directed)
+    exchange_into_csr(
+        comm, dist, slice,
+        [](const Edge& e, auto&& sink) { sink(Arc{e.v, e.u}); }, g.n_local_,
+        intern, g.in_offsets_, g.in_adj_);
   g.n_ghost_ = static_cast<lid_t>(g.lid_to_gid_.size()) - g.n_local_;
 
-  // 4. Owner of every ghost, then each owned vertex's toSend ranks
+  // 3. Owner of every ghost, then each owned vertex's toSend ranks
   //    (distinct remote owners of its out-neighbors, deduplicated by a
   //    per-vertex stamp). The list has at most min(arcs, n_local *
   //    (nranks - 1)) entries; reserving that bound avoids regrowth.
@@ -147,12 +162,12 @@ DistGraph build_dist_graph(sim::Comm& comm, const EdgeList& el,
     g.send_offsets_[v + 1] = static_cast<count_t>(g.send_ranks_.size());
   }
 
-  // 5. Global edge/arc count.
+  // 4. Global edge/arc count.
   const count_t local_arcs = static_cast<count_t>(g.adj_.size());
   count_t total_arcs = comm.allreduce_sum(local_arcs);
   g.m_global_ = el.directed ? total_arcs : total_arcs / 2;
 
-  // 6. Degrees: owned vertices know theirs locally; ghost degrees are
+  // 5. Degrees: owned vertices know theirs locally; ghost degrees are
   //    fetched from their owners (one query + one response exchange).
   //    The vertex-balance phase needs degree(u) for ghost u.
   g.degree_.assign(g.n_total(), 0);
@@ -161,6 +176,7 @@ DistGraph build_dist_graph(sim::Comm& comm, const EdgeList& el,
     if (el.directed) g.degree_[v] += g.in_offsets_[v + 1] - g.in_offsets_[v];
   }
 
+  comm::Exchanger ex;
   // Ghost gids grouped by owner, remembering each query's ghost lid so
   // responses (which come back in identical order) can be scattered.
   comm::DestBuckets<gid_t> queries;

@@ -15,6 +15,15 @@
 // For directed graphs an additional in-edge CSR is kept; the ghost set
 // covers both directions. Undirected graphs are stored symmetrically
 // (each edge appears in both endpoints' adjacency).
+//
+// Id widths: gids are 64-bit, lids 32-bit (a rank holds at most
+// 2^32 - 1 owned plus ghost vertices; the build asserts it), and CSR
+// offsets and degrees are count_t. The adjacency therefore costs 4 B
+// per arc plus 8 B per owned vertex. The build's transient memory is
+// one 16 B arc payload on the wire plus its 16 B send buckets, 32 B per
+// arc at most: arcs are bucketed straight from the rank's edge slice,
+// the buckets are freed when the exchange returns, and each CSR is
+// built from the receive buffer in place (DESIGN.md §10).
 #pragma once
 
 #include <span>

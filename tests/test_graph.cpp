@@ -2,10 +2,16 @@
 // ghosts, degrees, BFS, stats, and file I/O.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <string_view>
+#include <tuple>
 
+#include "gen/generators.hpp"
 #include "graph/bfs.hpp"
 #include "graph/dist.hpp"
 #include "graph/dist_graph.hpp"
@@ -272,6 +278,148 @@ TEST(DistGraphEdge, EmptyGraphNoEdges) {
     EXPECT_EQ(g.m_global(), 0);
     EXPECT_EQ(g.n_ghost(), 0u);
   });
+}
+
+// A map over fewer vertices than the edge list names would send arcs
+// to no owner (or read past an explicit owner table). Every rank sees
+// the same list and map, so every rank throws before any collective.
+TEST(DistGraphEdge, UndersizedDistThrows) {
+  const EdgeList el = path_graph(100);
+  const std::vector<VertexDist> maps{
+      VertexDist::explicit_map(
+          50, 2, std::make_shared<const std::vector<int>>(50, 1)),
+      VertexDist::random(50, 2), VertexDist::block(50, 2)};
+  for (const VertexDist& dist : maps) {
+    EXPECT_THROW(sim::run_world(2,
+                                [&](sim::Comm& comm) {
+                                  (void)build_dist_graph(comm, el, dist);
+                                }),
+                 std::invalid_argument);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Layout golden table: the per-rank lid order, CSR offsets, arc order,
+// degrees and toSend ranks. Partition labels depend on arc and ghost
+// order (argmax ties follow first-touched parts), so this pins the
+// build's layout independently of the lid width.
+
+struct LayoutKey {
+  std::string_view gen;
+  int ranks;
+  VertexDist::Kind kind;
+  bool directed;
+  bool operator<(const LayoutKey& rhs) const {
+    return std::tie(gen, ranks, kind, directed) <
+           std::tie(rhs.gen, rhs.ranks, rhs.kind, rhs.directed);
+  }
+};
+
+struct LayoutHash {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+/// Hash of one rank's layout: every lid's gid, the offsets, every
+/// arc's and in-arc's gid, the degrees and the toSend ranks.
+std::uint64_t layout_hash(const DistGraph& g) {
+  LayoutHash h;
+  h.add(g.n_local());
+  h.add(g.n_ghost());
+  for (lid_t l = 0; l < g.n_total(); ++l) h.add(g.gid_of(l));
+  for (lid_t v = 0; v <= g.n_local(); ++v)
+    h.add(static_cast<std::uint64_t>(g.arc_begin(v)));
+  for (lid_t v = 0; v < g.n_local(); ++v) {
+    h.add(static_cast<std::uint64_t>(g.in_degree(v)));
+    for (const lid_t u : g.arcs(v)) h.add(g.gid_of(u));
+    for (const lid_t u : g.in_arcs(v)) h.add(g.gid_of(u));
+  }
+  for (lid_t l = 0; l < g.n_total(); ++l)
+    h.add(static_cast<std::uint64_t>(g.degree(l)));
+  for (lid_t v = 0; v < g.n_local(); ++v) {
+    h.add(g.send_ranks(v).size());
+    for (const int r : g.send_ranks(v)) h.add(static_cast<std::uint64_t>(r));
+  }
+  return h.h;
+}
+
+/// Deterministic edge list with self-loops and duplicate edges.
+EdgeList loops_and_duplicates(bool directed) {
+  EdgeList el;
+  el.n = 300;
+  el.directed = directed;
+  std::uint64_t s = 7;
+  for (int i = 0; i < 2400; ++i) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    const gid_t u = (s >> 33) % el.n;
+    const gid_t v = i % 9 == 0 ? u : (s >> 17) % el.n;
+    el.edges.push_back({u, v});
+    if (i % 7 == 0) el.edges.push_back({u, v});
+  }
+  return el;
+}
+
+EdgeList layout_graph(std::string_view gen, bool directed) {
+  if (gen == "rander") return gen::erdos_renyi(3000, 8, 31);
+  if (gen == "rmat") return gen::rmat(11, 8, 31);
+  if (gen == "webcrawl") return gen::webcrawl(3000, 8, 31);
+  return loops_and_duplicates(directed);
+}
+
+VertexDist layout_dist(VertexDist::Kind kind, gid_t n, int ranks) {
+  switch (kind) {
+    case VertexDist::Kind::kBlock:
+      return VertexDist::block(n, ranks);
+    case VertexDist::Kind::kRandom:
+      return VertexDist::random(n, ranks, 31);
+    case VertexDist::Kind::kExplicit:
+      break;
+  }
+  // A redistribution-shaped map: runs of vertices hop between ranks.
+  auto owners = std::make_shared<std::vector<int>>(n);
+  for (gid_t v = 0; v < n; ++v)
+    (*owners)[v] = static_cast<int>((v / 13 + v % 5) % ranks);
+  return VertexDist::explicit_map(n, ranks, std::move(owners));
+}
+
+using namespace std::literals::string_view_literals;
+constexpr auto kBlock = VertexDist::Kind::kBlock;
+constexpr auto kRandom = VertexDist::Kind::kRandom;
+constexpr auto kExplicit = VertexDist::Kind::kExplicit;
+const std::map<LayoutKey, std::uint64_t> kLayoutGolden{
+    {{"loops"sv, 3, kRandom, false}, 7015003640491943727ull},
+    {{"loops"sv, 4, kExplicit, false}, 10655614733117784931ull},
+    {{"loops"sv, 2, kBlock, true}, 12890065020998146149ull},
+    {{"rander"sv, 3, kBlock, false}, 5713660130473441777ull},
+    {{"rander"sv, 4, kRandom, false}, 5379121497306808548ull},
+    {{"rmat"sv, 1, kBlock, false}, 11158754457974684613ull},
+    {{"rmat"sv, 4, kRandom, false}, 577289335552135301ull},
+    {{"webcrawl"sv, 3, kRandom, true}, 3638522112085590691ull},
+    {{"webcrawl"sv, 4, kBlock, true}, 17797369141894686528ull},
+    {{"webcrawl"sv, 4, kExplicit, true}, 10117982234818741689ull},
+};
+
+TEST(DistGraphGolden, LayoutMatchesGoldenTable) {
+  for (const auto& [key, want] : kLayoutGolden) {
+    const EdgeList el = layout_graph(key.gen, key.directed);
+    ASSERT_EQ(el.directed, key.directed) << key.gen;
+    const VertexDist dist = layout_dist(key.kind, el.n, key.ranks);
+    const std::vector<std::uint64_t> per_rank =
+        sim::run_world_collect<std::uint64_t>(
+            key.ranks, [&](sim::Comm& comm) {
+              return layout_hash(build_dist_graph(comm, el, dist));
+            });
+    LayoutHash h;
+    for (const std::uint64_t r : per_rank) h.add(r);
+    EXPECT_EQ(h.h, want) << key.gen << " ranks=" << key.ranks
+                         << " kind=" << static_cast<int>(key.kind)
+                         << " directed=" << key.directed;
+  }
 }
 
 // ---------------------------------------------------------------------------
