@@ -183,9 +183,7 @@ EdgeList webcrawl(gid_t n, count_t avg_degree, std::uint64_t seed,
     }
   }
   // Keep duplicates out but preserve direction.
-  std::sort(el.edges.begin(), el.edges.end());
-  el.edges.erase(std::unique(el.edges.begin(), el.edges.end()),
-                 el.edges.end());
+  graph::canonicalize(el);
   return el;
 }
 

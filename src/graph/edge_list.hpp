@@ -27,10 +27,15 @@ struct EdgeList {
 };
 
 /// Remove self loops and duplicate edges (treating {u,v} == {v,u} for
-/// undirected lists). Sorts the edge vector as a side effect.
+/// undirected lists, which come out with u < v), leaving the edges
+/// sorted by (u, v). Every id must lie in [0, el.n): otherwise throws
+/// std::invalid_argument before the list is touched. Buckets by source
+/// in O(m + n + sum d log d) time when n <= 2^32 and n <= 2m, and falls
+/// back to a comparison sort otherwise (DESIGN.md §11).
 void canonicalize(EdgeList& el);
 
-/// Return the undirected version of a directed edge list (dedups).
+/// Return the undirected, canonicalized version of an edge list. Same
+/// [0, el.n) contract as canonicalize.
 EdgeList symmetrized(const EdgeList& el);
 
 }  // namespace xtra::graph

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
+#include <string_view>
 
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "graph/bfs.hpp"
 #include "graph/dist_graph.hpp"
 #include "mpisim/comm.hpp"
+#include "util/parallel.hpp"
 
 namespace xtra::gen {
 namespace {
@@ -205,6 +208,112 @@ TEST(Suite, ScaleChangesSize) {
   const auto small = make_suite_graph("lj", 0.02);
   const auto large = make_suite_graph("lj", 0.1);
   EXPECT_LT(small.n, large.n);
+}
+
+
+// ---------------------------------------------------------------------------
+// Generator golden table: (generator, params, seed) -> FNV-1a of
+// (n, directed, edges) and the edge count. Recorded from the
+// comparison-sort canonicalization; any change to a generator's draws,
+// to graph::canonicalize or to graph::symmetrized that moves one edge
+// fails here.
+
+struct GenGoldenRow {
+  std::string_view gen;  ///< generator and its parameters
+  std::uint64_t seed;    ///< 0 for the seedless meshes
+  std::uint64_t hash;
+  count_t edges;
+};
+
+graph::EdgeList golden_graph(std::string_view gen, std::uint64_t seed) {
+  if (gen == "rmat(11,8)") return rmat(11, 8, seed);
+  if (gen == "erdos_renyi(3000,8)") return erdos_renyi(3000, 8, seed);
+  if (gen == "rand_hd(3000,8)") return rand_hd(3000, 8, seed);
+  if (gen == "watts_strogatz(2000,8,0.1)")
+    return watts_strogatz(2000, 8, 0.1, seed);
+  if (gen == "community_graph(2000,12,0.55,2.3)")
+    return community_graph(2000, 12, 0.55, 2.3, seed);
+  if (gen == "webcrawl(3000,12)") return webcrawl(3000, 12, seed);
+  if (gen == "symmetrized(webcrawl(3000,12))")
+    return graph::symmetrized(webcrawl(3000, 12, seed));
+  if (gen == "mesh2d(40,50)") return mesh2d(40, 50);
+  if (gen == "mesh2d(33,61)") return mesh2d(33, 61);
+  if (gen == "mesh3d(12,13,14)") return mesh3d(12, 13, 14);
+  if (gen == "mesh3d(9,17,5)") return mesh3d(9, 17, 5);
+  if (gen == "make_suite_graph(uk-2002,0.1)")
+    return make_suite_graph("uk-2002", 0.1, seed);
+  ADD_FAILURE() << "no golden generator " << gen;
+  return {};
+}
+
+std::uint64_t edge_list_hash(const graph::EdgeList& el) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto add = [&h](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  add(el.n);
+  add(el.directed ? 1 : 0);
+  for (const graph::Edge& e : el.edges) {
+    add(e.u);
+    add(e.v);
+  }
+  return h;
+}
+
+const GenGoldenRow kGenGolden[] = {
+    {"rmat(11,8)", 1, 2001838039072046805ull, 6900},
+    {"rmat(11,8)", 2, 7067016011926685097ull, 6947},
+    {"erdos_renyi(3000,8)", 1, 6940372386605805733ull, 11981},
+    {"erdos_renyi(3000,8)", 2, 12734737444489687593ull, 11985},
+    {"rand_hd(3000,8)", 1, 17048418028162458651ull, 9342},
+    {"rand_hd(3000,8)", 2, 6093663556300577104ull, 9284},
+    {"watts_strogatz(2000,8,0.1)", 1, 344497273718243065ull, 7992},
+    {"watts_strogatz(2000,8,0.1)", 2, 2356109251772515452ull, 8000},
+    {"community_graph(2000,12,0.55,2.3)", 1, 3992480220702420714ull, 10574},
+    {"community_graph(2000,12,0.55,2.3)", 2, 7873686659687637404ull, 11785},
+    {"webcrawl(3000,12)", 1, 12357886152256072322ull, 24074},
+    {"webcrawl(3000,12)", 2, 16517853008701567544ull, 25536},
+    {"symmetrized(webcrawl(3000,12))", 1, 5154452115004389638ull, 23600},
+    {"symmetrized(webcrawl(3000,12))", 2, 473926371441764975ull, 25002},
+    {"mesh2d(40,50)", 0, 10462034596931295299ull, 3910},
+    {"mesh2d(33,61)", 0, 16650882665584381847ull, 3932},
+    {"mesh3d(12,13,14)", 0, 13829112849960343904ull, 6046},
+    {"mesh3d(9,17,5)", 0, 8630123196487492935ull, 2012},
+    {"make_suite_graph(uk-2002,0.1)", 1, 17685383243292748127ull, 16480},
+    {"make_suite_graph(uk-2002,0.1)", 2, 7687164393365009489ull, 19205},
+};
+
+TEST(GenGolden, EdgeListsMatchGoldenTable) {
+  for (const GenGoldenRow& row : kGenGolden) {
+    const graph::EdgeList el = golden_graph(row.gen, row.seed);
+    EXPECT_EQ(edge_list_hash(el), row.hash) << row.gen << " seed=" << row.seed;
+    EXPECT_EQ(el.edge_count(), row.edges) << row.gen << " seed=" << row.seed;
+  }
+}
+
+// chunk_gen.hpp promises that a chunked generator's edge list does not
+// depend on the pool width.
+TEST(ChunkGen, EdgeListsIndependentOfThreadCount) {
+  const auto draw = [](int threads) {
+    par::ThreadScope scope(threads);
+    return std::vector<graph::EdgeList>{
+        rmat(12, 8, 3), erdos_renyi(5000, 8, 3), rand_hd(5000, 8, 3),
+        watts_strogatz(5000, 8, 0.1, 3)};
+  };
+  const std::vector<graph::EdgeList> one = draw(1);
+  for (const int threads : {3, 4}) {
+    const std::vector<graph::EdgeList> wide = draw(threads);
+    ASSERT_EQ(wide.size(), one.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(wide[i].n, one[i].n) << "generator " << i;
+      EXPECT_EQ(wide[i].directed, one[i].directed) << "generator " << i;
+      EXPECT_EQ(wide[i].edges, one[i].edges)
+          << "generator " << i << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 // ghosts, degrees, BFS, stats, and file I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <tuple>
 
@@ -118,6 +120,113 @@ TEST(EdgeList, SymmetrizedMergesDirections) {
   const EdgeList u = symmetrized(el);
   EXPECT_FALSE(u.directed);
   EXPECT_EQ(u.edges, (std::vector<Edge>{{0, 1}, {1, 2}}));
+}
+
+TEST(EdgeList, OutOfRangeIdsThrowBeforeAnyWrite) {
+  for (const bool directed : {false, true}) {
+    EdgeList el;
+    el.n = 4;
+    el.directed = directed;
+    el.edges = {{3, 1}, {1, 3}, {2, 2}, {0, 4}, {1, 0}};
+    const std::vector<Edge> before = el.edges;
+    EXPECT_THROW(canonicalize(el), std::invalid_argument) << directed;
+    EXPECT_EQ(el.edges, before) << directed;
+    EXPECT_THROW((void)symmetrized(el), std::invalid_argument) << directed;
+    el.edges = {{4, 0}};
+    EXPECT_THROW(canonicalize(el), std::invalid_argument) << directed;
+    EXPECT_THROW((void)symmetrized(el), std::invalid_argument) << directed;
+  }
+}
+
+/// The comparison-sort canonicalization that graph::canonicalize and
+/// graph::symmetrized must reproduce byte for byte.
+std::vector<Edge> sort_unique_reference(std::vector<Edge> e, bool directed) {
+  if (!directed)
+    for (Edge& x : e)
+      if (x.u > x.v) std::swap(x.u, x.v);
+  std::erase_if(e, [](const Edge& x) { return x.u == x.v; });
+  std::sort(e.begin(), e.end());
+  e.erase(std::unique(e.begin(), e.end()), e.end());
+  return e;
+}
+
+/// `m` random edges over [0, n) with loops and repeats in both
+/// orientations; ids n - 1 appear whenever n > 1.
+EdgeList random_messy_list(gid_t n, std::size_t m, bool directed,
+                           std::uint64_t seed) {
+  EdgeList el;
+  el.n = n;
+  el.directed = directed;
+  std::uint64_t s = seed;
+  auto next = [&s, n] {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return (s >> 17) % n;
+  };
+  for (std::size_t i = 0; i < m; ++i) {
+    const gid_t u = i % 11 == 0 ? n - 1 : next();
+    const gid_t v = i % 13 == 0 ? u : next();
+    el.edges.push_back({u, v});
+    if (i % 5 == 0) el.edges.push_back({v, u});
+    if (i % 7 == 0) el.edges.push_back({u, v});
+  }
+  return el;
+}
+
+void expect_matches_reference(const EdgeList& el, const std::string& what) {
+  EdgeList c = el;
+  canonicalize(c);
+  EXPECT_EQ(c.n, el.n) << what;
+  EXPECT_EQ(c.directed, el.directed) << what;
+  EXPECT_EQ(c.edges, sort_unique_reference(el.edges, el.directed)) << what;
+  const EdgeList s = symmetrized(el);
+  EXPECT_EQ(s.n, el.n) << what;
+  EXPECT_FALSE(s.directed) << what;
+  EXPECT_EQ(s.edges, sort_unique_reference(el.edges, false)) << what;
+}
+
+TEST(EdgeList, CanonicalizeMatchesSortUniqueReference) {
+  for (const bool directed : {false, true}) {
+    const std::string dir = directed ? " directed" : " undirected";
+    for (const gid_t n : {gid_t{2}, gid_t{17}, gid_t{300}, gid_t{5000}}) {
+      for (const std::size_t m : {std::size_t{1}, std::size_t{40},
+                                  std::size_t{3000}}) {
+        for (const std::uint64_t seed : {1, 2}) {
+          expect_matches_reference(
+              random_messy_list(n, m, directed, seed),
+              "n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                  " seed=" + std::to_string(seed) + dir);
+        }
+      }
+    }
+    EdgeList empty;
+    empty.n = 10;
+    empty.directed = directed;
+    expect_matches_reference(empty, "empty" + dir);
+    EdgeList one = empty;
+    one.edges = {{9, 3}};
+    expect_matches_reference(one, "one edge" + dir);
+    one.edges = {{9, 9}};
+    expect_matches_reference(one, "one loop" + dir);
+    // One hub whose bucket holds every edge, with repeats.
+    EdgeList star = empty;
+    star.n = 2000;
+    for (gid_t v = 0; v < 4000; ++v)
+      star.edges.push_back({1999, (v * 7919) % 2000});
+    expect_matches_reference(star, "star at n-1" + dir);
+  }
+}
+
+TEST(EdgeList, CanonicalizeSparseIdRange) {
+  // 2^40 ids and 5 edges take the comparison-sort fallback. Anything
+  // sized by n here (8 TB per 64-bit word) would fail to allocate.
+  for (const bool directed : {false, true}) {
+    EdgeList el;
+    el.n = gid_t{1} << 40;
+    el.directed = directed;
+    const gid_t top = el.n - 1;
+    el.edges = {{top, 5}, {5, top}, {7, 7}, {gid_t{1} << 35, 0}, {top, 5}};
+    expect_matches_reference(el, directed ? "sparse directed" : "sparse");
+  }
 }
 
 // ---------------------------------------------------------------------------
