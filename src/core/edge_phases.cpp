@@ -64,6 +64,11 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
         double best_score = 0.0;
         for (const part_t i : d.counts.touched()) {
           if (i == x) continue;
+          const double score =
+              d.counts.get(i) *
+              (r_e * d.weight_e[static_cast<std::size_t>(i)] +
+               r_c * d.weight_c[static_cast<std::size_t>(i)]);
+          if (score <= best_score) continue;  // cheap test first
           // The vertex cap is a pure constraint here -> strict gate
           // (overshoot would ratchet the cap up permanently); edges are
           // the objective being balanced -> the paper's optimistic
@@ -74,14 +79,8 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
           if (d.est_e(i) + static_cast<double>(dv) >
               static_cast<double>(max_e))
             continue;
-          const double score =
-              d.counts.get(i) *
-              (r_e * d.weight_e[static_cast<std::size_t>(i)] +
-               r_c * d.weight_c[static_cast<std::size_t>(i)]);
-          if (score > best_score) {
-            best_score = score;
-            best = i;
-          }
+          best_score = score;
+          best = i;
         }
         if (best != x && best_score > 0.0) {
           --d.change_v[static_cast<std::size_t>(x)];

@@ -1,5 +1,7 @@
 #include "core/exchange.hpp"
 
+#include <span>
+
 #include "util/assert.hpp"
 
 namespace xtra::core {
@@ -26,10 +28,14 @@ void UpdateExchanger::start(sim::Comm& comm, const graph::DistGraph& g,
   }
   buckets_.commit();
 
-  // Pass 2: fill the send buffer at prefix-summed offsets.
+  // Pass 2: fill the send buffer at prefix-summed offsets, each record
+  // addressed to the receiver's ghost lid of v.
   for (const lid_t v : queue) {
-    const PartUpdate rec{g.gid_of(v), parts[v]};
-    for (const int task : g.send_ranks(v)) buckets_.push(task, rec);
+    const part_t part = parts[v];
+    const std::span<const int> ranks = g.send_ranks(v);
+    const std::span<const lid_t> slots = g.send_slots(v);
+    for (std::size_t k = 0; k < ranks.size(); ++k)
+      buckets_.push(ranks[k], PartUpdate{slots[k], part});
   }
 
   // buckets_ is not touched again until the next start()'s begin(),
@@ -41,13 +47,14 @@ void UpdateExchanger::finish(sim::Comm& comm, const graph::DistGraph& g,
                              std::vector<part_t>& parts) {
   const std::span<const PartUpdate> recv = ex_.finish<PartUpdate>(comm);
 
-  // Apply to ghosts. A received gid must be a ghost here: the sender
-  // saw one of our owned vertices in its neighborhood, so we see theirs.
+  // Apply to ghosts. The slot is the lid we gave the sender's vertex at
+  // build time, so it must be a ghost lid here.
+  const lid_t lo = g.n_local();
+  const lid_t hi = g.n_total();
   for (const PartUpdate& rec : recv) {
-    const lid_t l = g.lid_of(rec.gid);
-    XTRA_ASSERT_MSG(l != kInvalidLid && !g.is_owned(l),
-                    "part update for a vertex that is not a local ghost");
-    parts[l] = rec.part;
+    XTRA_ASSERT_MSG(rec.slot >= lo && rec.slot < hi,
+                    "part update for a slot that is not a local ghost");
+    parts[rec.slot] = rec.part;
   }
 }
 

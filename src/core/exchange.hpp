@@ -2,15 +2,17 @@
 // communication pattern.
 //
 // Each rank queues owned vertices whose part label changed this
-// superstep. For every queued vertex we send (gid, new_part) to each
+// superstep. For every queued vertex we send (slot, new_part) to each
 // *distinct* rank owning one of its neighbors — the paper's toSend set,
 // which depends only on the graph, so graph::build_dist_graph
-// precomputes it per vertex (DistGraph::send_ranks) — then apply the
-// incoming records to our ghost labels. The two passes over the queue
-// around prefix-summed offsets mirror Algorithm 3 exactly — they live
-// in comm::DestBuckets; the wire trip (optionally phased under a
-// max_send_bytes budget, per the paper's memory-bounded multi-phase
-// communication) lives in comm::Exchanger.
+// precomputes it per vertex (DistGraph::send_ranks), together with the
+// lid each of those ranks gave the vertex's ghost (DistGraph::send_slots)
+// — then store the incoming records straight into our ghost labels, with
+// no gid lookup. The two passes over the queue around prefix-summed
+// offsets mirror Algorithm 3 exactly — they live in comm::DestBuckets;
+// the wire trip (optionally phased under a max_send_bytes budget, per
+// the paper's memory-bounded multi-phase communication) lives in
+// comm::Exchanger.
 #pragma once
 
 #include <vector>
@@ -24,9 +26,10 @@
 
 namespace xtra::core {
 
-/// One part-assignment update on the wire.
+/// One part-assignment update on the wire: the receiver's ghost lid of
+/// the moved vertex and its new part, 8 B.
 struct PartUpdate {
-  gid_t gid;
+  lid_t slot;
   part_t part;
 };
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/exchange.hpp"
@@ -22,51 +23,74 @@
 namespace xtra::core {
 
 /// Scratch for the per-vertex neighbor-part counting loop: per part a
-/// (possibly degree-weighted) count plus the plain arc count, and the
-/// list of touched parts in first-touch order, reset in O(touched).
+/// degree-weighted count plus the plain arc count, and the list of
+/// touched parts in first-touch order, reset in O(touched). A count()
+/// without `by_degree` keeps only the arc counts, and get() reads them.
 /// Zero-weight adds are ignored: the phases' weights (1 or a
 /// neighbor's degree, >= 1 for any neighbor) are always positive.
 class NeighborCounts {
  public:
   explicit NeighborCounts(part_t nparts = 0)
-      : slots_(static_cast<std::size_t>(nparts)) {}
+      : slots_(static_cast<std::size_t>(nparts)),
+        touched_(static_cast<std::size_t>(nparts)) {}
 
   part_t nparts() const { return static_cast<part_t>(slots_.size()); }
 
   void add(part_t p, double w) {
     if (w == 0.0) return;
     Slot& s = slots_[static_cast<std::size_t>(p)];
-    if (s.units == 0) touched_.push_back(p);
+    if (s.units++ == 0) touched_[n_touched_++] = p;
     s.weight += w;
-    ++s.units;
   }
 
+  /// The count of part p: its weight, or its arc count after an
+  /// unweighted count().
   double get(part_t p) const {
-    return slots_[static_cast<std::size_t>(p)].weight;
+    const Slot& s = slots_[static_cast<std::size_t>(p)];
+    return weighted_ ? s.weight : static_cast<double>(s.units);
   }
   /// Number of arcs into part p (unweighted).
   count_t units(part_t p) const {
     return slots_[static_cast<std::size_t>(p)].units;
   }
-  const std::vector<part_t>& touched() const { return touched_; }
+  std::span<const part_t> touched() const {
+    return {touched_.data(), n_touched_};
+  }
 
   /// Reset, then count owned vertex v's neighbor labels live: each arc
   /// adds the neighbor's degree when `by_degree` (Alg 4's weighting),
-  /// 1 otherwise.
+  /// 1 otherwise. The hot loop of every sweep, so it runs on raw
+  /// pointers with the touched list's length in a local.
   void count(const graph::DistGraph& g, const std::vector<part_t>& parts,
              lid_t v, bool by_degree) {
     reset();
+    weighted_ = by_degree;
+    const part_t* const label = parts.data();
+    Slot* const slots = slots_.data();
+    part_t* const touched = touched_.data();
+    std::size_t n = 0;
     if (by_degree) {
-      for (const lid_t u : g.arcs(v))
-        add(parts[u], static_cast<double>(g.degree(u)));
+      for (const lid_t u : g.arcs(v)) {
+        const part_t p = label[u];
+        Slot& s = slots[p];
+        if (s.units++ == 0) touched[n++] = p;
+        s.weight += static_cast<double>(g.degree(u));
+      }
     } else {
-      for (const lid_t u : g.arcs(v)) add(parts[u], 1.0);
+      for (const lid_t u : g.arcs(v)) {
+        const part_t p = label[u];
+        if (slots[p].units++ == 0) touched[n++] = p;
+      }
     }
+    n_touched_ = n;
   }
 
+  /// Clear every count; add() then accumulates weights.
   void reset() {
-    for (const part_t p : touched_) slots_[static_cast<std::size_t>(p)] = {};
-    touched_.clear();
+    for (std::size_t k = 0; k < n_touched_; ++k)
+      slots_[static_cast<std::size_t>(touched_[k])] = {};
+    n_touched_ = 0;
+    weighted_ = true;
   }
 
  private:
@@ -75,7 +99,9 @@ class NeighborCounts {
     count_t units = 0;
   };
   std::vector<Slot> slots_;
-  std::vector<part_t> touched_;
+  std::vector<part_t> touched_;  ///< first n_touched_ entries are live
+  std::size_t n_touched_ = 0;
+  bool weighted_ = true;
 };
 
 /// Most concurrent movers ("deciders") that splitting ranks into

@@ -45,14 +45,15 @@ void vert_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
         part_t best = x;
         double best_score = 0.0;
         for (const part_t i : d.counts.touched()) {
-          // Parts already at the cap take no further vertices.
-          if (d.est_v(i) + 1.0 > static_cast<double>(max_v)) continue;
+          // Score first: the size gate has no side effects, so gating
+          // only a would-be best part picks the same part.
           const double score =
               d.counts.get(i) * d.weight_v[static_cast<std::size_t>(i)];
-          if (score > best_score) {
-            best_score = score;
-            best = i;
-          }
+          if (score <= best_score) continue;
+          // Parts already at the cap take no further vertices.
+          if (d.est_v(i) + 1.0 > static_cast<double>(max_v)) continue;
+          best_score = score;
+          best = i;
         }
         if (best != x && best_score > 0.0) {
           --d.change_v[static_cast<std::size_t>(x)];
@@ -130,16 +131,16 @@ void vert_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
         double best_score = d.counts.get(x);
         for (const part_t i : d.counts.touched()) {
           if (i == x) continue;
+          const double score = d.counts.get(i);
+          if (score <= best_score) continue;  // cheap test first
           // Strict gate: the size cap is a constraint here, not the
           // objective being balanced, so assume worst-case concurrent
           // growth (overshoot would ratchet the cap up permanently).
           if (d.est_v_strict(i) + static_cast<double>(d.deciders) >
               static_cast<double>(max_v))
             continue;
-          if (d.counts.get(i) > best_score) {
-            best_score = d.counts.get(i);
-            best = i;
-          }
+          best_score = score;
+          best = i;
         }
         if (best != x) {
           --d.change_v[static_cast<std::size_t>(x)];

@@ -20,6 +20,14 @@ struct Arc {
   gid_t dst;
 };
 
+/// A ghost's degree query to its owner. It also names the lid the
+/// asking rank gave the ghost, which becomes the owner's send slot.
+struct GhostQuery {
+  gid_t gid;
+  lid_t lid;
+  int rank;
+};
+
 /// CSR over owned vertices from arcs whose src is owned here, read
 /// straight from the build exchange's receive span. Ghost discovery
 /// happens via `intern`, which maps a gid to a lid (creating ghost
@@ -169,36 +177,45 @@ DistGraph build_dist_graph(sim::Comm& comm, const EdgeList& el,
 
   // 5. Degrees: owned vertices know theirs locally; ghost degrees are
   //    fetched from their owners (one query + one response exchange).
-  //    The vertex-balance phase needs degree(u) for ghost u.
+  //    The vertex-balance phase needs degree(u) for ghost u. Each query
+  //    also carries the asker's ghost lid, which the owner files as the
+  //    send slot of that (vertex, rank) toSend entry. Every toSend
+  //    entry gets one: a neighbor on rank r makes the vertex a ghost
+  //    there (in the in-CSR when directed).
   g.degree_.assign(g.n_total(), 0);
   for (lid_t v = 0; v < g.n_local_; ++v) {
     g.degree_[v] = g.out_degree(v);
     if (el.directed) g.degree_[v] += g.in_offsets_[v + 1] - g.in_offsets_[v];
   }
+  g.send_slots_.assign(g.send_ranks_.size(), kInvalidLid);
 
   comm::Exchanger ex;
-  // Ghost gids grouped by owner, remembering each query's ghost lid so
-  // responses (which come back in identical order) can be scattered.
-  comm::DestBuckets<gid_t> queries;
+  // Ghost queries grouped by owner; responses come back in identical
+  // order, so each is scattered to its query's ghost lid.
+  comm::DestBuckets<GhostQuery> queries;
   queries.begin(comm.size());
   for (const int owner : ghost_owner) queries.count(owner);
   queries.commit();
-  std::vector<lid_t> query_lid(g.n_ghost_);
-  for (lid_t v = g.n_local_; v < g.n_total(); ++v) {
-    const count_t slot =
-        queries.push(ghost_owner[v - g.n_local_], g.lid_to_gid_[v]);
-    query_lid[static_cast<std::size_t>(slot)] = v;
-  }
+  for (lid_t v = g.n_local_; v < g.n_total(); ++v)
+    queries.push(ghost_owner[v - g.n_local_],
+                 GhostQuery{g.lid_to_gid_[v], v, rank});
   const std::span<const count_t> responses = comm::query_reply(
-      comm, ex, queries.records(), queries.counts(), [&g](const gid_t q) {
-        const lid_t l = g.gid_to_lid_.find(q);
+      comm, ex, queries.records(), queries.counts(),
+      [&g](const GhostQuery& q) {
+        const lid_t l = g.gid_to_lid_.find(q.gid);
         XTRA_ASSERT_MSG(l != kInvalidLid && l < g.n_local_,
                         "degree query for vertex not owned here");
+        for (count_t k = g.send_offsets_[l]; k < g.send_offsets_[l + 1]; ++k)
+          if (g.send_ranks_[static_cast<std::size_t>(k)] == q.rank)
+            g.send_slots_[static_cast<std::size_t>(k)] = q.lid;
         return g.degree_[l];
       });
-  XTRA_ASSERT(responses.size() == query_lid.size());
+  XTRA_ASSERT(responses.size() == queries.records().size());
   for (std::size_t i = 0; i < responses.size(); ++i)
-    g.degree_[query_lid[i]] = responses[i];
+    g.degree_[queries.records()[i].lid] = responses[i];
+  XTRA_ASSERT_MSG(std::find(g.send_slots_.begin(), g.send_slots_.end(),
+                            kInvalidLid) == g.send_slots_.end(),
+                  "a toSend rank never asked for its ghost's degree");
 
   return g;
 }

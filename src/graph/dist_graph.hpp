@@ -10,7 +10,10 @@
 //   * the *global* degree of every owned and ghost vertex (ghost
 //     degrees are fetched from their owners at build time; the vertex
 //     balance phase weights neighbor counts by degree(u), so ghosts'
-//     degrees must be known locally).
+//     degrees must be known locally);
+//   * per owned vertex, Algorithm 3's toSend ranks and the ghost lid
+//     each of them gave the vertex (its send slots), learned on the
+//     same degree query.
 //
 // For directed graphs an additional in-edge CSR is kept; the ghost set
 // covers both directions. Undirected graphs are stored symmetrically
@@ -102,6 +105,16 @@ class DistGraph {
                                      send_offsets_[l])};
   }
 
+  /// Parallel to send_ranks(l): entry k is the lid that rank
+  /// send_ranks(l)[k] gave this vertex's ghost, so an update record can
+  /// name its target by slot instead of by gid.
+  std::span<const lid_t> send_slots(lid_t l) const {
+    XTRA_DEBUG_ASSERT(l < n_local_);
+    return {send_slots_.data() + send_offsets_[l],
+            static_cast<std::size_t>(send_offsets_[l + 1] -
+                                     send_offsets_[l])};
+  }
+
   count_t in_degree(lid_t l) const {
     if (!directed_) return out_degree(l);
     return in_offsets_[l + 1] - in_offsets_[l];
@@ -139,6 +152,7 @@ class DistGraph {
 
   std::vector<count_t> send_offsets_;  // n_local + 1
   std::vector<int> send_ranks_;
+  std::vector<lid_t> send_slots_;  // parallel to send_ranks_
 };
 
 /// Build the distributed graph collectively. Every rank passes the same

@@ -604,11 +604,31 @@ TEST(BoundedExchange, UpdateExchangerSplitMatchesRun) {
   }
 }
 
+/// Every rank's gid -> lid table, allgathered: entry [r][gid] is the
+/// lid rank r gave gid, kInvalidLid where r does not hold it. Derived
+/// from each rank's lid_to_gid() alone, independently of the build's
+/// send slots. Collective.
+std::vector<std::vector<lid_t>> allgather_lid_tables(
+    sim::Comm& comm, const graph::DistGraph& g) {
+  const std::vector<gid_t> all = comm.allgatherv(g.lid_to_gid());
+  const std::vector<count_t> sizes = comm.allgatherv(
+      std::vector<count_t>{static_cast<count_t>(g.n_total())});
+  std::vector<std::vector<lid_t>> tables(
+      sizes.size(), std::vector<lid_t>(g.n_global(), kInvalidLid));
+  std::size_t at = 0;
+  for (std::size_t r = 0; r < sizes.size(); ++r)
+    for (count_t l = 0; l < sizes[r]; ++l)
+      tables[r][all[at++]] = static_cast<lid_t>(l);
+  return tables;
+}
+
 /// Algorithm 3's send side as a per-arc walk: hash the owner of every
 /// arc of every queued vertex and admit one record per (queue slot,
 /// remote rank) through a stamp mask — what UpdateExchanger did before
-/// the toSend ranks were precomputed (DistGraph::send_ranks).
+/// the toSend ranks were precomputed (DistGraph::send_ranks). Each
+/// record's slot is looked up in the receiver's allgathered table.
 void per_arc_send_buffer(const graph::DistGraph& g, int me, int nranks,
+                         const std::vector<std::vector<lid_t>>& lid_tables,
                          const std::vector<part_t>& parts,
                          const std::vector<lid_t>& queue,
                          DestBuckets<core::PartUpdate>& out) {
@@ -622,7 +642,10 @@ void per_arc_send_buffer(const graph::DistGraph& g, int me, int nranks,
         if (task == me || stamp[static_cast<std::size_t>(task)] == qi)
           continue;
         stamp[static_cast<std::size_t>(task)] = qi;
-        emit(task, core::PartUpdate{g.gid_of(v), parts[v]});
+        emit(task,
+             core::PartUpdate{
+                 lid_tables[static_cast<std::size_t>(task)][g.gid_of(v)],
+                 parts[v]});
       }
     }
   };
@@ -650,6 +673,8 @@ TEST(UpdateExchangerSendRanks, SendBufferMatchesPerArcOwnerWalk) {
       for (const count_t bound : {count_t(0), count_t(64)}) {
         sim::run_world(nranks, [&](sim::Comm& comm) {
           const auto g = graph::build_dist_graph(comm, el, dist);
+          const std::vector<std::vector<lid_t>> lid_tables =
+              allgather_lid_tables(comm, g);
           core::UpdateExchanger ex(bound);
           Exchanger ref_ex(bound);
           std::vector<part_t> parts(g.n_total(), 0);
@@ -665,18 +690,21 @@ TEST(UpdateExchangerSendRanks, SendBufferMatchesPerArcOwnerWalk) {
                   static_cast<part_t>((g.gid_of(v) + it) % 6);
             ex.run(comm, g, parts, queue);
 
-            per_arc_send_buffer(g, comm.rank(), nranks, ref_parts, queue,
-                                ref);
+            per_arc_send_buffer(g, comm.rank(), nranks, lid_tables,
+                                ref_parts, queue, ref);
             ref_ex.start_inplace(comm, ref);
             for (const core::PartUpdate& rec :
-                 ref_ex.finish<core::PartUpdate>(comm))
-              ref_parts[g.lid_of(rec.gid)] = rec.part;
+                 ref_ex.finish<core::PartUpdate>(comm)) {
+              ASSERT_NE(rec.slot, kInvalidLid);
+              ASSERT_FALSE(g.is_owned(rec.slot));
+              ref_parts[rec.slot] = rec.part;
+            }
 
             const auto& sent = ex.send_buffer();
             ASSERT_EQ(sent.counts(), ref.counts());
             ASSERT_EQ(sent.records().size(), ref.records().size());
             for (std::size_t i = 0; i < ref.records().size(); ++i) {
-              ASSERT_EQ(sent.records()[i].gid, ref.records()[i].gid);
+              ASSERT_EQ(sent.records()[i].slot, ref.records()[i].slot);
               ASSERT_EQ(sent.records()[i].part, ref.records()[i].part);
             }
             ASSERT_EQ(parts, ref_parts);

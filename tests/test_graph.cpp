@@ -531,6 +531,54 @@ TEST(DistGraphGolden, LayoutMatchesGoldenTable) {
   }
 }
 
+// Every toSend entry's slot is the receiving rank's ghost lid of the
+// vertex, checked against gid -> lid tables rebuilt from each rank's
+// lid_to_gid() rather than from the build's own bookkeeping. The slots
+// stay out of layout_hash, so DistGraphGolden pins the layout as before.
+TEST(DistGraph, SendSlotsNameTheReceiversGhost) {
+  const std::pair<std::string_view, bool> graphs[] = {
+      {"rander"sv, false}, {"webcrawl"sv, true},
+      {"loops"sv, false}, {"loops"sv, true}};
+  for (const auto& [gen, directed] : graphs) {
+    const EdgeList el = layout_graph(gen, directed);
+    for (const int ranks : {1, 2, 3, 4, 8}) {
+      for (const auto kind : {kRandom, kBlock, kExplicit}) {
+        const VertexDist dist = layout_dist(kind, el.n, ranks);
+        sim::run_world(ranks, [&](sim::Comm& comm) {
+          const DistGraph g = build_dist_graph(comm, el, dist);
+          const std::vector<gid_t> all = comm.allgatherv(g.lid_to_gid());
+          const std::vector<lid_t> n_local =
+              comm.allgatherv(std::vector<lid_t>{g.n_local()});
+          const std::vector<lid_t> n_total =
+              comm.allgatherv(std::vector<lid_t>{g.n_total()});
+          // lid_of[r][gid]: the lid rank r gave gid, if any.
+          std::vector<std::vector<lid_t>> lid_of(
+              static_cast<std::size_t>(ranks),
+              std::vector<lid_t>(el.n, kInvalidLid));
+          std::size_t at = 0;
+          for (std::size_t r = 0; r < lid_of.size(); ++r)
+            for (lid_t l = 0; l < n_total[r]; ++l) lid_of[r][all[at++]] = l;
+          for (lid_t v = 0; v < g.n_local(); ++v) {
+            const auto send_ranks = g.send_ranks(v);
+            const auto send_slots = g.send_slots(v);
+            ASSERT_EQ(send_slots.size(), send_ranks.size());
+            for (std::size_t k = 0; k < send_ranks.size(); ++k) {
+              const auto r = static_cast<std::size_t>(send_ranks[k]);
+              const lid_t slot = send_slots[k];
+              ASSERT_NE(slot, kInvalidLid)
+                  << gen << " ranks=" << ranks << " gid=" << g.gid_of(v);
+              EXPECT_EQ(lid_of[r][g.gid_of(v)], slot)
+                  << gen << " ranks=" << ranks << " gid=" << g.gid_of(v);
+              EXPECT_GE(slot, n_local[r]) << "slot is an owned lid there";
+              EXPECT_LT(slot, n_total[r]);
+            }
+          }
+        });
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BFS and stats
 
