@@ -13,9 +13,8 @@
 // All eight workloads (the paper's six plus the engine-native SSSP
 // and triangle count) run through the unified vertex-program engine:
 // one engine::Config built from core::Params carries every transport
-// knob (chunk size, pipeline depth, coalescing cadence, intra-rank
-// threads) into every kernel — XTRA_PIPELINE_DEPTH /
-// XTRA_COALESCE_EVERY / XTRA_THREADS select them without recompiling.
+// knob (chunk size, intra-rank threads) into every kernel —
+// XTRA_THREADS selects the thread width without recompiling.
 #include <cstdlib>
 #include <memory>
 
@@ -50,13 +49,9 @@ int main() {
   const auto n = static_cast<xtra::gid_t>(60'000 * scale);
   const int nranks = 8;
   // Analytics knobs ride core::Params -> engine::Config: every kernel
-  // inherits the pipeline depth and coalescing cadence uniformly. Defaults keep the runs bit-comparable with earlier
-  // figures. The same Params seeds the XtraPuLP strategy below.
+  // inherits them uniformly. The same Params seeds the XtraPuLP
+  // strategy below.
   core::Params apar;
-  if (const char* pd = std::getenv("XTRA_PIPELINE_DEPTH"))
-    apar.pipeline_depth = std::atoi(pd);
-  if (const char* ce = std::getenv("XTRA_COALESCE_EVERY"))
-    apar.coalesce_every = std::atoi(ce);
   // The "+X" of MPI+X: intra-rank worker threads. Results and wire
   // traffic are thread-count-invariant by contract (DESIGN.md §6).
   if (const char* t = std::getenv("XTRA_THREADS"))
@@ -130,10 +125,6 @@ int main() {
         analytics::PageRankProgram pr;
         engine::Config c = cfg;
         c.max_supersteps = 20;
-        // PageRank ships fresh fractional contributions every
-        // superstep; the coalesced changed-value refresh only applies
-        // to change-converging programs.
-        c.coalesce_every = 0;
         infos[3] = as_info(engine::run(comm, g, pr, c));
       }
       infos[4] = analytics::largest_scc(comm, gd, cfg).info;

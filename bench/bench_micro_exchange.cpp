@@ -20,7 +20,6 @@
 
 #include "analytics/analytics.hpp"
 #include "analytics/programs.hpp"
-#include "comm/coalescing.hpp"
 #include "core/exchange.hpp"
 #include "core/xtrapulp.hpp"
 #include "engine/engine.hpp"
@@ -28,7 +27,6 @@
 #include "graph/dist_graph.hpp"
 #include "graph/halo.hpp"
 #include "mpisim/comm.hpp"
-#include "util/timer.hpp"
 
 using namespace xtra;
 
@@ -42,32 +40,18 @@ struct CommRow {
   double bytes_per_iter = 0.0;        ///< wire bytes, summed over ranks
   double collectives_per_iter = 0.0;  ///< collective invocations (world)
   double phases_per_iter = 0.0;       ///< alltoallv rounds per exchange
-  count_t coalesced_flushes = 0;  ///< CoalescingExchanger flushes (world)
   // Overlap accounting (rank 0's engine; timings are informational,
   // the baseline check compares only bytes and collectives).
   double overlapped_frac = 0.0;     ///< start/finish-driven exchanges
   double start_seconds = 0.0;       ///< time inside start() halves
   double finish_seconds = 0.0;      ///< time inside finish() halves
   count_t max_inflight_bytes = 0;   ///< peak payload held in flight
-  // Incremental-drain / cross-superstep pipeline ledger (rank 0's
-  // engine): exchanges consumed phase by phase, refreshes carried
-  // across a superstep boundary, and the deepest carry seen.
-  count_t drained_incrementally = 0;
-  count_t pipeline_carried = 0;
-  count_t max_pipeline_depth = 0;
-  // Alpha-beta modeled wire time NOT hidden behind compute
-  // (world-summed; see mpisim CommStats::exposed_seconds). The depth
-  // contract gates on this: a deeper pipeline must expose strictly
-  // less of the same traffic. Excluded from the baseline tolerance
-  // compare — it carries wall-clock overlap credit.
-  double exposed_wire_seconds_per_iter = 0.0;
 };
 
 /// Fill the world-level wire columns every row reports.
 void note_world(CommRow& row, const sim::CommStats& world, double iters) {
   row.bytes_per_iter = static_cast<double>(world.bytes_sent) / iters;
   row.collectives_per_iter = static_cast<double>(world.collectives) / iters;
-  row.exposed_wire_seconds_per_iter = world.exposed_seconds / iters;
 }
 
 /// Fill a row's overlap fields from one engine's aggregated stats.
@@ -79,17 +63,6 @@ void note_overlap(CommRow& row, const xtra::comm::ExchangeStats& s) {
   row.start_seconds = s.start_seconds;
   row.finish_seconds = s.finish_seconds;
   row.max_inflight_bytes = s.max_inflight_bytes;
-  row.drained_incrementally = s.drained_incrementally;
-  row.pipeline_carried = s.pipeline_carried;
-  row.max_pipeline_depth = s.max_pipeline_depth;
-}
-
-/// World-sum one engine's coalesced flushes into a row. Collective —
-/// every rank must call it (only rank 0 writes the row).
-void note_flushes(CommRow& row, sim::Comm& comm,
-                  const xtra::comm::ExchangeStats& s) {
-  const count_t flushes = comm.allreduce_sum(s.coalesced_flushes);
-  if (comm.rank() == 0) row.coalesced_flushes = flushes;
 }
 
 std::map<std::string, CommRow>& comm_rows() {
@@ -161,7 +134,6 @@ void BM_ExchangeUpdatesBounded(benchmark::State& state) {
         exchanger.run(comm, g, parts, queue);
       }
       const sim::CommStats world = comm.world_stats();
-      note_flushes(row, comm, exchanger.stats());
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, exchanger.stats());
@@ -204,7 +176,6 @@ void BM_HaloExchangeBounded(benchmark::State& state) {
       comm.reset_stats();
       for (int i = 0; i < kIters; ++i) halo.exchange(comm, vals);
       const sim::CommStats world = comm.world_stats();
-      note_flushes(row, comm, halo.stats());
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, halo.stats());
@@ -223,7 +194,7 @@ BENCHMARK(BM_HaloExchangeBounded)
     ->Args({8, 0})
     ->Args({16, 0});
 
-/// The overlapped ghost-refresh pipeline (prefetch_next / local update
+/// The overlapped ghost refresh (prefetch_next / local update
 /// of the interior / finish_prefetch) against the same workload as
 /// BM_HaloExchangeBounded: wire bytes and collectives must match the
 /// blocking rows exactly — the overlap is free — while the interior
@@ -248,7 +219,6 @@ void BM_HaloPrefetchOverlap(benchmark::State& state) {
         halo.overlapped_superstep(comm, vals,
                                   [&](lid_t v) { vals[v] += 1.0; });
       const sim::CommStats world = comm.world_stats();
-      note_flushes(row, comm, halo.stats());
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, halo.stats());
@@ -268,133 +238,19 @@ BENCHMARK(BM_HaloPrefetchOverlap)
     ->Args({8, 0})
     ->Args({16, 0});
 
-/// Cross-superstep coalescing: many supersteps of tiny per-destination
-/// runs, shipped per round (uncoalesced) vs batched by a
-/// CoalescingExchanger until a byte threshold. Collectives per round
-/// drop by the batching factor; total payload bytes are identical.
-void BM_CoalescedRounds(benchmark::State& state) {
+/// The dense analytics end to end through the legacy-named analytics::
+/// wrappers: PageRank, k-core and community-LP, one overlapped halo
+/// refresh per superstep. Bytes and collectives per superstep are the
+/// dense engine's wire cost; the engine twins below must not exceed
+/// the PageRank and community-LP rows.
+void BM_AnalyticsDense(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
-  const bool coalesce = state.range(1) != 0;
-  constexpr int kRounds = 16;
-  constexpr count_t kPerDest = 2;  // tiny runs: overhead-dominated
-  CommRow row{coalesce ? "coalesced_rounds" : "uncoalesced_rounds",
-              nranks, 0};
-  for (auto _ : state) {
-    sim::run_world(nranks, [&](sim::Comm& comm) {
-      const std::vector<count_t> counts(
-          static_cast<std::size_t>(nranks), kPerDest);
-      std::vector<std::uint64_t> send(
-          static_cast<std::size_t>(nranks) * kPerDest,
-          static_cast<std::uint64_t>(comm.rank()));
-      comm.barrier();
-      comm.reset_stats();
-      xtra::comm::Exchanger plain;
-      // Flush roughly every 4 rounds.
-      xtra::comm::CoalescingExchanger co(4 * kPerDest * nranks *
-                                         sizeof(std::uint64_t));
-      for (int r = 0; r < kRounds; ++r) {
-        if (coalesce)
-          (void)co.enqueue(comm, send, counts);
-        else
-          (void)plain.exchange(comm, send, counts);
-      }
-      if (coalesce) (void)co.flush<std::uint64_t>(comm);
-      const sim::CommStats world = comm.world_stats();
-      note_flushes(row, comm, coalesce ? co.stats() : plain.stats());
-      if (comm.rank() == 0) {
-        note_world(row, world, kRounds);
-        note_overlap(row, coalesce ? co.stats() : plain.stats());
-      }
-    });
-  }
-  state.counters["colls/iter"] = row.collectives_per_iter;
-  state.counters["flushes"] = static_cast<double>(row.coalesced_flushes);
-  record_row(row);
-}
-BENCHMARK(BM_CoalescedRounds)->Args({16, 0})->Args({16, 1});
-
-/// The cross-superstep SuperstepPipeline against the same workload as
-/// BM_HaloPrefetchOverlap: depth 0 (drain-in-step) must match the
-/// blocking rows on bytes and collectives exactly; depths 1 and 2
-/// carry each refresh across one / two superstep boundaries, so the
-/// engine's pipeline_carried / drained_incrementally ledger lights up
-/// while the wire totals stay flat (the pipeline changes *when*
-/// arrivals land, not what travels). What does move is exposure: each
-/// extra superstep a refresh stays in flight earns overlap credit
-/// against the modeled transfer, and the check script requires the d2
-/// rows to expose strictly less wire time per iteration than d1.
-void BM_HaloPipelineDepth(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const auto bound = static_cast<count_t>(state.range(1));
-  const int depth = static_cast<int>(state.range(2));
-  constexpr int kIters = 10;
-  const graph::EdgeList el = gen::erdos_renyi(20'000, 16, 3);
-  CommRow row{"halo_pipeline_d" + std::to_string(depth), nranks, bound};
-  // Deterministic stand-in for per-superstep compute, long enough that
-  // every carried refresh earns a measurable overlap credit — the
-  // depth contract then rides a multi-millisecond margin instead of
-  // scheduler noise.
-  const auto compute_spin = [] {
-    const Timer t;
-    while (t.seconds() < 2e-3) {
-    }
-  };
-  for (auto _ : state) {
-    sim::run_world(nranks, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      graph::HaloPlan halo(comm, g);
-      halo.set_max_send_bytes(bound);
-      halo.reset_stats();
-      graph::SuperstepPipeline<double> pipe(halo, depth);
-      std::vector<double> vals(g.n_total(), 1.0);
-      comm.barrier();
-      comm.reset_stats();
-      for (int i = 0; i < kIters; ++i)
-        pipe.superstep(comm, vals, [&](lid_t v) { vals[v] += 1.0; },
-                       compute_spin);
-      pipe.flush(comm, vals);
-      const sim::CommStats world = comm.world_stats();
-      note_flushes(row, comm, halo.stats());
-      if (comm.rank() == 0) {
-        note_world(row, world, kIters);
-        note_overlap(row, halo.stats());
-      }
-    });
-  }
-  state.counters["bytes/iter"] = row.bytes_per_iter;
-  state.counters["colls/iter"] = row.collectives_per_iter;
-  state.counters["carried"] = static_cast<double>(row.pipeline_carried);
-  record_row(row);
-}
-BENCHMARK(BM_HaloPipelineDepth)
-    ->Args({4, 0, 0})
-    ->Args({4, 0, 1})
-    ->Args({4, 1 << 14, 0})
-    ->Args({4, 1 << 14, 1})
-    ->Args({8, 0, 1})
-    // Depth 2: two refreshes in flight (the multi-channel substrate).
-    // Each d2 row must expose strictly less wire time than its d1 twin.
-    ->Args({4, 0, 2})
-    ->Args({4, 1 << 14, 2})
-    ->Args({8, 0, 2});
-
-/// Pipelined vs blocking analytics end to end: PageRank and k-core on
-/// the SuperstepPipeline at depth 0, 1, and 2. Collectives and bytes
-/// per superstep must stay flat across depths — regressions here mean
-/// the pipeline started paying for its overlap — and the depth-2
-/// PageRank row must expose strictly less wire time per superstep than
-/// the depth-1 row (two supersteps of kernel compute hide more of each
-/// modeled transfer than one).
-void BM_AnalyticsPipelined(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const int depth = static_cast<int>(state.range(1));
-  const bool kcore = state.range(2) != 0;
-  const graph::EdgeList el = gen::erdos_renyi(8'000, 12, 5);
-  std::string name = kcore ? "kcore" : "pagerank";
-  name += depth == 0 ? "_blocking" : "_pipelined";
-  if (depth > 1) name += "_d" + std::to_string(depth);
-  CommRow row{name, nranks, 0};
+  const int workload = static_cast<int>(state.range(1));
+  constexpr const char* kNames[] = {"pagerank_blocking", "kcore_blocking",
+                                    "commlp_uncoalesced"};
+  const graph::EdgeList el =
+      gen::erdos_renyi(8'000, 12, workload == 2 ? 7 : 5);
+  CommRow row{kNames[workload], nranks, 0};
   for (auto _ : state) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
@@ -402,8 +258,9 @@ void BM_AnalyticsPipelined(benchmark::State& state) {
       comm.barrier();
       comm.reset_stats();
       const analytics::RunInfo info =
-          kcore ? analytics::kcore_approx(comm, g, 8, depth).info
-                : analytics::pagerank(comm, g, 10, 0.85, depth).info;
+          workload == 0   ? analytics::pagerank(comm, g, 10).info
+          : workload == 1 ? analytics::kcore_approx(comm, g, 8).info
+                          : analytics::label_propagation(comm, g, 10).info;
       const sim::CommStats world = comm.world_stats();
       if (comm.rank() == 0) {
         const auto iters = static_cast<double>(info.supersteps);
@@ -415,77 +272,7 @@ void BM_AnalyticsPipelined(benchmark::State& state) {
   state.counters["colls/iter"] = row.collectives_per_iter;
   record_row(row);
 }
-BENCHMARK(BM_AnalyticsPipelined)
-    ->Args({8, 0, 0})
-    ->Args({8, 1, 0})
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1})
-    ->Args({8, 2, 0})
-    ->Args({8, 2, 1});
-
-/// Community-LP with the per-sweep full ghost refresh vs the
-/// CoalescingExchanger path (changed labels batched, flushed every 4
-/// sweeps). The check script requires the coalesced row to issue
-/// strictly fewer collectives per superstep than its uncoalesced twin
-/// — batching per-destination runs across supersteps is the point.
-void BM_CommLpCoalesced(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const int coalesce_every = static_cast<int>(state.range(1));
-  const graph::EdgeList el = gen::erdos_renyi(8'000, 12, 7);
-  CommRow row{coalesce_every > 0 ? "commlp_coalesced"
-                                 : "commlp_uncoalesced",
-              nranks, 0};
-  for (auto _ : state) {
-    sim::run_world(nranks, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      comm.barrier();
-      comm.reset_stats();
-      const analytics::RunInfo info =
-          analytics::label_propagation(comm, g, 10, coalesce_every).info;
-      const sim::CommStats world = comm.world_stats();
-      if (comm.rank() == 0) {
-        const auto iters = static_cast<double>(info.supersteps);
-        note_world(row, world, iters);
-      }
-    });
-  }
-  state.counters["colls/iter"] = row.collectives_per_iter;
-  record_row(row);
-}
-BENCHMARK(BM_CommLpCoalesced)->Args({8, 0})->Args({8, 4});
-
-/// Community-LP on the cross-superstep pipeline at depth 1 vs 2
-/// (stale-ghost-tolerant kernel, fixed superstep budget). Same wire
-/// volume either way; the check script requires the d2 row to expose
-/// strictly less modeled wire time per superstep than d1 — the
-/// payoff of holding two label refreshes in flight.
-void BM_CommLpPipelined(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const int depth = static_cast<int>(state.range(1));
-  const graph::EdgeList el = gen::erdos_renyi(8'000, 12, 7);
-  CommRow row{"commlp_pipelined_d" + std::to_string(depth), nranks, 0};
-  for (auto _ : state) {
-    sim::run_world(nranks, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      comm.barrier();
-      comm.reset_stats();
-      analytics::CommLpProgram p;
-      engine::Config cfg;
-      cfg.max_supersteps = 10;
-      cfg.pipeline_depth = depth;
-      const engine::Stats st = engine::run(comm, g, p, cfg);
-      const sim::CommStats world = comm.world_stats();
-      if (comm.rank() == 0)
-        note_world(row, world, static_cast<double>(st.supersteps));
-    });
-  }
-  state.counters["bytes/iter"] = row.bytes_per_iter;
-  state.counters["exposed/iter"] = row.exposed_wire_seconds_per_iter;
-  record_row(row);
-}
-BENCHMARK(BM_CommLpPipelined)->Args({8, 1})->Args({8, 2});
+BENCHMARK(BM_AnalyticsDense)->Args({8, 0})->Args({8, 1})->Args({8, 2});
 
 /// Engine-vs-wrapper twins: PageRank and community-LP executed
 /// directly through engine::run (explicit program + Config) against
@@ -681,23 +468,14 @@ int main(int argc, char** argv) {
     std::printf(
         "%s  {\"bench\": \"%s\", \"nranks\": %d, \"max_send_bytes\": %lld, "
         "\"bytes_per_iter\": %.1f, \"collectives_per_iter\": %.2f, "
-        "\"phases_per_exchange\": %.2f, "
-        "\"coalesced_flushes\": %lld, \"overlapped_frac\": %.2f, "
+        "\"phases_per_exchange\": %.2f, \"overlapped_frac\": %.2f, "
         "\"start_seconds\": %.4f, \"finish_seconds\": %.4f, "
-        "\"max_inflight_bytes\": %lld, "
-        "\"drained_incrementally\": %lld, \"pipeline_carried\": %lld, "
-        "\"max_pipeline_depth\": %lld, "
-        "\"exposed_wire_seconds_per_iter\": %.4f}",
+        "\"max_inflight_bytes\": %lld}",
         first ? "" : ",\n", r.bench.c_str(), r.nranks,
         static_cast<long long>(r.max_send_bytes), r.bytes_per_iter,
-        r.collectives_per_iter, r.phases_per_iter,
-        static_cast<long long>(r.coalesced_flushes), r.overlapped_frac,
+        r.collectives_per_iter, r.phases_per_iter, r.overlapped_frac,
         r.start_seconds, r.finish_seconds,
-        static_cast<long long>(r.max_inflight_bytes),
-        static_cast<long long>(r.drained_incrementally),
-        static_cast<long long>(r.pipeline_carried),
-        static_cast<long long>(r.max_pipeline_depth),
-        r.exposed_wire_seconds_per_iter);
+        static_cast<long long>(r.max_inflight_bytes));
     first = false;
   }
   std::printf("\n]\n");

@@ -11,23 +11,7 @@ otherwise ignored — add them to the baseline with --update (rows are
 written sorted by (bench, nranks, max_send_bytes) so refreshes diff
 cleanly).
 
-The coalesced community-LP path carries an absolute contract:
-every commlp_coalesced row must issue strictly fewer collectives per
-superstep than its commlp_uncoalesced twin — batching per-destination
-label updates across supersteps exists to amortize per-superstep
-collective overhead, and a row that stops doing so is a regression
-even when it stays inside the baseline tolerance. The pipelined
-analytics rows keep bytes and collectives per superstep flat across
-depths — the pipeline changes when arrivals land, not what travels —
-and additionally carry a pipeline-depth contract: every depth-2 row
-(halo_pipeline_d2, pagerank_pipelined_d2, commlp_pipelined_d2) must
-report strictly less exposed_wire_seconds_per_iter than its depth-1
-twin, because two supersteps of compute hide more of each modeled
-transfer than one. Exposure is never part of the baseline tolerance
-compare — its overlap credit is wall clock, so only the within-run
-depth ordering is gated, not its absolute value.
-
-The unified engine carries a second absolute contract: the
+The unified engine carries an absolute contract: the
 pagerank_engine / commlp_engine rows (kernels executed directly via
 engine::run with an explicit Config) must move no more bytes or
 collectives per superstep than the pagerank_blocking /
@@ -40,7 +24,7 @@ regressing relative to the pre-engine hand-rolled kernels is the
 frozen baseline numbers, which were recorded from those kernels and
 verified drift-free at the migration.
 
-The MPI+X rows carry a third absolute contract: every *_tN row
+The MPI+X rows carry a second absolute contract: every *_tN row
 (N > 1 intra-rank threads) must match its *_t1 twin EXACTLY on every
 wire metric — bytes and collectives. The thread
 width is a pure throughput knob by design (DESIGN.md §6); any drift
@@ -88,7 +72,6 @@ import sys
 
 BASELINE = pathlib.Path(__file__).parent / "baselines" / "comm_stats.json"
 COMPARED = ("bytes_per_iter", "collectives_per_iter")
-COALESCE_PAIRS = ("commlp_coalesced", "commlp_uncoalesced")
 # Engine rows (direct engine::run) vs the legacy-named wrapper rows
 # running the same workload: pins the wrapper layer to a direct
 # engine::run (see the docstring). Keyed engine-row -> twin-row bench
@@ -100,18 +83,10 @@ ENGINE_SLACK = 1.001  # strict equality modulo float formatting
 # twin exactly on every wire metric (threads change timing only).
 THREAD_ROW = re.compile(r"^(.+_threads)_t(\d+)$")
 THREAD_METRICS = ("bytes_per_iter", "collectives_per_iter")
-# Pipeline-depth rows: a depth-2 row keeps two refreshes in flight, so
-# it must expose strictly less modeled wire time per iteration than its
-# depth-1 twin (same traffic, more of it hidden behind compute). Keyed
-# deep-row -> shallow-row bench name; nranks/max_send_bytes must match.
-DEPTH_PAIRS = (("halo_pipeline_d2", "halo_pipeline_d1"),
-               ("pagerank_pipelined_d2", "pagerank_pipelined"),
-               ("commlp_pipelined_d2", "commlp_pipelined_d1"))
-EXPOSED = "exposed_wire_seconds_per_iter"
 # Deterministic wire counters that --compare-bench pins to exact
-# equality between the verifier-on and verifier-off builds. Timing and
-# exposure fields are excluded: the verifier may cost wall clock, never
-# wire traffic.
+# equality between the verifier-on and verifier-off builds. Timing
+# fields are excluded: the verifier may cost wall clock, never wire
+# traffic.
 PARITY_METRICS = ("bytes_per_iter", "collectives_per_iter")
 # --- Serving gates (SERVE_STATS_JSON from bench_serving) ------------
 SERVE_BASELINE = pathlib.Path(__file__).parent / "baselines" \
@@ -194,32 +169,6 @@ def serve_key_of(row):
     return (row["bench"], row["nranks"], row["slot_budget"])
 
 
-def check_coalesce_contract(current):
-    """Coalesced commLP rows must beat their uncoalesced twins on
-    collectives per superstep, strictly."""
-    failures = []
-    co_name, unco_name = COALESCE_PAIRS
-    pairs = 0
-    for key, co in current.items():
-        if key[0] != co_name:
-            continue
-        unco = current.get((unco_name, key[1], key[2]))
-        if unco is None:
-            failures.append(f"{key}: no uncoalesced twin row to compare "
-                            f"against")
-            continue
-        pairs += 1
-        c, u = (r.get("collectives_per_iter", 0.0) for r in (co, unco))
-        if not c < u:
-            failures.append(
-                f"{key}: collectives_per_iter {c:.2f} not strictly below "
-                f"uncoalesced twin's {u:.2f}")
-    if pairs == 0:
-        failures.append(
-            f"no ({co_name}, {unco_name}) pairs in the current run")
-    return failures
-
-
 def check_engine_contract(current):
     """Direct engine::run rows may move no more bytes/collectives per
     superstep than the wrapper-driven twins on the same workload (the
@@ -271,38 +220,6 @@ def check_thread_contract(current):
                     f"(thread count must not touch the wire)")
     if pairs == 0:
         failures.append("no *_tN thread-twin pairs in the current run")
-    return failures
-
-
-def check_depth_contract(current):
-    """Depth-2 pipeline rows must expose strictly less modeled wire
-    time per iteration than their depth-1 twins: deeper overlap is the
-    point of the multi-channel substrate, and exposure is the metric
-    that sees it (bytes and collectives stay flat by design)."""
-    failures = []
-    pairs = 0
-    for deep_name, shallow_name in DEPTH_PAIRS:
-        for key, deep in current.items():
-            if key[0] != deep_name:
-                continue
-            shallow = current.get((shallow_name, key[1], key[2]))
-            if shallow is None:
-                failures.append(
-                    f"{key}: no {shallow_name} twin row to compare "
-                    f"against")
-                continue
-            pairs += 1
-            d, s = deep.get(EXPOSED), shallow.get(EXPOSED)
-            if d is None or s is None:
-                failures.append(f"{key}: {EXPOSED} missing from the "
-                                f"depth pair")
-            elif not d < s:
-                failures.append(
-                    f"{key}: {EXPOSED} {d:.4f} not strictly below "
-                    f"{shallow_name} twin's {s:.4f} (a deeper pipeline "
-                    f"must hide more of the same traffic)")
-    if pairs == 0:
-        failures.append("no pipeline depth-pair rows in the current run")
     return failures
 
 
@@ -521,10 +438,8 @@ def main():
     for key in sorted(set(current) - set(baseline)):
         print(f"note: new row not in baseline: {key}")
 
-    failures += check_coalesce_contract(current)
     failures += check_engine_contract(current)
     failures += check_thread_contract(current)
-    failures += check_depth_contract(current)
 
     serving = ""
     if args.serving_bench:
@@ -546,8 +461,8 @@ def main():
             print(f"  {f}")
         sys.exit(1)
     print(f"comm baseline check passed: {len(baseline)} rows within "
-          f"{args.tolerance:.0%}; coalesced commLP, engine-twin, "
-          f"thread-twin, and pipeline-depth contracts held" + serving
+          f"{args.tolerance:.0%}; engine-twin and thread-twin "
+          f"contracts held" + serving
           + parity)
 
 

@@ -10,8 +10,7 @@
 // (engine/engine.hpp): the preferred API is
 //   engine::run(comm, g, program, engine::Config{...})
 // with the program structs of analytics/programs.hpp, which inherits
-// every transport knob (chunk size, pipeline depth, coalescing)
-// uniformly. The entry points below are kept as thin
+// every transport knob (chunk size, intra-rank threads) uniformly. The entry points below are kept as thin
 // wrappers — bit-identical to engine::run at their default knobs —
 // for callers of the historical per-kernel signatures; the composite
 // and engine-native kernels (harmonic centrality, SCC, SSSP, triangle
@@ -38,14 +37,11 @@ struct RunInfo {
 
 /// PageRank (PR): up to `iters` damped power iterations over the
 /// undirected adjacency (the paper treats all edges as undirected).
-/// `pipeline_depth` selects the cross-superstep ghost pipeline
-/// (graph::SuperstepPipeline): 0 drains each superstep's contribution
-/// exchange in-step (bit-identical to the blocking path); >= 1 carries
-/// it into the next superstep, so the rank update reads ghost
-/// contributions up to one superstep stale — the damped iteration
-/// still contracts to the same fixed point. `tol` > 0 adds a
-/// residual-based stop (sum |rank' - rank| <= tol, one allreduce per
-/// superstep); 0 keeps the fixed-iteration contract.
+/// Each superstep's contribution exchange overlaps the interior
+/// update and is drained in-step (bit-identical to a blocking
+/// refresh). `tol` > 0 adds a residual-based stop
+/// (sum |rank' - rank| <= tol, one allreduce per superstep); 0 keeps
+/// the fixed-iteration contract.
 struct PageRankResult {
   RunInfo info;
   std::vector<double> rank;  ///< size n_total (ghost entries refreshed)
@@ -53,7 +49,7 @@ struct PageRankResult {
 };
 PageRankResult pagerank(sim::Comm& comm, const graph::DistGraph& g,
                         int iters = 20, double damping = 0.85,
-                        int pipeline_depth = 0, double tol = 0.0);
+                        double tol = 0.0);
 
 /// Weakly connected components (WCC) via min-label hooking.
 struct ComponentsResult {
@@ -65,40 +61,26 @@ struct ComponentsResult {
 ComponentsResult weakly_connected_components(sim::Comm& comm,
                                              const graph::DistGraph& g);
 
-/// Label-propagation community detection (LP): `sweeps` synchronous
-/// majority-label rounds. `coalesce_every` > 0
-/// switches the ghost refresh from a full per-sweep halo exchange to
-/// sparse changed-label updates batched in a comm::CoalescingExchanger
-/// and flushed every `coalesce_every` sweeps (and at convergence), so
-/// peers read labels up to coalesce_every-1 sweeps stale between
-/// flushes — the majority vote tolerates the lag, and the wire moves
-/// strictly fewer collectives per sweep. coalesce_every == 1 delivers
-/// every sweep and is bit-identical to the default path.
+/// Label-propagation community detection (LP): up to `sweeps`
+/// synchronous majority-label rounds, one full halo refresh each.
 struct CommunityResult {
   RunInfo info;
   std::vector<gid_t> label;  ///< size n_total
   count_t num_communities = 0;
 };
 CommunityResult label_propagation(sim::Comm& comm, const graph::DistGraph& g,
-                                  int sweeps = 10, int coalesce_every = 0);
+                                  int sweeps = 10);
 
 /// Approximate k-core decomposition (KC): iterated synchronous
 /// neighborhood h-index (Lü et al.), which converges to the exact
-/// coreness; `rounds` caps the iteration count. `pipeline_depth` as
-/// for pagerank(): at depth >= 1 the ghost refresh is delivered one
-/// round late, and since the sweep reads the previous round's
-/// snapshot, a ghost value read by the update can be up to *two*
-/// rounds old. Stale values are older (hence larger) upper bounds, so
-/// the contraction still reaches the same coreness, possibly a few
-/// rounds later; convergence additionally quiesces the in-flight
-/// decrements.
+/// coreness; `rounds` caps the iteration count.
 struct KCoreResult {
   RunInfo info;
   std::vector<count_t> core;  ///< size n_total
   count_t max_core = 0;
 };
 KCoreResult kcore_approx(sim::Comm& comm, const graph::DistGraph& g,
-                         int rounds = 20, int pipeline_depth = 0);
+                         int rounds = 20);
 
 /// Harmonic centrality (HC) of `num_sources` sampled vertices:
 /// HC(v) = sum_u 1/d(u,v). All sources advance as bits of ONE

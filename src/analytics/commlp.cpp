@@ -8,12 +8,10 @@
 namespace xtra::analytics {
 
 CommunityResult label_propagation(sim::Comm& comm,
-                                  const graph::DistGraph& g, int sweeps,
-                                  int coalesce_every) {
+                                  const graph::DistGraph& g, int sweeps) {
   CommLpProgram p;
   engine::Config cfg;
   cfg.max_supersteps = std::max(sweeps, 0);  // legacy: sweeps <= 0 runs none
-  cfg.coalesce_every = coalesce_every;
   const engine::Stats st = engine::run(comm, g, p, cfg);
 
   CommunityResult result;

@@ -8,11 +8,10 @@
 namespace xtra::analytics {
 
 KCoreResult kcore_approx(sim::Comm& comm, const graph::DistGraph& g,
-                         int rounds, int pipeline_depth) {
+                         int rounds) {
   KCoreProgram p;
   engine::Config cfg;
   cfg.max_supersteps = std::max(rounds, 0);  // legacy: rounds <= 0 runs none
-  cfg.pipeline_depth = pipeline_depth;
   const engine::Stats st = engine::run(comm, g, p, cfg);
 
   KCoreResult result;

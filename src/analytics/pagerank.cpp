@@ -8,13 +8,11 @@
 namespace xtra::analytics {
 
 PageRankResult pagerank(sim::Comm& comm, const graph::DistGraph& g,
-                        int iters, double damping, int pipeline_depth,
-                        double tol) {
+                        int iters, double damping, double tol) {
   PageRankProgram p;
   p.damping = damping;
   engine::Config cfg;
   cfg.max_supersteps = std::max(iters, 0);  // legacy: iters <= 0 runs none
-  cfg.pipeline_depth = pipeline_depth;
   cfg.tol = tol;
   const engine::Stats st = engine::run(comm, g, p, cfg);
 

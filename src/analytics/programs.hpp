@@ -6,7 +6,7 @@
 // Each program is a small struct of hooks executed by
 // engine::run(comm, g, program, cfg) (see engine/engine.hpp for the
 // contract): the engine owns the superstep loop, the halo plan, the
-// pipeline/coalescing transports, and the convergence collectives;
+// overlapped ghost refresh, and the convergence collectives;
 // the program owns only its per-vertex update and its result state.
 // The legacy analytics:: entry points in analytics.hpp are thin
 // wrappers over these, bit-identical at default knobs.
@@ -74,7 +74,7 @@ struct PageRankProgram {
   }
   void pre_superstep(Ctx& ctx) {
     // Dangling mass in fixed lid order, so the sum is bit-identical no
-    // matter how the pipeline orders the contribution writes.
+    // matter how the sweeps order the contribution writes.
     dangling = 0.0;
     for (lid_t v = 0; v < ctx.g.n_local(); ++v)
       if (ctx.g.degree(v) == 0) dangling += rank[v];
@@ -199,8 +199,7 @@ struct WccProgram {
 // ---------------------------------------------------------------------------
 // Label-propagation community detection — dense, change-converging,
 // synchronous (reads ctx.prev, writes ctx.values): majority label
-// with ties toward the smaller label. The vote tolerates stale ghosts,
-// so the program runs at any pipeline depth or coalescing cadence.
+// with ties toward the smaller label.
 
 struct CommLpProgram {
   using Value = gid_t;
@@ -272,8 +271,7 @@ struct CommLpProgram {
 // Approximate k-core — dense, change-converging, synchronous:
 // iterated neighborhood h-index (Lü et al. 2016), which contracts to
 // the exact coreness. Values are monotone non-increasing upper
-// bounds, so stale ghosts are just older bounds — safe at any
-// pipeline depth or coalescing cadence.
+// bounds.
 
 namespace detail {
 

@@ -40,7 +40,6 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
   for (const count_t c : counts) total += c;
   ++stats_.exchanges;
   stats_.records_sent += total;
-  pending_.counted_incremental_ = false;
   if (mode != StartMode::kBlocking) {
     ++stats_.overlapped;
     stats_.max_inflight_bytes =
@@ -113,7 +112,7 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
   pending_.phase_ = 0;
   pending_.active_ = true;
   // Every started exchange rides its own substrate channel, so several
-  // Exchangers (pipeline lanes, aux exchanges) may be in flight at
+  // Exchangers (a halo refresh, an aux exchange) may be in flight at
   // once. The scan is rank-uniform — collective ordering keeps the
   // in-flight channel sets identical on every rank.
   pending_.channel_ = comm.find_free_channel();
@@ -147,44 +146,32 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
 }
 
 void Exchanger::finish_bytes(sim::Comm& comm) {
-  // One-shot finish = drain every remaining step. drain_step_bytes
-  // performs exactly the per-phase work the monolithic loop used to,
-  // so the two paths stay bit-identical by construction.
-  while (drain_step_bytes(comm)) {
-  }
-}
-
-void Exchanger::note_full_result_segments() {
-  drained_segs_.clear();
-  count_t off = 0;
-  for (std::size_t s = 0; s < rcounts_.size(); ++s) {
-    const count_t c = rcounts_[s];
-    if (c > 0) drained_segs_.push_back({static_cast<int>(s), off, c});
-    off += c;
-  }
-}
-
-bool Exchanger::drain_step_bytes(sim::Comm& comm) {
   XTRA_ASSERT_MSG(pending_.active_,
-                  "Exchanger::finish/drain without a started exchange");
+                  "Exchanger::finish without a started exchange");
   Timer t;
-  const int nranks = comm.size();
-  const std::size_t elem = pending_.elem_;
-  drained_segs_.clear();
-  bool more = false;
-
-  if (pending_.nphases_ == 0) {
-    // All-empty exchange: nothing was posted; the (empty) result was
-    // installed by the start half.
-  } else if (pending_.nphases_ == 1) {
+  // nphases_ == 0 is the all-empty exchange: nothing was posted; the
+  // (empty) result was installed by the start half.
+  if (pending_.nphases_ == 1) {
     recv_total_ =
         comm.alltoallv_bytes_finish(recv_bytes_, &rcounts_, pending_.channel_);
     ++stats_.phases;
-    note_full_result_segments();
-  } else {
+  } else if (pending_.nphases_ > 1) {
+    finish_phases(comm);
+  }
+  pending_.active_ = false;
+  pending_.wire_ = nullptr;
+  const double sec = t.seconds();
+  stats_.seconds += sec;
+  stats_.finish_seconds += sec;
+}
+
+void Exchanger::finish_phases(sim::Comm& comm) {
+  const int nranks = comm.size();
+  const std::size_t elem = pending_.elem_;
+  const count_t total = pending_.total_;
+  while (pending_.phase_ < pending_.nphases_) {
     // Drain phase p, immediately post phase p+1 so it is in flight
     // while p's arrivals are scattered into their final positions.
-    const count_t total = pending_.total_;
     (void)comm.alltoallv_bytes_finish(phase_bytes_, &phase_rcounts_,
                                       pending_.channel_);
     ++stats_.phases;
@@ -195,11 +182,10 @@ bool Exchanger::drain_step_bytes(sim::Comm& comm) {
       const count_t hi = std::min(lo + pending_.max_records_, total);
       window_counts(pending_.offsets_, lo, hi, phase_counts_);
       // Successor phases reuse the exchange's channel — it freed the
-      // instant the previous phase finished, within this same call.
+      // instant the previous phase finished.
       (void)comm.alltoallv_bytes_start(
           pending_.wire_ + static_cast<std::size_t>(lo) * elem, elem,
           phase_counts_, pending_.channel_, label_);
-      more = true;
     }
     // Arrivals from source s across phases, concatenated in phase
     // order, are exactly s's single-alltoallv segment (each phase
@@ -214,28 +200,17 @@ bool Exchanger::drain_step_bytes(sim::Comm& comm) {
                           cursor_[static_cast<std::size_t>(s)]) *
                           elem,
                   phase_bytes_.data() + pos, len);
-      drained_segs_.push_back(
-          {s, cursor_[static_cast<std::size_t>(s)], c});
       cursor_[static_cast<std::size_t>(s)] += c;
       pos += len;
     }
+  }
 #ifndef NDEBUG
-    if (!more)
-      // Every cursor must have advanced to the next source's start.
-      for (int s = 0; s + 1 < nranks; ++s)
-        XTRA_DEBUG_ASSERT(cursor_[static_cast<std::size_t>(s)] ==
-                          cursor_[static_cast<std::size_t>(s + 1)] -
-                              rcounts_[static_cast<std::size_t>(s + 1)]);
+  // Every cursor must have advanced to the next source's start.
+  for (int s = 0; s + 1 < nranks; ++s)
+    XTRA_DEBUG_ASSERT(cursor_[static_cast<std::size_t>(s)] ==
+                      cursor_[static_cast<std::size_t>(s + 1)] -
+                          rcounts_[static_cast<std::size_t>(s + 1)]);
 #endif
-  }
-  if (!more) {
-    pending_.active_ = false;
-    pending_.wire_ = nullptr;
-  }
-  const double sec = t.seconds();
-  stats_.seconds += sec;
-  stats_.finish_seconds += sec;
-  return more;
 }
 
 }  // namespace xtra::comm

@@ -25,14 +25,8 @@
 // blocking collectives may run, and other Exchangers may start, drain,
 // and finish their own exchanges: each started exchange acquires its
 // own substrate channel (up to sim::kMaxChannels in flight per rank).
-//
-// The finish half can also be driven incrementally: drain_one()
-// completes one phase at a time and hands each phase's arrivals to a
-// consumer callback as they land (try_finish() is the poll-style
-// twin), so compute can consume arrivals mid-exchange instead of after
-// the last phase — the hook the cross-superstep SuperstepPipeline in
-// graph/halo.hpp builds on. finish() is a loop over the same drain
-// step, so one-shot and incremental draining are bit-identical.
+// finish() drains the phases in order, posting each successor before
+// it scatters the drained phase's arrivals into their final position.
 //
 // The object owns all wire-side scratch (receive bytes, per-phase
 // counts, reassembly cursors) and reuses it across calls, so a
@@ -49,7 +43,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -69,10 +62,6 @@ struct ExchangeStats {
   count_t bytes_sent = 0;    ///< wire bytes (self-destined data is free)
   double seconds = 0.0;      ///< wall time inside exchange()/start()/finish()
 
-  /// Cross-superstep flushes performed by a CoalescingExchanger that
-  /// owns this engine (plain exchanges never touch it).
-  count_t coalesced_flushes = 0;
-
   // Overlap accounting for the split start()/finish() path (blocking
   // exchange() calls never touch these).
   count_t overlapped = 0;           ///< exchanges driven via start()/finish()
@@ -80,32 +69,18 @@ struct ExchangeStats {
   double start_seconds = 0.0;       ///< wall time inside start()
   double finish_seconds = 0.0;      ///< wall time inside finish()
 
-  // Incremental-drain / cross-superstep pipeline ledger. One-shot
-  // finish() never touches these; drain_one()/try_finish() mark the
-  // exchange incrementally drained, and a SuperstepPipeline that
-  // carries a refresh across a superstep boundary records the carry
-  // (and the deepest carry seen) via note_pipeline_carry().
-  count_t drained_incrementally = 0;  ///< exchanges consumed phase by phase
-  count_t pipeline_carried = 0;       ///< refreshes carried across supersteps
-  count_t max_pipeline_depth = 0;     ///< deepest superstep carry observed
-
   /// Fold another ledger into this one: counters and times add, peak
-  /// fields take the max. Used by HaloPlan's lane aggregation and the
-  /// engine's per-run rollup.
+  /// fields take the max. Used by the engine's per-run rollup.
   void merge_from(const ExchangeStats& from) {
     exchanges += from.exchanges;
     phases += from.phases;
     records_sent += from.records_sent;
     bytes_sent += from.bytes_sent;
     seconds += from.seconds;
-    coalesced_flushes += from.coalesced_flushes;
     overlapped += from.overlapped;
     max_inflight_bytes = std::max(max_inflight_bytes, from.max_inflight_bytes);
     start_seconds += from.start_seconds;
     finish_seconds += from.finish_seconds;
-    drained_incrementally += from.drained_incrementally;
-    pipeline_carried += from.pipeline_carried;
-    max_pipeline_depth = std::max(max_pipeline_depth, from.max_pipeline_depth);
   }
 };
 
@@ -136,7 +111,6 @@ class AsyncExchange {
   count_t phase_ = 0;                ///< phase currently in flight
   int channel_ = 0;                  ///< substrate channel
   bool active_ = false;
-  bool counted_incremental_ = false;  ///< drained_incrementally billed
 };
 
 class Exchanger {
@@ -252,68 +226,6 @@ class Exchanger {
             static_cast<std::size_t>(recv_total_)};
   }
 
-  /// Collective: complete exactly one phase of the in-flight exchange
-  /// and hand that phase's arrivals to `consume` as they land, posting
-  /// the successor phase so it is on the wire while the caller keeps
-  /// computing. `consume` is invoked once per source rank with data in
-  /// the drained phase, as
-  ///   consume(int source, count_t dst_offset, std::span<const T> recs)
-  /// where dst_offset is the element offset of the segment in the
-  /// final grouped-by-source result (the records are already installed
-  /// there, so the span stays valid until the next exchange()/start()
-  /// on this object). Returns true while phases remain in flight; the
-  /// call that returns false leaves the full result exactly as
-  /// finish<T>() would have. The unbounded single-phase plan drains in
-  /// one step.
-  template <typename T, typename Consume>
-  bool drain_one(sim::Comm& comm, Consume&& consume) {
-    XTRA_ASSERT_MSG(pending_.elem_ == sizeof(T),
-                    "drain_one<T> must match the started element type");
-    note_incremental();
-    const bool more = drain_step_bytes(comm);
-    const T* base = reinterpret_cast<const T*>(recv_bytes_.data());
-    for (const PhaseSegment& s : drained_segs_)
-      consume(s.source, s.dst_offset,
-              std::span<const T>(base + s.dst_offset,
-                                 static_cast<std::size_t>(s.count)));
-    return more;
-  }
-
-  /// Collective: drain at most one phase; returns the full
-  /// grouped-by-source result once the exchange has fully drained
-  /// (exactly what finish<T>() returns), or nullopt while phases
-  /// remain in flight. Poll-style twin of drain_one for callers that
-  /// only need the completed result.
-  template <typename T>
-  std::optional<std::span<const T>> try_finish(
-      sim::Comm& comm, std::vector<count_t>* recvcounts_out = nullptr) {
-    XTRA_ASSERT_MSG(pending_.elem_ == sizeof(T),
-                    "try_finish<T> must match the started element type");
-    note_incremental();
-    if (drain_step_bytes(comm)) return std::nullopt;
-    if (recvcounts_out) *recvcounts_out = rcounts_;
-    return std::span<const T>(
-        reinterpret_cast<const T*>(recv_bytes_.data()),
-        static_cast<std::size_t>(recv_total_));
-  }
-
-  /// Drain steps left in the in-flight exchange (0 when idle). The
-  /// phase count is collectively agreed at start, so the value is
-  /// rank-uniform — callers can size compute chunks to interleave with
-  /// exactly this many drain_one calls.
-  count_t phases_remaining() const {
-    if (!pending_.active_) return 0;
-    return std::max<count_t>(1, pending_.nphases_ - pending_.phase_);
-  }
-
-  /// Pipeline ledger hook (SuperstepPipeline): a started refresh was
-  /// carried in flight across `depth` superstep boundaries before
-  /// draining.
-  void note_pipeline_carry(count_t depth) {
-    ++stats_.pipeline_carried;
-    stats_.max_pipeline_depth = std::max(stats_.max_pipeline_depth, depth);
-  }
-
   bool in_flight() const { return pending_.active(); }
   const AsyncExchange& pending() const { return pending_; }
 
@@ -321,8 +233,6 @@ class Exchanger {
   void reset_stats() { stats_ = ExchangeStats{}; }
 
  private:
-  friend class CoalescingExchanger;
-
   /// How start_bytes treats the caller's payload: kBlocking and
   /// kAlias slice it in place (it must outlive the finish half —
   /// trivially true for the blocking wrapper); kSnapshot copies it
@@ -330,39 +240,15 @@ class Exchanger {
   /// overlapped exchanges.
   enum class StartMode { kBlocking, kSnapshot, kAlias };
 
-  /// One arrived segment of the most recently drained phase: `count`
-  /// elements from `source`, installed at element offset `dst_offset`
-  /// of the final grouped-by-source result.
-  struct PhaseSegment {
-    int source;
-    count_t dst_offset;
-    count_t count;
-  };
-
   /// Untyped first half: stages the payload, agrees on the phase
   /// count, and posts phase 0.
   void start_bytes(sim::Comm& comm, const std::byte* send, std::size_t elem,
                    const std::vector<count_t>& counts, StartMode mode);
-  /// Untyped second half: drains phases (posting each successor),
-  /// leaving the result in recv_bytes_/recv_total_/rcounts_. A loop
-  /// over drain_step_bytes, so the one-shot and incremental paths are
-  /// one implementation.
+  /// Untyped second half: drains every phase (posting each
+  /// successor), leaving the result in recv_bytes_/recv_total_/rcounts_.
   void finish_bytes(sim::Comm& comm);
-  /// Untyped single drain step: completes one phase, installs its
-  /// arrivals in recv_bytes_, records the arrived segments in
-  /// drained_segs_, and posts the next phase. Returns whether the
-  /// exchange is still in flight.
-  bool drain_step_bytes(sim::Comm& comm);
-  /// Record the whole grouped-by-source result as drained segments
-  /// (single-phase completions).
-  void note_full_result_segments();
-  /// Bill the in-flight exchange as incrementally drained (once).
-  void note_incremental() {
-    if (pending_.active_ && !pending_.counted_incremental_) {
-      pending_.counted_incremental_ = true;
-      ++stats_.drained_incrementally;
-    }
-  }
+  /// The phased (nphases_ > 1) drain loop of finish_bytes.
+  void finish_phases(sim::Comm& comm);
 
   count_t max_send_bytes_ = 0;
   const char* label_ = "comm::Exchanger";
@@ -377,7 +263,6 @@ class Exchanger {
   std::vector<count_t> phase_rcounts_;  ///< per-source counts, one phase
   std::vector<std::byte> phase_bytes_;  ///< one phase's arrivals
   std::vector<count_t> cursor_;         ///< reassembly write positions
-  std::vector<PhaseSegment> drained_segs_;  ///< last drained phase's arrivals
 };
 
 }  // namespace xtra::comm

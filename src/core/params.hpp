@@ -61,23 +61,6 @@ struct Params {
   // No effect; kept only because perfbench/e2e.cpp:359 passes it on.
   Backend backend = Backend::kTwoSided;
 
-  /// Supersteps a pipelined ghost refresh may stay in flight in the
-  /// kernels built on graph::SuperstepPipeline (the analytics runs the
-  /// benches drive alongside partitioning). 0 drains within the
-  /// superstep — bit-identical to the blocking path; d >= 1 carries up
-  /// to d refreshes across superstep boundaries for
-  /// stale-ghost-tolerant kernels (PageRank, k-core), clamped to
-  /// graph::kMaxPipelineDepth.
-  int pipeline_depth = 0;
-
-  /// Coalescing cadence for the engine-run analytics' sparse ghost
-  /// refresh (engine::Config::coalesce_every): > 0 batches changed
-  /// per-vertex values across that many supersteps in a
-  /// comm::CoalescingExchanger before flushing. 0 keeps the full
-  /// per-superstep halo refresh; 1 flushes every superstep
-  /// (bit-identical to 0).
-  int coalesce_every = 0;
-
   /// Intra-rank worker threads (the "+X" of MPI+X): they run the
   /// partitioner's sub-rank label sweeps (on one or two ranks,
   /// DESIGN.md §6), its chunked cut recount and the engine-run

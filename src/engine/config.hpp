@@ -1,10 +1,10 @@
 // engine::Config — the one knob bag every vertex program runs under.
 //
 // Every kernel executed by engine::run inherits every transport knob
-// here (memory-bounded phasing, cross-superstep pipelining,
-// coalescing) with no per-kernel plumbing; from_params() maps the
-// partitioner-facing core::Params fields onto it so benches drive
-// analytics and partitioning from one struct.
+// here (memory-bounded phasing, intra-rank threads) with no per-kernel
+// plumbing; from_params() maps the partitioner-facing core::Params
+// fields onto it so benches drive analytics and partitioning from one
+// struct.
 #pragma once
 
 #include <limits>
@@ -21,21 +21,7 @@ struct Config {
   /// Results are bit-identical for any value. Same value on every rank.
   count_t max_exchange_bytes = 0;
 
-  /// Supersteps a dense program's ghost refresh may stay in flight
-  /// (graph::SuperstepPipeline). 0 drains in-step — bit-identical to
-  /// the blocking exchange; d >= 1 keeps up to d refreshes in flight
-  /// across superstep boundaries (clamped to graph::kMaxPipelineDepth),
-  /// so updates may read ghosts up to d supersteps stale. Only
-  /// meaningful for dense programs.
-  int pipeline_depth = 0;
-
-  /// > 0 switches a change-converging dense program's ghost refresh
-  /// from a full per-superstep halo exchange to sparse changed-value
-  /// updates batched in a comm::CoalescingExchanger and flushed every
-  /// `coalesce_every` supersteps (and at convergence). Peers read
-  /// values up to coalesce_every-1 supersteps stale between flushes;
-  /// coalesce_every == 1 delivers every superstep and is bit-identical
-  /// to the full refresh. Takes precedence over pipeline_depth.
+  // No effect; kept only because perfbench/e2e.cpp:254 assigns it.
   int coalesce_every = 0;
 
   /// Residual stop for fixed-iteration dense programs (PageRank):
@@ -63,8 +49,6 @@ struct Config {
   static Config from_params(const core::Params& p) {
     Config cfg;
     cfg.max_exchange_bytes = p.max_exchange_bytes;
-    cfg.pipeline_depth = p.pipeline_depth;
-    cfg.coalesce_every = p.coalesce_every;
     cfg.num_threads = p.num_threads;
     return cfg;
   }

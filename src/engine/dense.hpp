@@ -4,9 +4,8 @@
 //
 // A dense program publishes one Value per vertex in ctx.values
 // (size n_total); the engine owns everything the kernels used to
-// hand-roll — the HaloPlan, the SuperstepPipeline, the coalesced
-// sparse-update path, the convergence collectives, and the
-// stale-ghost quiesce — so every transport knob in engine::Config
+// hand-roll — the HaloPlan, the overlapped ghost refresh and the
+// convergence collectives — so every transport knob in engine::Config
 // applies to every program with no per-kernel plumbing.
 //
 // Program shape (see analytics/programs.hpp for the concrete eight):
@@ -25,43 +24,26 @@
 //     void finish(Ctx&);               // optional epilogue; may move
 //   };                                 //   ctx.values out
 //
-// Superstep protocol (kExchangesValues, coalesce_every == 0):
-//   pre_superstep -> update(v) boundary-first, values shipped through
-//   the SuperstepPipeline (mid() runs against the in-flight wire;
-//   interior updates overlap it) -> apply() -> convergence check.
-// At pipeline depth >= 1 the refresh is carried into the next
-// superstep per the SuperstepPipeline staleness contract; update(v)
-// may then read ghosts up to one superstep stale, so only
-// stale-tolerant programs (monotone or majority-style updates) may
-// run at depth >= 1.
+// Superstep protocol (kExchangesValues): pre_superstep -> update(v)
+// boundary-first, boundary values shipped through
+// HaloPlan::overlapped_superstep (mid() runs against the in-flight
+// wire; interior updates overlap it) -> apply() -> convergence check.
+// Every ghost refresh is drained inside its superstep, so update(v)
+// always reads the owners' values from the end of the previous
+// superstep — bit-identical to a blocking refresh.
 //
 // Convergence:
 //  * kConvergeOnChange (WCC/LP/KC/trim): stop when no rank's update
-//    set ctx.changed — with an in-flight refresh (depth >= 1) or
-//    pending coalesced rounds, the engine first flushes and re-checks
-//    whether any ghost moved (the k-core quiesce, generalized).
+//    set ctx.changed.
 //  * fixed-iteration (PageRank): run cfg.max_supersteps supersteps;
 //    cfg.tol > 0 adds a residual allreduce and stops early when the
 //    program-accumulated ctx.residual drops to tol.
-//
-// Coalesced mode (cfg.coalesce_every > 0, change-converging programs
-// only): instead of a full halo refresh per superstep, the engine
-// ships one {gid, Value} record per (destination, boundary vertex)
-// slot whose value moved since it was last shipped, batched across
-// supersteps in a comm::CoalescingExchanger (explicit-flush mode, so
-// enqueue is purely local) and flushed on the superstep-indexed
-// schedule plus at convergence — the commLP PR-4 path, generalized to
-// any Value.
 #pragma once
 
 #include <array>
-#include <limits>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "comm/coalescing.hpp"
-#include "comm/dest_buckets.hpp"
 #include "comm/exchanger.hpp"
 #include "engine/config.hpp"
 #include "engine/stats.hpp"
@@ -117,15 +99,6 @@ constexpr bool parallel_update() {
 }
 
 }  // namespace detail
-
-/// Sparse ghost update shipped by the coalesced refresh: the owner of
-/// `gid` re-valued it. Receivers apply arrivals in order, so batched
-/// rounds resolve to last-write-wins (the newest value).
-template <typename V>
-struct GhostUpdate {
-  gid_t gid;
-  V value;
-};
 
 /// Everything a dense program's hooks see. `values` is the published
 /// per-vertex state (owned then ghosts); `prev` is the previous
@@ -209,12 +182,12 @@ struct DenseContext {
 
 namespace detail {
 
-/// One full owned-vertex update sweep for the drivers without a halo
-/// overlap structure (coalesced, local): chunked on the rank's pool
-/// when the program declares kParallelUpdate, the plain lid loop
-/// otherwise. Both orders are equivalent for parallel-safe programs
-/// (per-vertex writes only), and at num_threads == 1 the chunked path
-/// visits vertices in exactly the serial order.
+/// One full owned-vertex update sweep for the local driver (no halo
+/// overlap structure): chunked on the rank's pool when the program
+/// declares kParallelUpdate, the plain lid loop otherwise. Both orders
+/// are equivalent for parallel-safe programs (per-vertex writes only),
+/// and at num_threads == 1 the chunked path visits vertices in exactly
+/// the serial order.
 template <typename P>
 void update_sweep(const graph::DistGraph& g, P& p, DenseContext<P>& ctx) {
   if constexpr (parallel_update<P>()) {
@@ -224,165 +197,33 @@ void update_sweep(const graph::DistGraph& g, P& p, DenseContext<P>& ctx) {
   for (lid_t v = 0; v < g.n_local(); ++v) p.update(ctx, v);
 }
 
-/// Full-refresh superstep loop (the SuperstepPipeline path).
+/// Superstep loop with one overlapped ghost refresh per superstep.
 template <typename P>
-void run_dense_pipelined(sim::Comm& comm, const graph::DistGraph& g, P& p,
-                         const Config& cfg, DenseContext<P>& ctx) {
-  using Value = typename P::Value;
+void run_dense_halo(sim::Comm& comm, P& p, const Config& cfg,
+                    DenseContext<P>& ctx) {
   graph::HaloPlan& halo = *ctx.halo_;
-  graph::SuperstepPipeline<Value> pipe(halo, cfg.pipeline_depth);
-
-  // Start-of-superstep ghost snapshot for the stale-ghost quiesce of
-  // programs without a prev array (ghosts only mutate inside a
-  // superstep, so "end of previous" == "start of this one").
-  std::vector<Value> ghost_seen;
-  const bool need_ghost_seen =
-      converge_on_change<P>() && !uses_prev<P>() && pipe.depth() > 0;
-  const auto ghosts_moved = [&](const std::vector<Value>& seen,
-                                std::size_t offset) {
-    bool moved = false;
-    for (lid_t v = g.n_local(); v < g.n_total(); ++v)
-      if (ctx.values[v] != seen[static_cast<std::size_t>(v) - offset])
-        moved = true;
-    return moved;
+  const auto update = [&](lid_t v) { p.update(ctx, v); };
+  const auto mid = [&] {
+    if constexpr (requires { p.mid(ctx); }) p.mid(ctx);
   };
-  if (need_ghost_seen)
-    ghost_seen.assign(ctx.values.begin() + g.n_local(), ctx.values.end());
-
   const count_t limit = superstep_limit(cfg);
   for (count_t s = 0; s < limit; ++s) {
     if constexpr (requires { p.pre_superstep(ctx); }) p.pre_superstep(ctx);
     ctx.reset_changed();
     ctx.residual = 0.0;
-    pipe.superstep(
-        comm, ctx.values, [&](lid_t v) { p.update(ctx, v); },
-        [&] {
-          if constexpr (requires { p.mid(ctx); }) p.mid(ctx);
-        },
-        parallel_update<P>());
+    halo.overlapped_superstep(comm, ctx.values, update, mid,
+                              parallel_update<P>());
     if constexpr (requires { p.apply(ctx); }) p.apply(ctx);
     ctx.collect_changed();
     ++ctx.superstep;
-
     if constexpr (converge_on_change<P>()) {
-      if (!comm.allreduce_or(ctx.changed)) {
-        if (pipe.depth() == 0) break;
-        // Stale-tolerant quiesce: deliver the in-flight refresh; if
-        // any ghost moved since the superstep began, the fixpoint may
-        // still be off somewhere.
-        pipe.flush(comm, ctx.values);
-        bool moved;
-        if constexpr (uses_prev<P>()) {
-          moved = ghosts_moved(ctx.prev, 0);
-          ctx.prev = ctx.values;
-        } else {
-          moved = ghosts_moved(ghost_seen, static_cast<std::size_t>(
-                                               g.n_local()));
-          ghost_seen.assign(ctx.values.begin() + g.n_local(),
-                            ctx.values.end());
-        }
-        if (!comm.allreduce_or(moved)) break;
-        continue;
-      }
+      if (!comm.allreduce_or(ctx.changed)) break;
       if constexpr (uses_prev<P>()) ctx.prev = ctx.values;
-      if (need_ghost_seen)
-        ghost_seen.assign(ctx.values.begin() + g.n_local(),
-                          ctx.values.end());
     } else {
       if (cfg.tol > 0.0 && comm.allreduce_sum(ctx.residual) <= cfg.tol)
         break;
     }
   }
-  // Ghosts converge to the owners' last-shipped values (no-op at
-  // depth 0).
-  pipe.flush(comm, ctx.values);
-}
-
-/// Coalesced sparse-refresh superstep loop (change-converging
-/// programs): boundary values that moved since last shipped travel as
-/// {gid, Value} records batched across supersteps.
-template <typename P>
-void run_dense_coalesced(sim::Comm& comm, const graph::DistGraph& g, P& p,
-                         const Config& cfg, DenseContext<P>& ctx,
-                         Stats& stats) {
-  using Value = typename P::Value;
-  using Update = GhostUpdate<Value>;
-  static_assert(converge_on_change<P>(),
-                "the coalesced refresh requires a change-converging "
-                "program (deferred deliveries need a quiesce)");
-  graph::HaloPlan& halo = *ctx.halo_;
-  comm::CoalescingExchanger co(0, cfg.max_exchange_bytes);
-  const std::vector<count_t>& scounts = halo.send_counts();
-  const std::vector<lid_t>& slids = halo.send_lids();
-  // Last value shipped per (destination, owned lid) slot. The
-  // registration exchange ships no values, so the coalesced path
-  // requires init() to seed ghost entries consistently with their
-  // owners from locally known state (gids, degrees, constants) —
-  // every program does, hence nothing is owed initially.
-  std::vector<Value> shipped(slids.size());
-  for (std::size_t i = 0; i < slids.size(); ++i)
-    shipped[i] = ctx.values[slids[i]];
-  comm::DestBuckets<Update> buckets;
-  const auto deliver = [&](std::span<const Update> arrivals) {
-    bool moved = false;
-    for (const Update& u : arrivals) {
-      const lid_t l = g.lid_of(u.gid);
-      XTRA_ASSERT_MSG(l != kInvalidLid,
-                      "coalesced update for an unknown ghost");
-      if (ctx.values[l] != u.value) {
-        ctx.values[l] = u.value;
-        moved = true;
-      }
-    }
-    return moved;
-  };
-
-  const count_t limit = superstep_limit(cfg);
-  for (count_t s = 0; s < limit; ++s) {
-    if constexpr (requires { p.pre_superstep(ctx); }) p.pre_superstep(ctx);
-    ctx.reset_changed();
-    ctx.residual = 0.0;
-    update_sweep(g, p, ctx);
-    if constexpr (requires { p.apply(ctx); }) p.apply(ctx);
-    ctx.collect_changed();
-    // Stage one record per (destination, vertex) slot whose value
-    // moved since it was last shipped.
-    buckets.begin(comm.size());
-    std::size_t slot = 0;
-    for (int d = 0; d < comm.size(); ++d)
-      for (count_t k = 0; k < scounts[static_cast<std::size_t>(d)];
-           ++k, ++slot)
-        if (ctx.values[slids[slot]] != shipped[slot]) buckets.count(d);
-    buckets.commit();
-    slot = 0;
-    for (int d = 0; d < comm.size(); ++d)
-      for (count_t k = 0; k < scounts[static_cast<std::size_t>(d)];
-           ++k, ++slot) {
-        const lid_t l = slids[slot];
-        if (ctx.values[l] != shipped[slot]) {
-          buckets.push(d, Update{g.gid_of(l), ctx.values[l]});
-          shipped[slot] = ctx.values[l];
-        }
-      }
-    (void)co.enqueue(comm, buckets);  // local: explicit-flush mode
-    ++ctx.superstep;
-    bool moved = false;
-    if ((s + 1) % cfg.coalesce_every == 0)
-      moved = deliver(co.flush<Update>(comm));
-    if constexpr (uses_prev<P>()) ctx.prev = ctx.values;
-    if (!comm.allreduce_or(ctx.changed)) {
-      // Quiesce under staleness: deliver the stragglers; if any ghost
-      // moved anywhere, the fixpoint may still be off somewhere.
-      moved = deliver(co.flush<Update>(comm)) || moved;
-      if constexpr (uses_prev<P>()) ctx.prev = ctx.values;
-      if (!comm.allreduce_or(moved)) break;
-    }
-  }
-  // Superstep budget exhausted mid-batch: deliver what is still
-  // pending so ghosts match their owners' last state. pending_rounds
-  // advances identically on every rank, so the branch is collective.
-  if (co.pending_rounds() > 0) (void)deliver(co.flush<Update>(comm));
-  merge(stats.exchange, co.stats());
 }
 
 /// Local-only superstep loop for programs that publish no per-vertex
@@ -442,18 +283,10 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
                       cfg.max_supersteps >= 0,
                   "fixed-iteration programs need cfg.max_supersteps");
 
-  if constexpr (!detail::exchanges_values<P>()) {
+  if constexpr (detail::exchanges_values<P>())
+    detail::run_dense_halo(comm, p, cfg, ctx);
+  else
     detail::run_dense_local(comm, g, p, cfg, ctx);
-  } else if (cfg.coalesce_every > 0) {
-    if constexpr (detail::converge_on_change<P>())
-      detail::run_dense_coalesced(comm, g, p, cfg, ctx, stats);
-    else
-      XTRA_ASSERT_MSG(false,
-                      "coalesce_every > 0 requires a change-converging "
-                      "program");
-  } else {
-    detail::run_dense_pipelined(comm, g, p, cfg, ctx);
-  }
 
   if constexpr (requires { p.finish(ctx); }) p.finish(ctx);
 

@@ -2,17 +2,15 @@
 //
 // A kernel is a small *program* struct (its per-vertex update plus
 // init/epilogue hooks), `engine::Config` is the one knob bag (chunk
-// size, pipeline depth, coalescing cadence, tolerance, superstep
-// cap), and `engine::run(comm, g, program, cfg)` owns the superstep
+// size, intra-rank threads, tolerance, superstep cap), and `engine::run(comm, g, program, cfg)` owns the superstep
 // loop — so every comm optimization the substrate grows is inherited
 // by every kernel at once, the way RFP's uniform interface hides the
 // transport-mode choice from its callers.
 //
 // Three execution modes, dispatched on the program's shape:
 //  * dense (typename P::Value): one published value per vertex,
-//    refreshed through HaloPlan/SuperstepPipeline — or, at
-//    cfg.coalesce_every > 0, as sparse changed-value records batched
-//    in a CoalescingExchanger. See engine/dense.hpp.
+//    refreshed once per superstep through the HaloPlan's overlapped
+//    refresh. See engine/dense.hpp.
 //  * frontier (typename P::Notify): level-synchronous expansion of N
 //    slot-keyed active sets (one slot for a single-source kernel)
 //    through graph::FrontierStepper, ghost relaxations travelling as

@@ -2,7 +2,7 @@
 // program returns: the analytics RunInfo triple (wall seconds, bytes
 // this rank sent, supersteps) merged with the comm layer's
 // ExchangeStats ledger aggregated over every engine the run owned
-// (halo plan, frontier/census exchangers, coalescer). JSON-exportable
+// (halo plan, frontier/census exchangers). JSON-exportable
 // for bench tooling.
 #pragma once
 

@@ -1,15 +1,12 @@
 #include "graph/halo.hpp"
 
-#include <algorithm>
-
 #include "comm/dest_buckets.hpp"
 #include "util/assert.hpp"
 
 namespace xtra::graph {
 
 HaloPlan::HaloPlan(sim::Comm& comm, const DistGraph& g) {
-  add_lane();  // lane 0 — the ring grows on demand (set_pipeline_lanes)
-  comm::Exchanger& ex = lanes_.front()->ex;
+  ex_.set_label("graph::HaloPlan");
   // Ghosts register with their owners: send each ghost gid to its
   // owner; arrival order on the owner defines the send order, and the
   // order we sent defines our receive order. The exchange preserves
@@ -25,7 +22,7 @@ HaloPlan::HaloPlan(sim::Comm& comm, const DistGraph& g) {
     recv_lids_[static_cast<std::size_t>(slot)] = v;
   }
   const std::span<const gid_t> registrations =
-      ex.exchange(comm, buckets, &send_counts_);
+      ex_.exchange(comm, buckets, &send_counts_);
   send_lids_.resize(registrations.size());
   for (std::size_t i = 0; i < registrations.size(); ++i) {
     const lid_t l = g.lid_of(registrations[i]);

@@ -31,13 +31,7 @@
 // Every collective accounts the bytes a real MPI rank would put on the
 // wire (self-destined data is free), so benches can report
 // communication volume — the architecture-independent component of the
-// paper's timing results. Payload-bearing calls additionally bill
-// `exposed_seconds`: an alpha-beta *modeled* transfer time, minus (for
-// the split nonblocking pair) the wall time the caller spent elsewhere
-// between start and finish. It answers "how much modeled wire time was
-// NOT hidden behind compute" — the metric the pipeline-depth CI
-// contract gates — without ever sleeping. Control collectives
-// (allreduce/bcast/gather/counts) are exposure-free by convention.
+// paper's timing results.
 #pragma once
 
 #include <algorithm>
@@ -70,11 +64,6 @@ struct CommStats {
   count_t messages_sent = 0;   ///< point-to-point segments with data
   count_t collectives = 0;     ///< collective invocations
   double comm_seconds = 0.0;   ///< wall time inside collectives
-  /// Modeled wire time not hidden behind compute (alpha-beta model;
-  /// see the header comment). Deterministically zero-noise it is not —
-  /// the overlap credit is wall clock — but it is monotone in overlap,
-  /// which is all the depth contract needs.
-  double exposed_seconds = 0.0;
 };
 
 /// Tagged in-flight channels per rank: up to this many nonblocking
@@ -83,22 +72,6 @@ inline constexpr int kMaxChannels = 8;
 
 // The verifier sits below this header and mirrors the slot counts.
 static_assert(verify::kChannelSlots == kMaxChannels);
-
-/// Alpha-beta wire model behind CommStats::exposed_seconds. The modeled
-/// link is deliberately slow (1 MB/s, 2 ms startup) so that on the
-/// micro-bench graphs modeled wire time dwarfs per-superstep compute:
-/// exposure then degrades gracefully with overlap instead of
-/// saturating at zero, which is what lets the CI depth contract
-/// (d2 strictly below d1) hold robustly. Nothing ever sleeps on this
-/// model; it is bookkeeping only.
-inline constexpr double kModelAlphaSeconds = 2e-3;
-inline constexpr double kModelBytesPerSecond = 1e6;
-inline constexpr double modeled_wire_seconds(count_t wire_bytes) {
-  return wire_bytes == 0
-             ? 0.0
-             : kModelAlphaSeconds +
-                   static_cast<double>(wire_bytes) / kModelBytesPerSecond;
-}
 
 namespace detail {
 
@@ -311,7 +284,6 @@ class Comm {
           static_cast<const T*>(world_->slot(r))[rank_];
     world_->sync();
     note(static_cast<count_t>((size() - 1) * sizeof(T)), size() - 1, t);
-    note_blocking_exposure(static_cast<count_t>((size() - 1) * sizeof(T)));
     return recv;
   }
 
@@ -368,9 +340,6 @@ class Comm {
       }
     }
     note(bytes, msgs, t);
-    note_blocking_exposure(
-        (total - recvcounts[static_cast<std::size_t>(rank_)]) *
-        static_cast<count_t>(sizeof(T)));
     if (recvcounts_out) *recvcounts_out = std::move(recvcounts);
     return recv;
   }
@@ -432,9 +401,6 @@ class Comm {
       }
     }
     note(bytes, msgs, t);
-    note_blocking_exposure(
-        (total - recvcounts[static_cast<std::size_t>(rank_)]) *
-        static_cast<count_t>(elem_size));
     if (recvcounts_out) *recvcounts_out = std::move(recvcounts);
     return total;
   }
@@ -538,13 +504,6 @@ class Comm {
     }
     ch.active = true;
     ch.seconds = t.seconds();
-    // Exposure clock starts now: what does not finish arriving (on the
-    // modeled wire) before the finish call is exposed wait.
-    const count_t wire_in =
-        (ch.total - ch.recvcounts[static_cast<std::size_t>(rank_)]) *
-        static_cast<count_t>(elem_size);
-    ch.modeled = modeled_wire_seconds(wire_in);
-    ch.overlap.reset();
     return ch.total;
   }
 
@@ -606,8 +565,6 @@ class Comm {
       }
     }
     note_seconds(bytes, msgs, ch.seconds + t.seconds());
-    world_->stats(rank_).exposed_seconds +=
-        std::max(0.0, ch.modeled - ch.overlap.seconds());
     ch.active = false;
     ch.label = nullptr;
     if constexpr (verify::kEnabled) {
@@ -698,14 +655,12 @@ class Comm {
     std::vector<count_t> c{mine.bytes_sent, mine.messages_sent,
                            mine.collectives};
     allreduce_sum(c);
-    std::vector<double> d{mine.comm_seconds, mine.exposed_seconds};
-    allreduce_sum(d);
+    const double seconds = allreduce_sum(mine.comm_seconds);
     CommStats out;
     out.bytes_sent = c[0];
     out.messages_sent = c[1];
     out.collectives = c[2];
-    out.comm_seconds = d[0];
-    out.exposed_seconds = d[1];
+    out.comm_seconds = seconds;
     return out;
   }
 
@@ -777,13 +732,6 @@ class Comm {
     s.comm_seconds += seconds;
   }
 
-  /// Blocking payload collectives expose their full modeled transfer —
-  /// there is no compute to hide it behind.
-  void note_blocking_exposure(count_t wire_in_bytes) {
-    world_->stats(rank_).exposed_seconds +=
-        modeled_wire_seconds(wire_in_bytes);
-  }
-
   detail::WorldState* world_;
   int rank_;
 
@@ -793,8 +741,6 @@ class Comm {
     std::size_t elem = 0;
     count_t total = 0;
     double seconds = 0.0;  ///< wall time spent inside the start call
-    double modeled = 0.0;  ///< modeled transfer time of the arrivals
-    Timer overlap;         ///< running since start returned
     std::vector<count_t> counts;      ///< published to peers
     std::vector<count_t> recvcounts;  ///< per-source arrivals
     /// Always-on attribution for exhaustion/double-start diagnostics:

@@ -37,8 +37,7 @@ namespace xtra::serve {
 
 struct ServeConfig {
   /// Transport knobs for the packed frontier exchange
-  /// (max_exchange_bytes, num_threads). Pipeline/coalesce
-  /// fields are dense-mode knobs and ignored here.
+  /// (max_exchange_bytes, num_threads).
   engine::Config engine;
   /// Concurrent query slots: the packing width of a superstep. 1
   /// degenerates into per-query serial execution (the bench twin the

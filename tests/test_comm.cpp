@@ -12,7 +12,6 @@
 #include <numeric>
 #include <vector>
 
-#include "comm/coalescing.hpp"
 #include "comm/dest_buckets.hpp"
 #include "comm/exchanger.hpp"
 #include "comm/query_reply.hpp"
@@ -397,69 +396,6 @@ TEST(Exchanger, EmptyRoundsInterleaveWithNonEmptyOnes) {
           << "round=" << round;
     }
     EXPECT_EQ(ex.stats().exchanges, 4);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Cross-superstep coalescing
-
-TEST(CoalescingExchanger, BatchesRoundsUntilThresholdThenFlushes) {
-  const int nranks = 4;
-  sim::run_world(nranks, [&](sim::Comm& comm) {
-    // One 8-byte record per destination per round = 32 pending bytes
-    // per round; threshold 64 flushes on the second enqueue.
-    comm::CoalescingExchanger co(64);
-    const std::vector<count_t> counts(static_cast<std::size_t>(nranks), 1);
-    auto round_payload = [&](int round) {
-      std::vector<std::uint64_t> send;
-      for (int d = 0; d < nranks; ++d)
-        send.push_back(static_cast<std::uint64_t>(comm.rank()) * 1'000'000 +
-                       static_cast<std::uint64_t>(d) * 1'000 +
-                       static_cast<std::uint64_t>(round));
-      return send;
-    };
-
-    const auto r1 = co.enqueue(comm, round_payload(1), counts);
-    EXPECT_FALSE(r1.has_value());
-    EXPECT_EQ(co.pending_rounds(), 1);
-    EXPECT_EQ(co.pending_bytes(), 32);
-
-    const auto r2 = co.enqueue(comm, round_payload(2), counts);
-    ASSERT_TRUE(r2.has_value());
-    EXPECT_EQ(co.pending_bytes(), 0);
-    EXPECT_EQ(co.stats().coalesced_flushes, 1);
-    // Arrivals are grouped by source; within a source, rounds appear
-    // in enqueue order.
-    ASSERT_EQ(r2->size(), static_cast<std::size_t>(2 * nranks));
-    for (int s = 0; s < nranks; ++s)
-      for (int round = 1; round <= 2; ++round)
-        EXPECT_EQ((*r2)[static_cast<std::size_t>(s * 2 + round - 1)],
-                  static_cast<std::uint64_t>(s) * 1'000'000 +
-                      static_cast<std::uint64_t>(comm.rank()) * 1'000 +
-                      static_cast<std::uint64_t>(round));
-
-    // Explicit flush drains a partial batch (still collective).
-    (void)co.enqueue(comm, round_payload(3), counts);
-    std::vector<count_t> rcounts;
-    const auto r3 = co.flush<std::uint64_t>(comm, &rcounts);
-    ASSERT_EQ(r3.size(), static_cast<std::size_t>(nranks));
-    EXPECT_EQ(rcounts,
-              std::vector<count_t>(static_cast<std::size_t>(nranks), 1));
-    EXPECT_EQ(co.stats().coalesced_flushes, 2);
-    // The wire saw two exchanges for three logical rounds.
-    EXPECT_EQ(co.stats().exchanges, 2);
-
-    // Explicit-flush-only mode (flush_bytes == 0): enqueue stays local
-    // and the flush equals one raw alltoallv of the staged round.
-    comm::CoalescingExchanger manual(0);
-    const std::vector<count_t> two(static_cast<std::size_t>(nranks), 2);
-    const auto send = staged_payload(comm.rank(), nranks, 2);
-    const std::vector<std::uint64_t> expect = comm.alltoallv(send, two);
-    const count_t collectives = comm.stats().collectives;
-    EXPECT_FALSE(manual.enqueue(comm, send, two).has_value());
-    EXPECT_EQ(comm.stats().collectives, collectives);
-    const auto got = manual.flush<std::uint64_t>(comm);
-    EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
   });
 }
 

@@ -1,13 +1,15 @@
 // Tests for the unified vertex-program engine (src/engine/): the
 // wrapper-vs-engine bit-identity matrix across the transport knobs
-// ({pipeline depth 0, 1, 2} x {coalesce 0, 1, 3}), the two
-// engine-native workloads against serial oracles (delta-capped SSSP vs
-// Dijkstra, approximate triangle count vs an exact serial count), and
-// the Stats/Config
-// plumbing.
+// ({chunk size} x {intra-rank threads}), the overlapped halo superstep
+// against a blocking refresh, hand-rolled blocking references for
+// PageRank and k-core, the exact dense and frontier wire ledgers, the
+// two engine-native workloads against serial oracles (delta-capped
+// SSSP vs Dijkstra, approximate triangle count vs an exact serial
+// count), and the Stats/Config plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <queue>
@@ -22,7 +24,9 @@
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
 #include "graph/dist_graph.hpp"
+#include "graph/halo.hpp"
 #include "mpisim/comm.hpp"
+#include "util/parallel.hpp"
 
 namespace xtra::analytics {
 namespace {
@@ -41,30 +45,27 @@ std::vector<T> by_gid(sim::Comm& comm, const DistGraph& g,
   return global;
 }
 
+/// Exchange chunk sizes the matrices sweep: unbounded and a bound
+/// small enough to split every refresh into many phases.
+constexpr count_t kChunks[] = {0, 256};
+
 /// The knob matrix: every transport configuration the engine must
-/// drive every kernel through. Pipeline depth and coalescing are
-/// exclusive staleness regimes, so the matrix sweeps depth {0, 1, 2}
-/// at coalesce 0 and coalesce {1, 3} at depth 0.
+/// drive every kernel through — chunk size x intra-rank threads.
 std::vector<engine::Config> knob_matrix() {
   std::vector<engine::Config> cfgs;
-  for (const int depth : {0, 1, 2}) {
-    engine::Config cfg;
-    cfg.pipeline_depth = depth;
-    cfgs.push_back(cfg);
-  }
-  for (const int coalesce : {1, 3}) {
-    engine::Config cfg;
-    cfg.coalesce_every = coalesce;
-    cfgs.push_back(cfg);
-  }
+  for (const count_t chunk : kChunks)
+    for (const int threads : {1, 4}) {
+      engine::Config cfg;
+      cfg.max_exchange_bytes = chunk;
+      cfg.num_threads = threads;
+      cfgs.push_back(cfg);
+    }
   return cfgs;
 }
 
 std::string cfg_name(const engine::Config& cfg) {
-  return std::string("d")
-      .append(std::to_string(cfg.pipeline_depth))
-      .append("/c")
-      .append(std::to_string(cfg.coalesce_every));
+  return "chunk=" + std::to_string(cfg.max_exchange_bytes) +
+         " threads=" + std::to_string(cfg.num_threads);
 }
 
 // ---------------------------------------------------------------------------
@@ -129,11 +130,10 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
   }
 }
 
-// Community LP's majority vote is trajectory-dependent: only the
-// staleness-free cells (depth 0, coalesce <= 1) are bit-identical to
-// the wrapper; the stale cells must still converge to a valid
-// labeling on a planted-community graph.
-TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
+// Community LP's majority vote is trajectory-dependent, so the
+// bit-identity across knobs also pins the read schedule: every cell
+// must match the wrapper and recover the planted communities.
+TEST(EngineMatrix, CommLpBitIdenticalAcrossAllKnobs) {
   EdgeList el;
   el.n = 40;
   for (gid_t base : {gid_t{0}, gid_t{20}})
@@ -156,13 +156,10 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
       engine::Config run_cfg = cfg;
       run_cfg.max_supersteps = 10;
       engine::run(comm, g, p, run_cfg);
-      const bool exact =
-          cfg.pipeline_depth == 0 && cfg.coalesce_every <= 1;
       const auto global = by_gid(comm, g, p.label);
-      if (comm.rank() == 0 && exact) {
+      if (comm.rank() == 0) {
         EXPECT_EQ(global, ref) << cfg_name(cfg);
       }
-      // Stale or not, the planted communities must be recovered.
       EXPECT_EQ(p.num_communities, 2) << cfg_name(cfg);
       for (lid_t v = 0; v < g.n_local(); ++v)
         EXPECT_EQ(p.label[v], g.gid_of(v) < 20 ? 0u : 20u)
@@ -171,10 +168,8 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
   }
 }
 
-// PageRank is fixed-iteration: the transport knobs that preserve the
-// read schedule (chunk size, depth 0) are bit-identical; a
-// depth-1 run reads one-superstep-stale ghost contributions but must
-// still conserve mass.
+// PageRank is fixed-iteration: every chunk size preserves the read
+// schedule, so every run is bit-identical and conserves mass.
 TEST(EngineMatrix, PageRankChunkBitIdentical) {
   const EdgeList el = gen::erdos_renyi(1'000, 8, 11);
   std::vector<double> ref;
@@ -207,21 +202,6 @@ TEST(EngineMatrix, PageRankChunkBitIdentical) {
       EXPECT_NEAR(p.sum, 1.0, 1e-9);
     });
   }
-  // Depth 1: stale-but-contracting — run to residual convergence,
-  // where the one-superstep ghost lag has washed out and mass is
-  // conserved (mid-run iterates are not mass-conserving by design).
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const DistGraph g =
-        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    PageRankProgram p;
-    engine::Config cfg;
-    cfg.max_supersteps = 400;
-    cfg.pipeline_depth = 1;
-    cfg.tol = 1e-10;
-    const engine::Stats st = engine::run(comm, g, p, cfg);
-    EXPECT_NEAR(p.sum, 1.0, 1e-8);
-    EXPECT_LT(st.supersteps, 400);  // the residual stop engaged
-  });
 }
 
 // The harmonic/SCC knob-plumbing gap: the Config overloads must
@@ -498,6 +478,341 @@ TEST(EngineFrontier, WireLedgerMatchesGoldenTable) {
 }
 
 // ---------------------------------------------------------------------------
+// The exact dense wire ledger: every dense driver (the halo refresh
+// and the local aux-only loop) pinned to the byte, plus a hash of
+// each kernel's gid-ordered result. Keyed by (kernel, ranks, chunk);
+// thread width must not move a byte or a bit.
+
+struct DenseKey {
+  std::string_view kernel;
+  int ranks;
+  count_t chunk;
+  bool operator<(const DenseKey& rhs) const {
+    return std::tie(kernel, ranks, chunk) <
+           std::tie(rhs.kernel, rhs.ranks, rhs.chunk);
+  }
+};
+
+struct DenseLedger {
+  count_t supersteps;
+  count_t bytes_sent;
+  count_t messages;
+  count_t collectives;
+  std::uint64_t value_hash;
+  bool operator==(const DenseLedger&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const DenseLedger& l) {
+  return os << "{" << l.supersteps << ", " << l.bytes_sent << ", "
+            << l.messages << ", " << l.collectives << ", 0x" << std::hex
+            << l.value_hash << std::dec << "ull}";
+}
+
+/// FNV-1a over the raw bytes of `vals`.
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& vals) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(vals.data());
+  for (std::size_t i = 0; i < vals.size() * sizeof(T); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+const std::map<DenseKey, DenseLedger> kDenseLedger{
+    {{"commlp"sv, 1, 0}, {10, 0, 0, 23, 0xe0af26912eca23c3ull}},
+    {{"commlp"sv, 1, 256}, {10, 0, 0, 24, 0xe0af26912eca23c3ull}},
+    {{"commlp"sv, 2, 0}, {10, 84732, 46, 46, 0xe0af26912eca23c3ull}},
+    {{"commlp"sv, 2, 256}, {10, 85068, 378, 388, 0xe0af26912eca23c3ull}},
+    {{"commlp"sv, 4, 0}, {10, 215544, 188, 92, 0xe0af26912eca23c3ull}},
+    {{"commlp"sv, 4, 256}, {10, 216856, 1092, 976, 0xe0af26912eca23c3ull}},
+    {{"kcore"sv, 1, 0}, {16, 0, 0, 34, 0xc991da6885963da7ull}},
+    {{"kcore"sv, 1, 256}, {16, 0, 0, 34, 0xc991da6885963da7ull}},
+    {{"kcore"sv, 2, 0}, {16, 130744, 68, 68, 0xc991da6885963da7ull}},
+    {{"kcore"sv, 2, 256}, {16, 131256, 596, 612, 0xc991da6885963da7ull}},
+    {{"kcore"sv, 4, 0}, {16, 332480, 272, 136, 0xc991da6885963da7ull}},
+    {{"kcore"sv, 4, 256}, {16, 334528, 1712, 1544, 0xc991da6885963da7ull}},
+    {{"pagerank"sv, 1, 0}, {12, 0, 0, 27, 0x9ce398626416623aull}},
+    {{"pagerank"sv, 1, 256}, {12, 0, 0, 27, 0x9ce398626416623aull}},
+    {{"pagerank"sv, 2, 0}, {12, 107840, 54, 54, 0x9ce398626416623aull}},
+    {{"pagerank"sv, 2, 256}, {12, 108256, 483, 496, 0x9ce398626416623aull}},
+    {{"pagerank"sv, 4, 0}, {12, 274144, 220, 108, 0x9ce398626416623aull}},
+    {{"pagerank"sv, 4, 256}, {12, 275808, 1390, 1252, 0x9ce398626416623aull}},
+    {{"triangles"sv, 1, 0}, {1, 0, 0, 4, 0x12e224d77e276601ull}},
+    {{"triangles"sv, 1, 256}, {1, 0, 0, 1550, 0x12e224d77e276601ull}},
+    {{"triangles"sv, 2, 0}, {1, 197997, 8, 8, 0x12e224d77e276601ull}},
+    {{"triangles"sv, 2, 256}, {1, 198061, 786, 1692, 0x12e224d77e276601ull}},
+    {{"triangles"sv, 4, 0}, {1, 299638, 32, 16, 0x12e224d77e276601ull}},
+    {{"triangles"sv, 4, 256}, {1, 299894, 1232, 1752, 0x12e224d77e276601ull}},
+    {{"wcc"sv, 1, 0}, {4, 0, 0, 12, 0x51e78e744621f425ull}},
+    {{"wcc"sv, 1, 256}, {4, 0, 0, 13, 0x51e78e744621f425ull}},
+    {{"wcc"sv, 2, 0}, {5, 46186, 27, 28, 0x51e78e744621f425ull}},
+    {{"wcc"sv, 2, 256}, {5, 46362, 194, 200, 0x51e78e744621f425ull}},
+    {{"wcc"sv, 4, 0}, {7, 156556, 135, 72, 0x51e78e744621f425ull}},
+    {{"wcc"sv, 4, 256}, {7, 157484, 769, 692, 0x51e78e744621f425ull}},
+};
+
+/// Runs one dense kernel; returns its supersteps, the world-summed
+/// comm counters it moved, and the hash of `result(p)` in gid order
+/// (per-vertex results) or as-is (scalars, identical on every rank).
+template <typename P, typename Result>
+DenseLedger measure_dense(sim::Comm& comm, const DistGraph& g, P& p,
+                          const engine::Config& cfg, Result&& result) {
+  const sim::CommStats before = comm.stats();
+  const engine::Stats st = engine::run(comm, g, p, cfg);
+  const sim::CommStats& after = comm.stats();
+  std::vector<count_t> moved{after.bytes_sent - before.bytes_sent,
+                             after.messages_sent - before.messages_sent,
+                             after.collectives - before.collectives};
+  comm.allreduce_sum(moved);
+  return {st.supersteps, moved[0], moved[1], moved[2], result(p)};
+}
+
+TEST(EngineDense, LedgerMatchesGoldenTable) {
+  const EdgeList el = gen::community_graph(1'000, 10, 0.95, 2.3, 5);
+  for (const count_t chunk : {count_t{0}, count_t{256}})
+    for (const int threads : {1, 4})
+      for (const int ranks : {1, 2, 4})
+        sim::run_world(ranks, [&](sim::Comm& comm) {
+          const DistGraph g = build_dist_graph(
+              comm, el, VertexDist::random(el.n, ranks, 3));
+          engine::Config cfg;
+          cfg.max_exchange_bytes = chunk;
+          cfg.num_threads = threads;
+          const auto per_vertex = [&](const auto& vals) {
+            return fnv1a(by_gid(comm, g, vals));
+          };
+
+          std::map<DenseKey, DenseLedger> got;
+          engine::Config fixed = cfg;
+          fixed.max_supersteps = 12;
+          PageRankProgram pr;
+          got[{"pagerank"sv, ranks, chunk}] = measure_dense(
+              comm, g, pr, fixed, [&](auto& p) { return per_vertex(p.rank); });
+          WccProgram wcc;
+          got[{"wcc"sv, ranks, chunk}] = measure_dense(
+              comm, g, wcc, cfg,
+              [&](auto& p) { return per_vertex(p.component); });
+          engine::Config lp_cfg = cfg;
+          lp_cfg.max_supersteps = 10;
+          CommLpProgram lp;
+          got[{"commlp"sv, ranks, chunk}] = measure_dense(
+              comm, g, lp, lp_cfg,
+              [&](auto& p) { return per_vertex(p.label); });
+          engine::Config kc_cfg = cfg;
+          kc_cfg.max_supersteps = 40;
+          KCoreProgram kc;
+          got[{"kcore"sv, ranks, chunk}] = measure_dense(
+              comm, g, kc, kc_cfg,
+              [&](auto& p) { return per_vertex(p.core); });
+          engine::Config tc_cfg = cfg;
+          tc_cfg.max_supersteps = 1;
+          TriangleCountProgram tc;
+          tc.sample_cap = 64;
+          got[{"triangles"sv, ranks, chunk}] = measure_dense(
+              comm, g, tc, tc_cfg, [](auto& p) {
+                return fnv1a(std::vector<double>{
+                    p.triangles, static_cast<double>(p.sampled_centers)});
+              });
+
+          if (comm.rank() != 0) return;
+          for (const auto& [key, ledger] : got)
+            EXPECT_EQ(ledger, kDenseLedger.at(key))
+                << key.kernel << " ranks=" << ranks << " chunk=" << chunk
+                << " threads=" << threads;
+        });
+}
+
+// ---------------------------------------------------------------------------
+// The overlapped halo superstep (the dense engine's one refresh mode)
+// against a blocking refresh, and serial against parallel sweeps.
+
+/// Reference superstep: update every owned vertex, then a blocking
+/// ghost refresh — what the overlapped superstep must reproduce.
+template <typename T, typename Fn>
+void blocking_superstep(sim::Comm& comm, graph::HaloPlan& halo,
+                        const DistGraph& g, std::vector<T>& vals,
+                        Fn&& update) {
+  for (lid_t v = 0; v < g.n_local(); ++v) update(v);
+  halo.exchange(comm, vals);
+}
+
+TEST(HaloOverlap, SuperstepBitIdenticalToBlockingExchange) {
+  const EdgeList el = gen::erdos_renyi(400, 8, 29);
+  // Bounds: unbounded, one record per phase, and a few records each.
+  for (const count_t bound :
+       {count_t{0}, count_t{sizeof(gid_t)}, count_t{1} << 8}) {
+    sim::run_world(6, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, 6, 5));
+      graph::HaloPlan ref_halo(comm, g);
+      graph::HaloPlan overlap_halo(comm, g);
+      ref_halo.set_max_send_bytes(bound);
+      overlap_halo.set_max_send_bytes(bound);
+      ref_halo.reset_stats();
+      overlap_halo.reset_stats();
+
+      std::vector<gid_t> expect(g.n_total()), vals(g.n_total());
+      for (lid_t v = 0; v < g.n_total(); ++v)
+        expect[v] = vals[v] = g.gid_of(v);
+      for (int iter = 1; iter <= 3; ++iter) {
+        blocking_superstep(comm, ref_halo, g, expect, [&](lid_t v) {
+          expect[v] = expect[v] * 5 + static_cast<gid_t>(iter);
+        });
+        overlap_halo.overlapped_superstep(
+            comm, vals,
+            [&](lid_t v) {
+              vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
+            },
+            [&] { (void)comm.allreduce_sum<count_t>(1); });
+        EXPECT_FALSE(overlap_halo.prefetch_in_flight());
+        ASSERT_EQ(vals, expect) << "bound=" << bound << " iter=" << iter;
+      }
+      EXPECT_EQ(overlap_halo.stats().bytes_sent,
+                ref_halo.stats().bytes_sent);
+      EXPECT_EQ(overlap_halo.stats().phases, ref_halo.stats().phases);
+    });
+  }
+}
+
+// MPI+X: the parallel drive (chunked boundary and interior sweeps)
+// must land every superstep in the serial drive's state with the same
+// wire bytes. This is also the case the CI ThreadSanitizer job
+// hammers at threads = 8.
+TEST(HaloOverlap, ParallelSuperstepBitIdenticalToSerial) {
+  const EdgeList el = gen::erdos_renyi(400, 8, 37);
+  for (const count_t bound : kChunks) {
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
+      constexpr int kIters = 4;
+      const auto run = [&](bool parallel,
+                           std::vector<std::vector<gid_t>>& trace) {
+        graph::HaloPlan halo(comm, g);
+        halo.set_max_send_bytes(bound);
+        std::vector<gid_t> vals(g.n_total());
+        for (lid_t v = 0; v < g.n_total(); ++v) vals[v] = g.gid_of(v);
+        for (int iter = 1; iter <= kIters; ++iter) {
+          halo.overlapped_superstep(
+              comm, vals,
+              [&](lid_t v) {
+                vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
+              },
+              [] {}, parallel);
+          trace.push_back(vals);
+        }
+        return halo.stats().bytes_sent;
+      };
+      std::vector<std::vector<gid_t>> serial, parallel;
+      const count_t serial_bytes = run(false, serial);
+      par::ThreadScope threads(8);  // oversubscribes this container
+      const count_t parallel_bytes = run(true, parallel);
+      EXPECT_EQ(parallel, serial) << "bound=" << bound;
+      EXPECT_EQ(parallel_bytes, serial_bytes) << "bound=" << bound;
+    });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hand-rolled blocking references: the pre-engine formulations of
+// PageRank and k-core, one blocking halo refresh per superstep. The
+// engine-run wrappers must reproduce them bit for bit.
+
+TEST(EngineDense, PageRankBitIdenticalToBlockingReference) {
+  const EdgeList el = gen::community_graph(1000, 8, 0.6, 2.3, 3);
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
+    constexpr int kIters = 15;
+    constexpr double kDamping = 0.85;
+
+    // Contributions + dangling mass in one pass, blocking halo
+    // refresh, allreduce, update.
+    std::vector<double> ref_rank(g.n_total(),
+                                 1.0 / static_cast<double>(g.n_global()));
+    {
+      graph::HaloPlan halo(comm, g);
+      const double n = static_cast<double>(g.n_global());
+      std::vector<double> contrib(g.n_total(), 0.0);
+      for (int iter = 0; iter < kIters; ++iter) {
+        double dangling = 0.0;
+        for (lid_t v = 0; v < g.n_local(); ++v) {
+          const count_t d = g.degree(v);
+          if (d == 0) {
+            dangling += ref_rank[v];
+            contrib[v] = 0.0;
+          } else {
+            contrib[v] = ref_rank[v] / static_cast<double>(d);
+          }
+        }
+        halo.exchange(comm, contrib);
+        dangling = comm.allreduce_sum(dangling);
+        for (lid_t v = 0; v < g.n_local(); ++v) {
+          double sum = 0.0;
+          for (const lid_t u : g.arcs(v)) sum += contrib[u];
+          ref_rank[v] =
+              (1.0 - kDamping) / n + kDamping * (sum + dangling / n);
+        }
+      }
+      halo.exchange(comm, ref_rank);
+    }
+
+    const auto pr = pagerank(comm, g, kIters, kDamping);
+    ASSERT_EQ(pr.rank.size(), ref_rank.size());
+    for (lid_t v = 0; v < g.n_total(); ++v)
+      EXPECT_EQ(pr.rank[v], ref_rank[v]) << "lid " << v;  // bit-identical
+    EXPECT_EQ(pr.info.supersteps, kIters);
+  });
+}
+
+TEST(EngineDense, KcoreBitIdenticalToBlockingReference) {
+  const EdgeList el = gen::community_graph(800, 8, 0.6, 2.3, 5);
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
+    constexpr int kRounds = 12;
+
+    // The synchronous (Jacobi) h-index sweep with a full blocking
+    // ghost refresh per round.
+    std::vector<count_t> ref(g.n_total());
+    {
+      graph::HaloPlan halo(comm, g);
+      for (lid_t v = 0; v < g.n_total(); ++v) ref[v] = g.degree(v);
+      std::vector<count_t> prev(ref), nbr;
+      for (int round = 0; round < kRounds; ++round) {
+        bool changed = false;
+        for (lid_t v = 0; v < g.n_local(); ++v) {
+          nbr.clear();
+          for (const lid_t u : g.arcs(v)) nbr.push_back(prev[u]);
+          std::sort(nbr.begin(), nbr.end(), std::greater<count_t>());
+          count_t h = 0;
+          for (std::size_t i = 0; i < nbr.size(); ++i) {
+            if (nbr[i] >= static_cast<count_t>(i + 1))
+              h = static_cast<count_t>(i + 1);
+            else
+              break;
+          }
+          h = std::min<count_t>(h, g.degree(v));
+          if (h < ref[v]) {
+            ref[v] = h;
+            changed = true;
+          }
+        }
+        halo.exchange(comm, ref);
+        prev = ref;
+        if (!comm.allreduce_or(changed)) break;
+      }
+    }
+
+    const auto kc = kcore_approx(comm, g, kRounds);
+    ASSERT_EQ(kc.core.size(), ref.size());
+    for (lid_t v = 0; v < g.n_total(); ++v)
+      EXPECT_EQ(kc.core[v], ref[v]) << "lid " << v;
+  });
+}
+
+// ---------------------------------------------------------------------------
 // Delta-capped SSSP against a serial Dijkstra oracle.
 
 std::vector<count_t> dijkstra(const EdgeList& el, gid_t root,
@@ -684,7 +999,7 @@ TEST(EngineStats, LedgerAndJsonExport) {
     const std::string json = st.to_json();
     for (const char* key :
          {"\"seconds\"", "\"comm_bytes\"", "\"supersteps\"",
-          "\"bytes_sent\"", "\"pipeline_carried\""})
+          "\"bytes_sent\"", "\"max_inflight_bytes\""})
       EXPECT_NE(json.find(key), std::string::npos) << key;
   });
 }
@@ -692,12 +1007,10 @@ TEST(EngineStats, LedgerAndJsonExport) {
 TEST(EngineConfig, FromParamsMapsEveryKnob) {
   core::Params params;
   params.max_exchange_bytes = 1 << 14;
-  params.pipeline_depth = 2;
-  params.coalesce_every = 3;
+  params.num_threads = 3;
   const engine::Config cfg = engine::Config::from_params(params);
   EXPECT_EQ(cfg.max_exchange_bytes, 1 << 14);
-  EXPECT_EQ(cfg.pipeline_depth, 2);
-  EXPECT_EQ(cfg.coalesce_every, 3);
+  EXPECT_EQ(cfg.num_threads, 3);
   EXPECT_EQ(cfg.tol, 0.0);
   EXPECT_EQ(cfg.max_supersteps, engine::Config::kUnbounded);
 }
@@ -728,20 +1041,14 @@ TEST(EngineConfig, ZeroSuperstepCapRunsNone) {
 /// excluded), plus the superstep count.
 std::vector<count_t> wire_ledger(const engine::Stats& st) {
   const comm::ExchangeStats& ex = st.exchange;
-  return {st.comm_bytes,         st.supersteps,
-          ex.exchanges,          ex.phases,
-          ex.records_sent,       ex.bytes_sent,
-          ex.coalesced_flushes,  ex.overlapped,
-          ex.max_inflight_bytes, ex.drained_incrementally,
-          ex.pipeline_carried,   ex.max_pipeline_depth};
+  return {st.comm_bytes,   st.supersteps,   ex.exchanges,
+          ex.phases,       ex.records_sent, ex.bytes_sent,
+          ex.overlapped,   ex.max_inflight_bytes};
 }
 
 TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
   const EdgeList el = gen::erdos_renyi(1'000, 8, 11);
-  for (const engine::Config& base : knob_matrix()) {
-    // Coalescing needs a change-converging program; CommLP covers
-    // those cells below.
-    if (base.coalesce_every != 0) continue;
+  for (const count_t chunk : kChunks) {
     std::vector<double> ref;
     std::vector<count_t> ref_wire;
     for (const int threads : {1, 2, 8}) {
@@ -749,11 +1056,12 @@ TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
         const DistGraph g =
             build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
         PageRankProgram p;
-        engine::Config cfg = base;
+        engine::Config cfg;
+        cfg.max_exchange_bytes = chunk;
         cfg.max_supersteps = 12;
         cfg.num_threads = threads;
         const engine::Stats st = engine::run(comm, g, p, cfg);
-        EXPECT_EQ(st.num_threads, threads) << cfg_name(base);
+        EXPECT_EQ(st.num_threads, threads) << cfg_name(cfg);
         const auto global = by_gid(comm, g, p.rank);
         auto wire = wire_ledger(st);
         comm.allreduce_max(wire);  // any rank drift fails the compare
@@ -762,10 +1070,8 @@ TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
           ref = global;
           ref_wire = wire;
         } else {
-          EXPECT_EQ(global, ref)
-              << cfg_name(base) << " threads=" << threads;
-          EXPECT_EQ(wire, ref_wire)
-              << cfg_name(base) << " threads=" << threads;
+          EXPECT_EQ(global, ref) << cfg_name(cfg);
+          EXPECT_EQ(wire, ref_wire) << cfg_name(cfg);
         }
       });
     }
@@ -774,7 +1080,7 @@ TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
 
 TEST(EngineThreads, CommLpBitIdenticalAcrossThreadCountsAndKnobs) {
   const EdgeList el = gen::community_graph(1'000, 10, 0.7, 2.3, 5);
-  for (const engine::Config& base : knob_matrix()) {
+  for (const count_t chunk : kChunks) {
     std::vector<gid_t> ref;
     std::vector<count_t> ref_wire;
     for (const int threads : {1, 2, 8}) {
@@ -782,7 +1088,8 @@ TEST(EngineThreads, CommLpBitIdenticalAcrossThreadCountsAndKnobs) {
         const DistGraph g =
             build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
         CommLpProgram p;
-        engine::Config cfg = base;
+        engine::Config cfg;
+        cfg.max_exchange_bytes = chunk;
         cfg.max_supersteps = 10;
         cfg.num_threads = threads;
         const engine::Stats st = engine::run(comm, g, p, cfg);
@@ -794,10 +1101,8 @@ TEST(EngineThreads, CommLpBitIdenticalAcrossThreadCountsAndKnobs) {
           ref = global;
           ref_wire = wire;
         } else {
-          EXPECT_EQ(global, ref)
-              << cfg_name(base) << " threads=" << threads;
-          EXPECT_EQ(wire, ref_wire)
-              << cfg_name(base) << " threads=" << threads;
+          EXPECT_EQ(global, ref) << cfg_name(cfg);
+          EXPECT_EQ(wire, ref_wire) << cfg_name(cfg);
         }
       });
     }
@@ -867,41 +1172,6 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
       }
     });
   }
-}
-
-// The engine's pipeline ledger lights up when a dense program runs at
-// depth 1 (the WCC/commLP pipeline support the engine added).
-TEST(EngineStats, PipelineCarryRecordedAtDepth1) {
-  const EdgeList el = gen::erdos_renyi(800, 8, 5);
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const DistGraph g =
-        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    WccProgram p;
-    engine::Config cfg;
-    cfg.pipeline_depth = 1;
-    const engine::Stats st = engine::run(comm, g, p, cfg);
-    if (comm.size() > 1) {
-      EXPECT_GT(st.exchange.pipeline_carried, 0);
-    }
-  });
-}
-
-// At pipeline_depth = 2 the ledger must observe two refreshes
-// genuinely in flight (max_pipeline_depth == 2).
-TEST(EngineStats, MaxPipelineDepthObservedAtDepth2) {
-  const EdgeList el = gen::erdos_renyi(800, 8, 5);
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const DistGraph g =
-        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    WccProgram p;
-    engine::Config cfg;
-    cfg.pipeline_depth = 2;
-    const engine::Stats st = engine::run(comm, g, p, cfg);
-    EXPECT_GT(st.exchange.pipeline_carried, 0);
-    EXPECT_EQ(st.exchange.max_pipeline_depth, 2);
-    const std::string json = st.to_json();
-    EXPECT_NE(json.find("\"max_pipeline_depth\""), std::string::npos);
-  });
 }
 
 }  // namespace
