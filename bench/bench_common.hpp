@@ -4,7 +4,7 @@
 // Absolute numbers differ from the paper (simulated-MPI substrate: every
 // rank is a thread on one 4-vCPU host; see DESIGN.md §2) — the *shape*
 // (who wins, by what factor, where crossovers fall) is the reproduction
-// target. EXPERIMENTS.md records paper-vs-measured per experiment.
+// target; each bench's header names the paper's numbers for its figure.
 #pragma once
 
 #include <cstdio>

@@ -2,11 +2,11 @@
 // computing 16 parts as rank count grows.
 //
 // Paper: 1..16 nodes of Cluster-1, speedups between ~2x and ~14x at 16
-// nodes depending on graph structure. Here: 1..8 simulated ranks (one
-// core underneath, so "speedup" reflects algorithmic communication/
-// work balance rather than hardware). Expected shape: meshes show the
-// best scaling (low cut after init => little exchange), social
-// networks the worst.
+// nodes depending on graph structure. Here: 1..8 simulated ranks, all
+// sharing one 4-vCPU host, so "speedup" reflects algorithmic
+// communication/work balance rather than hardware. Expected shape:
+// meshes show the best scaling (low cut after init => little
+// exchange), social networks the worst.
 #include "bench/bench_common.hpp"
 #include "gen/suite.hpp"
 
@@ -39,8 +39,9 @@ int main() {
     }
   }
   std::printf(
-      "\nSingle-core substrate: wall time cannot drop with rank count;\n"
-      "'work-imb' near 1.0 is what yields the paper's Fig 3 speedups on\n"
-      "real nodes (see EXPERIMENTS.md).\n");
+      "\nShared-host substrate: every rank is a thread on one 4-vCPU host,\n"
+      "so wall time can drop only up to 4 ranks; 'work-imb' near 1.0 is\n"
+      "what yields the paper's Fig 3 speedups on real nodes (DESIGN.md,\n"
+      "section 2).\n");
   return 0;
 }

@@ -53,8 +53,8 @@ struct PageRankProgram {
   using Value = double;
   static constexpr bool kConvergeOnChange = false;
   // update(v) reads rank[v] (written only in apply) and writes
-  // values[v]; apply writes rank[v] and the per-vertex residual
-  // scratch — all per-vertex slots, safe for concurrent distinct v.
+  // values[v]; apply writes only rank[v] — per-vertex slots, safe for
+  // concurrent distinct v.
   static constexpr bool kParallelUpdate = true;
   using Ctx = engine::DenseContext<PageRankProgram>;
 
@@ -64,20 +64,21 @@ struct PageRankProgram {
   double sum = 0.0;          ///< global rank mass (~1.0)
   double inv_n = 0.0;
   double dangling = 0.0;
-  std::vector<double> resid;  ///< per-vertex |delta| scratch (apply)
+  std::vector<lid_t> sinks;  ///< owned degree-0 vertices, in lid order
 
   void init(Ctx& ctx) {
     inv_n = 1.0 / static_cast<double>(ctx.g.n_global());
     ctx.values.assign(ctx.g.n_total(), 0.0);
     rank.assign(ctx.g.n_total(), inv_n);
-    resid.assign(ctx.g.n_local(), 0.0);
+    sinks.clear();
+    for (lid_t v = 0; v < ctx.g.n_local(); ++v)
+      if (ctx.g.degree(v) == 0) sinks.push_back(v);
   }
-  void pre_superstep(Ctx& ctx) {
+  void pre_superstep(Ctx&) {
     // Dangling mass in fixed lid order, so the sum is bit-identical no
     // matter how the sweeps order the contribution writes.
     dangling = 0.0;
-    for (lid_t v = 0; v < ctx.g.n_local(); ++v)
-      if (ctx.g.degree(v) == 0) dangling += rank[v];
+    for (const lid_t v : sinks) dangling += rank[v];
   }
   void update(Ctx& ctx, lid_t v) {
     const count_t d = ctx.g.degree(v);
@@ -86,18 +87,25 @@ struct PageRankProgram {
   void mid(Ctx& ctx) { dangling = ctx.comm.allreduce_sum(dangling); }
   void apply(Ctx& ctx) {
     const double n = static_cast<double>(ctx.g.n_global());
-    // Per-vertex gather on the rank's pool (DenseContext::for_owned);
-    // the residual folds serially in lid order afterwards, so the
-    // sum's association — and hence the tol stop — is identical at
-    // every thread count.
-    ctx.for_owned([&](lid_t v) {
-      double s = 0.0;
-      for (const lid_t u : ctx.g.arcs(v)) s += ctx.values[u];
-      const double next = (1.0 - damping) / n + damping * (s + dangling / n);
-      resid[v] = std::abs(next - rank[v]);
-      rank[v] = next;
-    });
-    for (lid_t v = 0; v < ctx.g.n_local(); ++v) ctx.residual += resid[v];
+    // Per-vertex gather on the rank's pool; each chunk returns its
+    // partial |delta| and par::ordered_sum folds them in chunk order,
+    // so the residual — and hence the tol stop — is identical at every
+    // thread count.
+    ctx.residual += par::ordered_sum(
+        static_cast<count_t>(ctx.g.n_local()),
+        [&](count_t, count_t lo, count_t hi) {
+          double resid = 0.0;
+          for (count_t i = lo; i < hi; ++i) {
+            const auto v = static_cast<lid_t>(i);
+            double s = 0.0;
+            for (const lid_t u : ctx.g.arcs(v)) s += ctx.values[u];
+            const double next =
+                (1.0 - damping) / n + damping * (s + dangling / n);
+            resid += std::abs(next - rank[v]);
+            rank[v] = next;
+          }
+          return resid;
+        });
   }
   void finish(Ctx& ctx) {
     // Epilogue: refresh the ghost ranks while the mass check reduces —

@@ -11,10 +11,10 @@ namespace xtra::comm {
 namespace {
 
 /// Per-destination counts of the record window [lo, hi) of a
-/// destination-grouped send buffer. The buffer is grouped by
-/// destination, so every window's per-destination runs are contiguous
-/// and in destination order — each window is itself a valid alltoallv
-/// send buffer.
+/// destination-grouped send buffer whose per-destination prefix sums
+/// are `offsets`. The records are grouped by destination, so every
+/// window's per-destination runs are contiguous and in destination
+/// order — each window is itself a valid alltoallv send buffer.
 void window_counts(const std::vector<count_t>& offsets, count_t lo,
                    count_t hi, std::vector<count_t>& out) {
   const std::size_t nranks = offsets.size() - 1;
@@ -57,13 +57,18 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
   pending_.elem_ = elem;
   pending_.total_ = total;
   pending_.counts_ = counts;
-  pending_.offsets_.resize(counts.size() + 1);
+  pending_.self_count_ = counts[static_cast<std::size_t>(me)];
+  pending_.remote_ = total - pending_.self_count_;
+  pending_.remote_offsets_.resize(counts.size() + 1);
   count_t running = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    pending_.offsets_[i] = running;
-    running += counts[i];
+    pending_.remote_offsets_[i] = running;
+    if (i == static_cast<std::size_t>(me))
+      pending_.self_lo_ = running;
+    else
+      running += counts[i];
   }
-  pending_.offsets_[counts.size()] = running;
+  pending_.remote_offsets_[counts.size()] = running;
   if (mode == StartMode::kSnapshot) {
     // Nothing staged locally means nothing to snapshot.
     pending_.staging_.resize(static_cast<std::size_t>(total) * elem);
@@ -75,10 +80,7 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
     pending_.wire_ = send;
   }
 
-  for (int r = 0; r < nranks; ++r)
-    if (r != me)
-      stats_.bytes_sent +=
-          counts[static_cast<std::size_t>(r)] * static_cast<count_t>(elem);
+  stats_.bytes_sent += pending_.remote_ * static_cast<count_t>(elem);
 
   // Agree on a global phase count. Unbounded mode skips the allreduce:
   // all ranks constructed with max_send_bytes == 0 know the answer.
@@ -89,25 +91,26 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
     // phase — every phase makes progress, never a zero-record plan.
     pending_.max_records_ =
         std::max<count_t>(1, max_send_bytes_ / static_cast<count_t>(elem));
-    const count_t gmax_total = comm.allreduce_max(total);
-    if (gmax_total == 0) {
-      // All-empty exchange: every rank staged zero records, so skip
-      // the wire entirely — zero phases, an empty grouped-by-source
-      // result, and identical accounting on the blocking and
-      // start/finish paths.
+    const count_t gmax_remote = comm.allreduce_max(pending_.remote_);
+    if (gmax_remote == 0) {
+      // No rank sends a remote record, so skip the wire entirely —
+      // zero phases, and the result is this rank's self segment,
+      // identical on the blocking and start/finish paths.
       pending_.nphases_ = 0;
       pending_.phase_ = 0;
       pending_.active_ = true;
       rcounts_.assign(static_cast<std::size_t>(nranks), 0);
-      recv_total_ = 0;
-      recv_bytes_.clear();
+      rcounts_[static_cast<std::size_t>(me)] = pending_.self_count_;
+      recv_total_ = pending_.self_count_;
+      recv_bytes_.resize(static_cast<std::size_t>(recv_total_) * elem);
+      copy_self(0);
       const double sec0 = t.seconds();
       stats_.seconds += sec0;
       stats_.start_seconds += sec0;
       return;
     }
     pending_.nphases_ =
-        (gmax_total + pending_.max_records_ - 1) / pending_.max_records_;
+        (gmax_remote + pending_.max_records_ - 1) / pending_.max_records_;
   }
   pending_.phase_ = 0;
   pending_.active_ = true;
@@ -118,15 +121,17 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
   pending_.channel_ = comm.find_free_channel();
 
   if (pending_.nphases_ == 1) {
-    // Single-phase: post the whole payload; arrival counts and the
-    // receive buffer are handled by the finish half.
+    // Single-phase: post the whole payload (the substrate copies the
+    // self segment in memory); arrival counts and the receive buffer
+    // are handled by the finish half.
     (void)comm.alltoallv_bytes_start(pending_.wire_, elem, pending_.counts_,
                                      pending_.channel_, label_);
   } else {
     // Phased mode: learn the final per-source totals up front (one
     // small alltoall), so every phase's arrivals land directly in
     // their final position — the receive side peaks at the payload
-    // size, never double-buffers. Then post phase 0.
+    // size, never double-buffers. The self segment lands there now;
+    // the phases carry only remote records. Then post phase 0.
     rcounts_ = comm.alltoall(pending_.counts_);
     recv_total_ = 0;
     cursor_.resize(static_cast<std::size_t>(nranks));
@@ -135,14 +140,56 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
       recv_total_ += rcounts_[static_cast<std::size_t>(s)];
     }
     recv_bytes_.resize(static_cast<std::size_t>(recv_total_) * elem);
-    const count_t hi = std::min(pending_.max_records_, total);
-    window_counts(pending_.offsets_, 0, hi, phase_counts_);
-    (void)comm.alltoallv_bytes_start(pending_.wire_, elem, phase_counts_,
-                                     pending_.channel_, label_);
+    copy_self(cursor_[static_cast<std::size_t>(me)]);
+    cursor_[static_cast<std::size_t>(me)] += pending_.self_count_;
+    post_phase(comm);
   }
   const double sec = t.seconds();
   stats_.seconds += sec;
   stats_.start_seconds += sec;
+}
+
+void Exchanger::copy_self(count_t at) {
+  if (pending_.self_count_ == 0) return;
+  const std::size_t elem = pending_.elem_;
+  std::memcpy(recv_bytes_.data() + static_cast<std::size_t>(at) * elem,
+              pending_.wire_ + static_cast<std::size_t>(pending_.self_lo_) * elem,
+              static_cast<std::size_t>(pending_.self_count_) * elem);
+}
+
+void Exchanger::post_phase(sim::Comm& comm) {
+  const std::size_t elem = pending_.elem_;
+  const count_t lo =
+      std::min(pending_.phase_ * pending_.max_records_, pending_.remote_);
+  const count_t hi = std::min(lo + pending_.max_records_, pending_.remote_);
+  window_counts(pending_.remote_offsets_, lo, hi, phase_counts_);
+  // Remote index x sits at payload index x below the self segment and
+  // x + self_count_ above it. A window on one side is a contiguous
+  // slice of the payload; one that straddles the segment is gathered
+  // into straddle_ (at most max_records_ records).
+  const count_t cut = pending_.self_lo_;
+  const std::byte* send = nullptr;
+  if (hi <= cut || pending_.self_count_ == 0) {
+    send = pending_.wire_ + static_cast<std::size_t>(lo) * elem;
+  } else if (lo >= cut) {
+    send = pending_.wire_ +
+           static_cast<std::size_t>(lo + pending_.self_count_) * elem;
+  } else {
+    const std::size_t below = static_cast<std::size_t>(cut - lo) * elem;
+    const std::size_t above = static_cast<std::size_t>(hi - cut) * elem;
+    straddle_.resize(below + above);
+    std::memcpy(straddle_.data(),
+                pending_.wire_ + static_cast<std::size_t>(lo) * elem, below);
+    std::memcpy(straddle_.data() + below,
+                pending_.wire_ +
+                    static_cast<std::size_t>(cut + pending_.self_count_) * elem,
+                above);
+    send = straddle_.data();
+  }
+  // Successor phases reuse the exchange's channel — it freed the
+  // instant the previous phase finished.
+  (void)comm.alltoallv_bytes_start(send, elem, phase_counts_,
+                                   pending_.channel_, label_);
 }
 
 void Exchanger::finish_bytes(sim::Comm& comm) {
@@ -168,7 +215,6 @@ void Exchanger::finish_bytes(sim::Comm& comm) {
 void Exchanger::finish_phases(sim::Comm& comm) {
   const int nranks = comm.size();
   const std::size_t elem = pending_.elem_;
-  const count_t total = pending_.total_;
   while (pending_.phase_ < pending_.nphases_) {
     // Drain phase p, immediately post phase p+1 so it is in flight
     // while p's arrivals are scattered into their final positions.
@@ -176,17 +222,7 @@ void Exchanger::finish_phases(sim::Comm& comm) {
                                       pending_.channel_);
     ++stats_.phases;
     ++pending_.phase_;
-    if (pending_.phase_ < pending_.nphases_) {
-      const count_t lo =
-          std::min(pending_.phase_ * pending_.max_records_, total);
-      const count_t hi = std::min(lo + pending_.max_records_, total);
-      window_counts(pending_.offsets_, lo, hi, phase_counts_);
-      // Successor phases reuse the exchange's channel — it freed the
-      // instant the previous phase finished.
-      (void)comm.alltoallv_bytes_start(
-          pending_.wire_ + static_cast<std::size_t>(lo) * elem, elem,
-          phase_counts_, pending_.channel_, label_);
-    }
+    if (pending_.phase_ < pending_.nphases_) post_phase(comm);
     // Arrivals from source s across phases, concatenated in phase
     // order, are exactly s's single-alltoallv segment (each phase
     // window preserves the within-destination record order).

@@ -28,6 +28,12 @@
 // finish() drains the phases in order, posting each successor before
 // it scatters the drained phase's arrivals into their final position.
 //
+// Self-destined records never touch the wire, so the bound phases only
+// the remote ones: the phase count follows the largest remote total
+// across ranks, and a phased exchange copies its self segment straight
+// into the result. An exchange with no remote record anywhere costs
+// the one phase-agreement allreduce.
+//
 // The object owns all wire-side scratch (receive bytes, per-phase
 // counts, reassembly cursors) and reuses it across calls, so a
 // persistent Exchanger makes the per-iteration exchange of
@@ -102,10 +108,15 @@ class AsyncExchange {
 
   std::vector<std::byte> staging_;   ///< owned payload snapshot (start())
   std::vector<count_t> counts_;      ///< per-destination element counts
-  std::vector<count_t> offsets_;     ///< prefix sums of counts_
+  /// Prefix sums of counts_ with the self segment left out: the
+  /// remote-record index space the phase windows cut.
+  std::vector<count_t> remote_offsets_;
   const std::byte* wire_ = nullptr;  ///< payload the phases slice from
   std::size_t elem_ = 0;             ///< element size in bytes
   count_t total_ = 0;                ///< total elements staged
+  count_t remote_ = 0;               ///< staged elements not for self
+  count_t self_lo_ = 0;              ///< payload index of the self segment
+  count_t self_count_ = 0;           ///< self-destined elements
   count_t max_records_ = 0;          ///< per-phase record cap
   count_t nphases_ = 0;              ///< agreed global phase count
   count_t phase_ = 0;                ///< phase currently in flight
@@ -249,6 +260,10 @@ class Exchanger {
   void finish_bytes(sim::Comm& comm);
   /// The phased (nphases_ > 1) drain loop of finish_bytes.
   void finish_phases(sim::Comm& comm);
+  /// Posts the remote-record window of phase pending_.phase_.
+  void post_phase(sim::Comm& comm);
+  /// Copies the self segment of the payload to recv_bytes_ at `at`.
+  void copy_self(count_t at);
 
   count_t max_send_bytes_ = 0;
   const char* label_ = "comm::Exchanger";
@@ -263,6 +278,9 @@ class Exchanger {
   std::vector<count_t> phase_rcounts_;  ///< per-source counts, one phase
   std::vector<std::byte> phase_bytes_;  ///< one phase's arrivals
   std::vector<count_t> cursor_;         ///< reassembly write positions
+  /// Send buffer of the one phase whose window straddles the self
+  /// segment (at most max_send_bytes).
+  std::vector<std::byte> straddle_;
 };
 
 }  // namespace xtra::comm

@@ -40,6 +40,7 @@
 //    program-accumulated ctx.residual drops to tol.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <vector>
@@ -197,6 +198,17 @@ void update_sweep(const graph::DistGraph& g, P& p, DenseContext<P>& ctx) {
   for (lid_t v = 0; v < g.n_local(); ++v) p.update(ctx, v);
 }
 
+/// ctx.prev = ctx.values as a chunked copy on the rank's pool (the
+/// vectors are the same size, so no reallocation).
+template <typename P>
+void snapshot_prev(DenseContext<P>& ctx) {
+  par::for_chunks(static_cast<count_t>(ctx.values.size()),
+                  [&](count_t, count_t lo, count_t hi) {
+                    std::copy(ctx.values.begin() + lo, ctx.values.begin() + hi,
+                              ctx.prev.begin() + lo);
+                  });
+}
+
 /// Superstep loop with one overlapped ghost refresh per superstep.
 template <typename P>
 void run_dense_halo(sim::Comm& comm, P& p, const Config& cfg,
@@ -218,7 +230,7 @@ void run_dense_halo(sim::Comm& comm, P& p, const Config& cfg,
     ++ctx.superstep;
     if constexpr (converge_on_change<P>()) {
       if (!comm.allreduce_or(ctx.changed)) break;
-      if constexpr (uses_prev<P>()) ctx.prev = ctx.values;
+      if constexpr (uses_prev<P>()) snapshot_prev(ctx);
     } else {
       if (cfg.tol > 0.0 && comm.allreduce_sum(ctx.residual) <= cfg.tol)
         break;

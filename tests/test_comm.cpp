@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "comm/dest_buckets.hpp"
@@ -135,15 +136,17 @@ TEST_P(PhasedBounds, PhasedResultBitIdenticalToUnbounded) {
     const auto got = ex.exchange(comm, send, counts, &rcounts);
     EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
     EXPECT_EQ(rcounts, expect_rcounts);
-    // Phase arithmetic: the rank with the largest send total dictates
-    // the global phase count.
-    const count_t total =
-        std::accumulate(counts.begin(), counts.end(), count_t(0));
-    const count_t max_total = comm.allreduce_max(total);
+    // Phase arithmetic: the rank with the largest remote total (its
+    // self-destined records never touch the wire) dictates the global
+    // phase count.
+    const count_t remote =
+        std::accumulate(counts.begin(), counts.end(), count_t(0)) -
+        counts[static_cast<std::size_t>(comm.rank())];
+    const count_t max_remote = comm.allreduce_max(remote);
     const count_t max_records =
         std::max<count_t>(1, bound / static_cast<count_t>(sizeof(std::uint64_t)));
     const count_t want_phases =
-        std::max<count_t>(1, (max_total + max_records - 1) / max_records);
+        std::max<count_t>(1, (max_remote + max_records - 1) / max_records);
     EXPECT_EQ(ex.stats().phases, want_phases);
     EXPECT_EQ(ex.stats().exchanges, 1);
   });
@@ -323,9 +326,9 @@ TEST(Exchanger, SubRecordBoundClampsToOneRecordPerPhase) {
       const auto got = ex.exchange(comm, send, counts);
       EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
       // One record per phase: the phase count equals the largest
-      // per-rank record total.
+      // per-rank remote record total (self records are not phased).
       EXPECT_EQ(ex.stats().phases,
-                static_cast<count_t>(nranks) * per_dest);
+                static_cast<count_t>(nranks - 1) * per_dest);
       EXPECT_EQ(ex.stats().exchanges, 1);
     });
   }
@@ -370,6 +373,37 @@ TEST(Exchanger, AllEmptyBoundedExchangeSkipsTheWire) {
     Exchanger unbounded;
     (void)unbounded.exchange(comm, send, counts);
     EXPECT_EQ(unbounded.stats().phases, 1);
+  });
+}
+
+TEST(Exchanger, SelfRecordsCostNoPhases) {
+  // One rank, a bound of one record, k self records: nothing crosses
+  // the wire, so the bounded exchange pays only its phase-agreement
+  // allreduce — O(1) collectives, not one phase per record.
+  constexpr count_t kRecords = 1000;
+  sim::run_world(1, [&](sim::Comm& comm) {
+    std::vector<std::uint64_t> send(kRecords);
+    for (count_t i = 0; i < kRecords; ++i)
+      send[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(i) * 7;
+    const std::vector<count_t> counts{kRecords};
+    for (const bool split : {false, true}) {
+      Exchanger ex(sizeof(std::uint64_t));
+      comm.reset_stats();
+      std::vector<count_t> rcounts;
+      std::span<const std::uint64_t> got;
+      if (split) {
+        ex.start(comm, send, counts);
+        got = ex.finish<std::uint64_t>(comm, &rcounts);
+      } else {
+        got = ex.exchange(comm, send, counts, &rcounts);
+      }
+      EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), send);
+      EXPECT_EQ(rcounts, counts);
+      EXPECT_EQ(comm.stats().collectives, 1) << "split=" << split;
+      EXPECT_EQ(ex.stats().phases, 0);
+      EXPECT_EQ(ex.stats().bytes_sent, 0);
+      EXPECT_EQ(ex.stats().records_sent, kRecords);
+    }
   });
 }
 

@@ -522,7 +522,7 @@ std::uint64_t fnv1a(const std::vector<T>& vals) {
 
 const std::map<DenseKey, DenseLedger> kDenseLedger{
     {{"commlp"sv, 1, 0}, {10, 0, 0, 23, 0xe0af26912eca23c3ull}},
-    {{"commlp"sv, 1, 256}, {10, 0, 0, 24, 0xe0af26912eca23c3ull}},
+    {{"commlp"sv, 1, 256}, {10, 0, 0, 23, 0xe0af26912eca23c3ull}},
     {{"commlp"sv, 2, 0}, {10, 84732, 46, 46, 0xe0af26912eca23c3ull}},
     {{"commlp"sv, 2, 256}, {10, 85068, 378, 388, 0xe0af26912eca23c3ull}},
     {{"commlp"sv, 4, 0}, {10, 215544, 188, 92, 0xe0af26912eca23c3ull}},
@@ -539,14 +539,20 @@ const std::map<DenseKey, DenseLedger> kDenseLedger{
     {{"pagerank"sv, 2, 256}, {12, 108256, 483, 496, 0x9ce398626416623aull}},
     {{"pagerank"sv, 4, 0}, {12, 274144, 220, 108, 0x9ce398626416623aull}},
     {{"pagerank"sv, 4, 256}, {12, 275808, 1390, 1252, 0x9ce398626416623aull}},
+    {{"pagerank_sinks"sv, 1, 0}, {12, 0, 0, 27, 0x9c1ede1232061882ull}},
+    {{"pagerank_sinks"sv, 1, 256}, {12, 0, 0, 27, 0x9c1ede1232061882ull}},
+    {{"pagerank_sinks"sv, 2, 0}, {12, 57440, 54, 54, 0xaebf7de1a601030full}},
+    {{"pagerank_sinks"sv, 2, 256}, {12, 57856, 301, 314, 0xaebf7de1a601030full}},
+    {{"pagerank_sinks"sv, 4, 0}, {12, 129552, 220, 108, 0xbdab90b0cf76ce6ull}},
+    {{"pagerank_sinks"sv, 4, 256}, {12, 131216, 870, 732, 0xbdab90b0cf76ce6ull}},
     {{"triangles"sv, 1, 0}, {1, 0, 0, 4, 0x12e224d77e276601ull}},
-    {{"triangles"sv, 1, 256}, {1, 0, 0, 1550, 0x12e224d77e276601ull}},
+    {{"triangles"sv, 1, 256}, {1, 0, 0, 4, 0x12e224d77e276601ull}},
     {{"triangles"sv, 2, 0}, {1, 197997, 8, 8, 0x12e224d77e276601ull}},
-    {{"triangles"sv, 2, 256}, {1, 198061, 786, 1692, 0x12e224d77e276601ull}},
+    {{"triangles"sv, 2, 256}, {1, 198061, 786, 794, 0x12e224d77e276601ull}},
     {{"triangles"sv, 4, 0}, {1, 299638, 32, 16, 0x12e224d77e276601ull}},
-    {{"triangles"sv, 4, 256}, {1, 299894, 1232, 1752, 0x12e224d77e276601ull}},
+    {{"triangles"sv, 4, 256}, {1, 299894, 1230, 1304, 0x12e224d77e276601ull}},
     {{"wcc"sv, 1, 0}, {4, 0, 0, 12, 0x51e78e744621f425ull}},
-    {{"wcc"sv, 1, 256}, {4, 0, 0, 13, 0x51e78e744621f425ull}},
+    {{"wcc"sv, 1, 256}, {4, 0, 0, 12, 0x51e78e744621f425ull}},
     {{"wcc"sv, 2, 0}, {5, 46186, 27, 28, 0x51e78e744621f425ull}},
     {{"wcc"sv, 2, 256}, {5, 46362, 194, 200, 0x51e78e744621f425ull}},
     {{"wcc"sv, 4, 0}, {7, 156556, 135, 72, 0x51e78e744621f425ull}},
@@ -569,8 +575,13 @@ DenseLedger measure_dense(sim::Comm& comm, const DistGraph& g, P& p,
   return {st.supersteps, moved[0], moved[1], moved[2], result(p)};
 }
 
+/// A graph with isolated vertices: the dense goldens' community graphs
+/// have none, so only this one drives PageRank's dangling-mass path.
+EdgeList sinks_graph() { return gen::rmat(10, 6, 7); }
+
 TEST(EngineDense, LedgerMatchesGoldenTable) {
   const EdgeList el = gen::community_graph(1'000, 10, 0.95, 2.3, 5);
+  const EdgeList sinks_el = sinks_graph();
   for (const count_t chunk : {count_t{0}, count_t{256}})
     for (const int threads : {1, 4})
       for (const int ranks : {1, 2, 4})
@@ -590,6 +601,15 @@ TEST(EngineDense, LedgerMatchesGoldenTable) {
           PageRankProgram pr;
           got[{"pagerank"sv, ranks, chunk}] = measure_dense(
               comm, g, pr, fixed, [&](auto& p) { return per_vertex(p.rank); });
+          {
+            const DistGraph gs = build_dist_graph(
+                comm, sinks_el, VertexDist::random(sinks_el.n, ranks, 3));
+            PageRankProgram prs;
+            got[{"pagerank_sinks"sv, ranks, chunk}] =
+                measure_dense(comm, gs, prs, fixed, [&](auto& p) {
+                  return fnv1a(by_gid(comm, gs, p.rank));
+                });
+          }
           WccProgram wcc;
           got[{"wcc"sv, ranks, chunk}] = measure_dense(
               comm, g, wcc, cfg,
@@ -719,6 +739,38 @@ TEST(HaloOverlap, ParallelSuperstepBitIdenticalToSerial) {
 // PageRank and k-core, one blocking halo refresh per superstep. The
 // engine-run wrappers must reproduce them bit for bit.
 
+/// Contributions + dangling mass in one lid-order pass, blocking halo
+/// refresh, allreduce, update; a final refresh of the ghost ranks.
+std::vector<double> blocking_pagerank(sim::Comm& comm, const DistGraph& g,
+                                      int iters, double damping) {
+  std::vector<double> rank(g.n_total(),
+                           1.0 / static_cast<double>(g.n_global()));
+  graph::HaloPlan halo(comm, g);
+  const double n = static_cast<double>(g.n_global());
+  std::vector<double> contrib(g.n_total(), 0.0);
+  for (int iter = 0; iter < iters; ++iter) {
+    double dangling = 0.0;
+    for (lid_t v = 0; v < g.n_local(); ++v) {
+      const count_t d = g.degree(v);
+      if (d == 0) {
+        dangling += rank[v];
+        contrib[v] = 0.0;
+      } else {
+        contrib[v] = rank[v] / static_cast<double>(d);
+      }
+    }
+    halo.exchange(comm, contrib);
+    dangling = comm.allreduce_sum(dangling);
+    for (lid_t v = 0; v < g.n_local(); ++v) {
+      double sum = 0.0;
+      for (const lid_t u : g.arcs(v)) sum += contrib[u];
+      rank[v] = (1.0 - damping) / n + damping * (sum + dangling / n);
+    }
+  }
+  halo.exchange(comm, rank);
+  return rank;
+}
+
 TEST(EngineDense, PageRankBitIdenticalToBlockingReference) {
   const EdgeList el = gen::community_graph(1000, 8, 0.6, 2.3, 3);
   sim::run_world(4, [&](sim::Comm& comm) {
@@ -726,43 +778,85 @@ TEST(EngineDense, PageRankBitIdenticalToBlockingReference) {
         build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
     constexpr int kIters = 15;
     constexpr double kDamping = 0.85;
-
-    // Contributions + dangling mass in one pass, blocking halo
-    // refresh, allreduce, update.
-    std::vector<double> ref_rank(g.n_total(),
-                                 1.0 / static_cast<double>(g.n_global()));
-    {
-      graph::HaloPlan halo(comm, g);
-      const double n = static_cast<double>(g.n_global());
-      std::vector<double> contrib(g.n_total(), 0.0);
-      for (int iter = 0; iter < kIters; ++iter) {
-        double dangling = 0.0;
-        for (lid_t v = 0; v < g.n_local(); ++v) {
-          const count_t d = g.degree(v);
-          if (d == 0) {
-            dangling += ref_rank[v];
-            contrib[v] = 0.0;
-          } else {
-            contrib[v] = ref_rank[v] / static_cast<double>(d);
-          }
-        }
-        halo.exchange(comm, contrib);
-        dangling = comm.allreduce_sum(dangling);
-        for (lid_t v = 0; v < g.n_local(); ++v) {
-          double sum = 0.0;
-          for (const lid_t u : g.arcs(v)) sum += contrib[u];
-          ref_rank[v] =
-              (1.0 - kDamping) / n + kDamping * (sum + dangling / n);
-        }
-      }
-      halo.exchange(comm, ref_rank);
-    }
+    const std::vector<double> ref_rank =
+        blocking_pagerank(comm, g, kIters, kDamping);
 
     const auto pr = pagerank(comm, g, kIters, kDamping);
     ASSERT_EQ(pr.rank.size(), ref_rank.size());
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_EQ(pr.rank[v], ref_rank[v]) << "lid " << v;  // bit-identical
     EXPECT_EQ(pr.info.supersteps, kIters);
+  });
+}
+
+// The dangling-mass path: on a graph with isolated vertices the
+// engine's precomputed degree-0 list must sum the mass in the same
+// association as the reference's full lid scan, at any rank count and
+// thread width.
+TEST(EngineDense, PageRankWithSinksBitIdenticalToBlockingReference) {
+  const EdgeList el = sinks_graph();
+  constexpr int kIters = 15;
+  for (const int ranks : {1, 2, 4})
+    for (const int threads : {1, 4})
+      sim::run_world(ranks, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_dist_graph(comm, el, VertexDist::random(el.n, ranks, 5));
+        const std::vector<double> ref_rank =
+            blocking_pagerank(comm, g, kIters, 0.85);
+
+        PageRankProgram p;
+        engine::Config cfg;
+        cfg.max_supersteps = kIters;
+        cfg.num_threads = threads;
+        const engine::Stats st = engine::run(comm, g, p, cfg);
+        EXPECT_EQ(st.supersteps, kIters);
+        EXPECT_GT(comm.allreduce_sum(static_cast<count_t>(p.sinks.size())),
+                  el.n / 10);
+        ASSERT_EQ(p.rank.size(), ref_rank.size());
+        for (lid_t v = 0; v < g.n_total(); ++v)
+          ASSERT_EQ(p.rank[v], ref_rank[v])
+              << "lid " << v << " ranks=" << ranks << " threads=" << threads;
+      });
+}
+
+// The cfg.tol stop: each gather chunk returns its partial residual and
+// the partials fold in chunk order, so the stop superstep — and every
+// rank bit — is the same at any thread width and exchange bound, and
+// equals a tol = 0 run capped at that superstep count.
+TEST(EngineDense, PageRankTolStopIdenticalAcrossThreadsAndChunks) {
+  const EdgeList el = sinks_graph();
+  constexpr count_t kCap = 200;
+  sim::run_world(2, [&](sim::Comm& comm) {
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, 2, 5));
+    count_t stop = -1;
+    std::vector<double> ref;
+    for (const count_t chunk : kChunks)
+      for (const int threads : {1, 2, 8}) {
+        PageRankProgram p;
+        engine::Config cfg;
+        cfg.max_exchange_bytes = chunk;
+        cfg.num_threads = threads;
+        cfg.max_supersteps = kCap;
+        cfg.tol = 1e-9;
+        const engine::Stats st = engine::run(comm, g, p, cfg);
+        if (stop < 0) {
+          stop = st.supersteps;
+          ref = p.rank;
+          EXPECT_GT(stop, 1);
+          EXPECT_LT(stop, kCap);  // the tol stop fired
+        } else {
+          EXPECT_EQ(st.supersteps, stop)
+              << "chunk=" << chunk << " threads=" << threads;
+          EXPECT_EQ(p.rank, ref) << "chunk=" << chunk << " threads=" << threads;
+        }
+      }
+    PageRankProgram capped;
+    engine::Config cfg;
+    cfg.max_supersteps = stop;
+    const engine::Stats st = engine::run(comm, g, capped, cfg);
+    EXPECT_EQ(st.supersteps, stop);
+    EXPECT_EQ(capped.rank, ref);
   });
 }
 
