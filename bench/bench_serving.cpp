@@ -1,23 +1,28 @@
 // Latency-SLO serving bench: the open-loop load generator driving
 // serve::Scheduler over the partitioned graph, reporting tail latency
 // in VIRTUAL seconds (serve/clock.hpp — wall clock never touches a
-// latency number, so every figure here is bit-deterministic for a
-// given seed + config).
+// latency number, so every gated figure here is bit-deterministic for
+// a given seed + config).
 //
 // Rows (per rank count 2 and 8):
-//   serve_mix            slot_budget 8 — batched multi-source packing
+//   serve_mix            slot_budget 8 — the queries share one
+//                        bit-parallel traversal, one mask bit each
 //   serve_mix_perquery   slot_budget 1 — the per-source twin; the CI
 //                        contract pins serve_mix strictly below it on
 //                        collectives per query (packing exists to
-//                        amortize per-superstep collectives) at equal
-//                        payload bytes (packing changes WHEN records
-//                        travel, never WHAT travels)
+//                        amortize per-superstep collectives) and at
+//                        most a ledger slack above it on payload
+//                        bytes (overlapping frontiers share one
+//                        {gid, mask} record, so packing can only save)
 //   serve_mix_t8         budget 8 at 8 intra-rank threads — must
 //                        reproduce serve_mix's latencies EXACTLY
 //
-// The SERVE_STATS_JSON block is gated by check_comm_baseline.py
-// (--serving-bench): baseline tolerance on p99/bytes/collectives plus
-// the absolute contracts above, mirroring COMM_STATS_JSON.
+// The printed table's `wall qps` column is measured: queries over the
+// wall seconds of Scheduler::run, slowest rank. It varies from run to
+// run, so it stays out of the SERVE_STATS_JSON block, which is gated
+// by check_comm_baseline.py (--serving-bench): baseline tolerance on
+// p99/bytes/collectives plus the absolute contracts above, mirroring
+// COMM_STATS_JSON.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -39,6 +44,7 @@ struct ServeRow {
   serve::ServeStats stats;
   count_t collectives = 0;  ///< per rank (uniform across ranks)
   count_t wire_bytes = 0;   ///< world payload bytes
+  double wall_seconds = 0.0;  ///< Scheduler::run, slowest rank
 };
 
 std::vector<ServeRow>& rows() {
@@ -73,14 +79,18 @@ void run_config(const std::string& name, int nranks,
     const count_t coll0 = comm.stats().collectives;
     const count_t bytes0 = comm.stats().bytes_sent;
     serve::Scheduler sched(cfg);
+    const Timer wall;
     sched.run(comm, g, queries);
+    const double wall_seconds = wall.seconds();
     const count_t coll = comm.stats().collectives - coll0;
     const count_t bytes =
         comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
+    const double slowest = comm.allreduce_max(wall_seconds);
     if (comm.rank() == 0) {
       row.stats = sched.stats();
       row.collectives = coll;
       row.wire_bytes = bytes;
+      row.wall_seconds = slowest;
     }
   });
   rows().push_back(row);
@@ -109,6 +119,7 @@ void print_rows() {
                       {"p95ms", 10},
                       {"p99ms", 10},
                       {"qps", 9},
+                      {"wall qps", 10},
                       {"occup", 8},
                       {"ss/q", 8}});
   for (const ServeRow& r : rows()) {
@@ -119,6 +130,8 @@ void print_rows() {
     table.cell(r.stats.p95_latency * 1e3, "%.3f");
     table.cell(r.stats.p99_latency * 1e3, "%.3f");
     table.cell(r.stats.queries_per_sec, "%.2f");
+    table.cell(static_cast<double>(r.stats.num_queries) / r.wall_seconds,
+               "%.0f");
     table.cell(r.stats.slot_occupancy, "%.3f");
     table.cell(r.stats.supersteps_per_query, "%.2f");
   }

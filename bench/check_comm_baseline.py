@@ -47,9 +47,11 @@ slot_budget), plus two absolute contracts. Packing: every serve_mix
 row must spend strictly fewer collectives per query than its
 serve_mix_perquery twin (slot budget 1) at the same rank count — one
 shared ledger allreduce per packed superstep is why the batched
-frontier exists — while moving the same payload within a small slack
-(the ledger vector itself is budget-sized, so its allreduce bytes
-shift slightly with packing). Determinism: the serve_mix_t8 twin must
+frontier exists — and may not move more payload per query than the
+twin beyond a small slack (the ledger vector itself is budget-sized,
+so its allreduce bytes grow slightly with packing). Packed slots share
+one {gid, mask} record per touched ghost, so packing may move fewer
+bytes. Determinism: the serve_mix_t8 twin must
 reproduce serve_mix's whole latency ledger (p50/p95/p99, qps,
 supersteps/query, occupancy, virtual seconds) EXACTLY — the thread
 width is a pure throughput knob under the virtual clock.
@@ -94,9 +96,9 @@ SERVE_BASELINE = pathlib.Path(__file__).parent / "baselines" \
 SERVE_COMPARED = ("p99_ms", "collectives_per_query", "bytes_per_query")
 # The per-source twin of the batched serve_mix row (slot budget 1).
 SERVE_PAIRS = ("serve_mix", "serve_mix_perquery")
-# The batched row repacks WHEN ledger collectives happen, and the
-# ledger vector itself scales with the slot budget, so payload parity
-# holds only within a small slack (measured drift ~1.3%).
+# Upper bound on the batched row's payload against its per-source twin:
+# shared {gid, mask} records can only save bytes, but the ledger vector
+# itself scales with the slot budget, so its allreduce may add a little.
 SERVE_BYTES_SLACK = 1.05
 # serve_mix twins that must reproduce the exact same latency ledger:
 # thread width is a throughput knob under the virtual clock
@@ -251,8 +253,9 @@ def check_verifier_parity(current, other):
 def check_multisource_contract(current):
     """Batched serve_mix rows must spend strictly fewer collectives
     per query than their per-source twins at every swept rank count,
-    at (near-)equal payload bytes — packing amortizes the superstep
-    collectives, it must not smuggle extra payload."""
+    and no more payload bytes beyond the ledger slack — packing
+    amortizes the superstep collectives and shares records, it must
+    not smuggle extra payload."""
     failures = []
     batched_name, perquery_name = SERVE_PAIRS
     pairs = 0
@@ -273,10 +276,10 @@ def check_multisource_contract(current):
                 f"{key}: collectives_per_query {b:.3f} not strictly "
                 f"below per-source twin's {p:.3f}")
         bb, pb = (r.get("bytes_per_query", 0.0) for r in (batched, twin))
-        if bb > pb * SERVE_BYTES_SLACK or pb > bb * SERVE_BYTES_SLACK:
+        if bb > pb * SERVE_BYTES_SLACK:
             failures.append(
-                f"{key}: bytes_per_query {bb:.1f} vs per-source twin's "
-                f"{pb:.1f} — packing must not change what travels "
+                f"{key}: bytes_per_query {bb:.1f} above per-source "
+                f"twin's {pb:.1f} — packing must not add payload "
                 f"(slack {SERVE_BYTES_SLACK})")
     if pairs == 0:
         failures.append(

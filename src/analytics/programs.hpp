@@ -466,8 +466,7 @@ struct MultiBfsProgram {
 // only expands vertices within the current distance threshold,
 // deferring the rest to a pending pool that post_level() releases
 // bucket by bucket as the threshold advances. Relaxations are
-// monotone, so re-expansion after a later improvement is safe. One
-// root, so one slot: every frontier entry and arrival is slot 0.
+// monotone, so re-expansion after a later improvement is safe.
 
 struct SsspNotify {
   gid_t gid;
@@ -507,42 +506,42 @@ struct DeltaSsspProgram {
       const lid_t l = ctx.g.lid_of(root);
       XTRA_ASSERT(l != kInvalidLid);
       dist[l] = 0;
-      ctx.frontier.push_back({0, l});
+      ctx.frontier.push_back(l);
     }
   }
-  std::span<const lid_t> nbrs(Ctx& ctx, count_t /*slot*/, lid_t v) const {
+  std::span<const lid_t> nbrs(Ctx& ctx, lid_t v) const {
     return ctx.g.arcs(v);
   }
-  bool improves(Ctx& ctx, count_t /*slot*/, lid_t v, lid_t u) const {
+  bool improves(Ctx& ctx, lid_t v, lid_t u) const {
     return dist[v] + weight(ctx, v, u) < dist[u];
   }
-  bool relax(Ctx& ctx, count_t /*slot*/, lid_t v, lid_t u) {
+  bool relax(Ctx& ctx, lid_t v, lid_t u) {
     const count_t nd = dist[v] + weight(ctx, v, u);
     if (nd >= dist[u]) return false;
     dist[u] = nd;
     return true;
   }
-  Notify make_notify(Ctx& ctx, count_t /*slot*/, lid_t l) const {
+  Notify make_notify(Ctx& ctx, lid_t l) const {
     return {ctx.g.gid_of(l), dist[l]};
   }
-  graph::SlotVertex receive(Ctx& ctx, const Notify& n) {
+  lid_t receive(Ctx& ctx, const Notify& n) {
     const lid_t l = ctx.g.lid_of(n.gid);
     XTRA_ASSERT(l != kInvalidLid && ctx.g.is_owned(l));
-    if (n.dist >= dist[l]) return {0, kInvalidLid};
+    if (n.dist >= dist[l]) return kInvalidLid;
     dist[l] = n.dist;
-    return {0, l};
+    return l;
   }
   void post_level(Ctx& ctx) {
     // Keep the current bucket; defer the rest. A vertex can sit in
     // both `next` and `pending` after a late improvement — the
     // re-expansion is a no-op, so correctness only needs monotonicity.
     std::size_t w = 0;
-    for (const graph::SlotVertex& e : ctx.next) {
-      if (dist[e.v] <= threshold)
-        ctx.next[w++] = e;
-      else if (!in_pending[e.v]) {
-        in_pending[e.v] = 1;
-        pending.push_back(e.v);
+    for (const lid_t v : ctx.next) {
+      if (dist[v] <= threshold)
+        ctx.next[w++] = v;
+      else if (!in_pending[v]) {
+        in_pending[v] = 1;
+        pending.push_back(v);
       }
     }
     ctx.next.resize(w);
@@ -562,7 +561,7 @@ struct DeltaSsspProgram {
       for (const lid_t l : pending) {
         if (dist[l] <= threshold) {
           in_pending[l] = 0;
-          ctx.next.push_back({0, l});
+          ctx.next.push_back(l);
         } else {
           pending[keep++] = l;
         }

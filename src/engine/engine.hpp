@@ -11,10 +11,10 @@
 //  * dense (typename P::Value): one published value per vertex,
 //    refreshed once per superstep through the HaloPlan's overlapped
 //    refresh. See engine/dense.hpp.
-//  * frontier (typename P::Notify): level-synchronous expansion of N
-//    slot-keyed active sets (one slot for a single-source kernel)
-//    through graph::FrontierStepper, ghost relaxations travelling as
-//    program-defined wire records. See engine/frontier.hpp.
+//  * frontier (typename P::Notify): level-synchronous expansion of
+//    one active set through graph::FrontierStepper, ghost relaxations
+//    travelling as program-defined wire records. See
+//    engine/frontier.hpp.
 //  * mask frontier (typename P::Record): bit-parallel BFS from N
 //    sources through graph::MaskFrontierStepper, one bit per source
 //    and one record per touched ghost per level. See
@@ -48,21 +48,20 @@ concept DenseVertexProgram =
       p.update(ctx, v);
     };
 
-/// Frontier mode: expands N slot-keyed active sets (one slot for a
-/// single-source kernel) in one sweep and one exchange per level,
-/// shipping P::Notify records; receive() names the (slot, vertex) an
-/// arrival admits.
+/// Frontier mode: expands one active set in one sweep and one
+/// exchange per level, shipping P::Notify records; receive() names the
+/// owned vertex an arrival admits (kInvalidLid: none).
 template <typename P>
 concept FrontierVertexProgram =
-    requires(P p, FrontierContext<P>& ctx, count_t s, lid_t v,
+    requires(P p, FrontierContext<P>& ctx, lid_t v,
              const typename P::Notify& n) {
       typename P::Notify;
       p.init(ctx);
-      p.nbrs(ctx, s, v);
-      { p.improves(ctx, s, v, v) } -> std::convertible_to<bool>;
-      { p.relax(ctx, s, v, v) } -> std::convertible_to<bool>;
-      { p.make_notify(ctx, s, v) } -> std::convertible_to<typename P::Notify>;
-      { p.receive(ctx, n) } -> std::convertible_to<graph::SlotVertex>;
+      p.nbrs(ctx, v);
+      { p.improves(ctx, v, v) } -> std::convertible_to<bool>;
+      { p.relax(ctx, v, v) } -> std::convertible_to<bool>;
+      { p.make_notify(ctx, v) } -> std::convertible_to<typename P::Notify>;
+      { p.receive(ctx, n) } -> std::convertible_to<lid_t>;
     };
 
 /// Mask frontier mode: advances N BFS sources as one bit each, one

@@ -2,14 +2,13 @@
 // every BFS-style traversal. Two program shapes, one per stepper in
 // graph/frontier.hpp:
 //
-//  * slot-keyed (run_frontier; delta-capped SSSP): a frontier of
-//    (slot, active owned vertex) entries — N independent traversals,
-//    one per dense slot id, with single-source programs using slot 0
-//    only. Each superstep the engine expands every slot one level
-//    through graph::FrontierStepper in a single sweep and a single
-//    exchange — ghost relaxations staged and shipped as the program's
-//    `Notify` records while the owned relaxations run mid-flight —
-//    and the program's hooks define what "relax" means.
+//  * relaxing (run_frontier; delta-capped SSSP): ONE traversal whose
+//    frontier is a list of active owned vertices. Each superstep the
+//    engine expands it one level through graph::FrontierStepper in a
+//    single sweep and a single exchange — ghost relaxations staged and
+//    shipped as the program's `Notify` records while the owned
+//    relaxations run mid-flight — and the program's hooks define what
+//    "relax" means.
 //  * mask-keyed (run_mask_frontier; analytics::MultiBfsProgram, behind
 //    harmonic centrality's sampled sources and SCC's masked
 //    reachability): unit-distance BFS from N sources advanced
@@ -22,25 +21,23 @@
 // The engine::Config chunk size applies to the notification exchange
 // with no per-kernel plumbing.
 //
-// Slot-keyed program shape (see DeltaSsspProgram in
+// Relaxing program shape (see DeltaSsspProgram in
 // analytics/programs.hpp):
 //
 //   struct P {
-//     using Notify = ...;   // trivially copyable wire record; a
-//                           //   multi-slot program carries its slot
-//     void init(Ctx&);      // seed data, ctx.num_slots, ctx.frontier
-//     std::span<const lid_t> nbrs(Ctx&, count_t s, lid_t v);
-//     bool improves(Ctx&, count_t s, lid_t v, lid_t u);  // read-only
-//     bool relax(Ctx&, count_t s, lid_t v, lid_t u);     // true =
-//                                                        //   improved
-//     Notify make_notify(Ctx&, count_t s, lid_t ghost);  // post-scan
-//     graph::SlotVertex receive(Ctx&, const Notify&);    // on owner;
-//                                    //   v = kInvalidLid: no admission
-//     void post_level(Ctx&);         // optional: runs after each level
-//                                    //   (may rewrite ctx.next — the
-//                                    //   delta-cap hook); collective-
-//                                    //   safe (called on every rank)
-//     void finish(Ctx&);             // optional epilogue
+//     using Notify = ...;   // trivially copyable wire record
+//     void init(Ctx&);      // seed data and ctx.frontier
+//     std::span<const lid_t> nbrs(Ctx&, lid_t v);
+//     bool improves(Ctx&, lid_t v, lid_t u);  // read-only
+//     bool relax(Ctx&, lid_t v, lid_t u);     // true = improved
+//     Notify make_notify(Ctx&, lid_t ghost);  // post-scan state
+//     lid_t receive(Ctx&, const Notify&);     // on owner; kInvalidLid:
+//                                             //   no admission
+//     void post_level(Ctx&);  // optional: runs after each level (may
+//                             //   rewrite ctx.next — the delta-cap
+//                             //   hook); collective-safe (called on
+//                             //   every rank)
+//     void finish(Ctx&);      // optional epilogue
 //   };
 //
 // Mask-keyed program shape (see MultiBfsProgram):
@@ -56,8 +53,8 @@
 //   };
 //
 // Both loops terminate when the frontier is empty on every rank (one
-// allreduce per level for the whole batch, not per slot or source) or
-// at cfg.max_supersteps. During a level's hooks ctx.superstep is the
+// allreduce per level for the whole batch, not per source) or at
+// cfg.max_supersteps. During a level's hooks ctx.superstep is the
 // level being expanded (root = level 0); it increments before
 // post_level, so post_level sees the number of completed levels.
 #pragma once
@@ -77,11 +74,11 @@
 
 namespace xtra::engine {
 
-/// Everything a frontier program's hooks see. Frontier entries are
-/// (slot, owned lid) pairs; init() sets num_slots (default one) and
-/// seeds the entries of the sources this rank owns. The engine swaps
-/// `frontier` and `next` after post_level; programs may rewrite `next`
-/// in post_level() (defer vertices, refill from a program-owned pool).
+/// Everything a relaxing frontier program's hooks see. Frontier
+/// entries are owned lids; init() seeds the source if this rank owns
+/// it. The engine swaps `frontier` and `next` after post_level;
+/// programs may rewrite `next` in post_level() (defer vertices, refill
+/// from a program-owned pool).
 template <typename P>
 struct FrontierContext {
   FrontierContext(sim::Comm& comm_, const graph::DistGraph& g_,
@@ -92,18 +89,15 @@ struct FrontierContext {
   const graph::DistGraph& g;
   const Config& cfg;
 
-  std::vector<graph::SlotVertex> frontier;
-  std::vector<graph::SlotVertex> next;
-  count_t num_slots = 1;  ///< slot ids are [0, num_slots); set by init()
+  std::vector<lid_t> frontier;
+  std::vector<lid_t> next;
   count_t superstep = 0;  ///< levels completed; current level in hooks
 };
 
-/// Collective: execute a frontier vertex program until every slot's
-/// frontier empties on every rank (or the superstep cap) under cfg's
-/// transport knobs. Per-slot results are bit-identical to one-slot
-/// runs from each source because slots never interact. Result state
-/// lives in the program object; the return value is the unified
-/// measurement.
+/// Collective: execute a relaxing frontier program until its frontier
+/// empties on every rank (or the superstep cap) under cfg's transport
+/// knobs. Result state lives in the program object; the return value
+/// is the unified measurement.
 template <typename P>
 Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
                    const Config& cfg) {
@@ -121,11 +115,11 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   const count_t limit = detail::superstep_limit(cfg);
   while (ctx.superstep < limit && comm.allreduce_or(!ctx.frontier.empty())) {
     stepper.step(
-        comm, g, ctx.num_slots, ctx.frontier, ctx.next,
-        [&](count_t s, lid_t v) { return p.nbrs(ctx, s, v); },
-        [&](count_t s, lid_t v, lid_t u) { return p.improves(ctx, s, v, u); },
-        [&](count_t s, lid_t v, lid_t u) { return p.relax(ctx, s, v, u); },
-        [&](count_t s, lid_t l) { return p.make_notify(ctx, s, l); },
+        comm, g, ctx.frontier, ctx.next,
+        [&](lid_t v) { return p.nbrs(ctx, v); },
+        [&](lid_t v, lid_t u) { return p.improves(ctx, v, u); },
+        [&](lid_t v, lid_t u) { return p.relax(ctx, v, u); },
+        [&](lid_t l) { return p.make_notify(ctx, l); },
         [&](const typename P::Notify& n) { return p.receive(ctx, n); });
     ++ctx.superstep;
     if constexpr (requires { p.post_level(ctx); }) p.post_level(ctx);

@@ -10,13 +10,12 @@ count_t bfs_levels(sim::Comm& comm, const DistGraph& g, gid_t root,
                    std::vector<count_t>& levels, bool use_in_edges) {
   levels.assign(g.n_total(), kUnreached);
 
-  // One root, one slot: slot 0 is the only traversal of the stepper.
-  std::vector<SlotVertex> frontier;
+  std::vector<lid_t> frontier;
   if (g.owner_of_gid(root) == comm.rank()) {
     const lid_t l = g.lid_of(root);
     XTRA_ASSERT(l != kInvalidLid);
     levels[l] = 0;
-    frontier.push_back({0, l});
+    frontier.push_back(l);
   }
 
   // Persistent across levels: the stepper's notification bucketing
@@ -25,7 +24,7 @@ count_t bfs_levels(sim::Comm& comm, const DistGraph& g, gid_t root,
   // starts as soon as the ghost pass staged it and drains after the
   // owned-frontier expansion.
   FrontierStepper<gid_t> stepper;
-  std::vector<SlotVertex> next;
+  std::vector<lid_t> next;
 
   count_t level = 0;
   count_t max_level = 0;
@@ -36,19 +35,15 @@ count_t bfs_levels(sim::Comm& comm, const DistGraph& g, gid_t root,
   };
   while (comm.allreduce_or(!frontier.empty())) {
     stepper.step(
-        comm, g, /*num_slots=*/1, frontier, next,
-        [&](count_t /*slot*/, lid_t v) {
-          return use_in_edges ? g.in_arcs(v) : g.arcs(v);
-        },
-        [&](count_t /*slot*/, lid_t /*v*/, lid_t u) {
-          return levels[u] == kUnreached;
-        },
-        [&](count_t /*slot*/, lid_t /*v*/, lid_t u) { return try_mark(u); },
-        [&](count_t /*slot*/, lid_t l) { return g.gid_of(l); },
+        comm, g, frontier, next,
+        [&](lid_t v) { return use_in_edges ? g.in_arcs(v) : g.arcs(v); },
+        [&](lid_t /*v*/, lid_t u) { return levels[u] == kUnreached; },
+        [&](lid_t /*v*/, lid_t u) { return try_mark(u); },
+        [&](lid_t l) { return g.gid_of(l); },
         [&](const gid_t gid) {
           const lid_t l = g.lid_of(gid);
           XTRA_ASSERT(l != kInvalidLid && g.is_owned(l));
-          return SlotVertex{0, try_mark(l) ? l : kInvalidLid};
+          return try_mark(l) ? l : kInvalidLid;
         });
     if (!next.empty()) max_level = level + 1;
     std::swap(frontier, next);

@@ -1,22 +1,16 @@
 // The two level-synchronous frontier steps behind every BFS-style
 // traversal.
 //
-// FrontierStepper, slot-keyed, serves graph::bfs_levels, the engine's
-// delta-capped SSSP and the serve scheduler's packed query
-// supersteps. MaskFrontierStepper, mask-keyed, serves the engine's
-// BFS program: harmonic centrality's sampled sources and SCC's masked
-// reachability. Both scan the frontier on the rank's pool and replay
-// it serially in chunk order, and both overlap the owned expansion
-// with the notification exchange; see each class for its keying.
-//
-// FrontierStepper advances N independent traversals, one per dense
-// slot id in [0, num_slots), by one level in a single adjacency sweep
-// and a single exchange. Single-source kernels are the one-slot case.
-// Slots never interact — the dedup mask and every hook are keyed on
-// (slot, vertex) — so slot s's marks, next-frontier order, and wire
-// records are exactly what a one-slot run from that source produces.
-// Batching only amortizes: one exchange and one termination
-// collective per level regardless of N.
+// FrontierStepper runs ONE traversal with a caller-defined relaxation:
+// graph::bfs_levels and the engine's delta-capped SSSP.
+// MaskFrontierStepper runs N unit-distance traversals at once, one
+// mask bit per source: the engine's BFS program (harmonic
+// centrality's sampled sources, SCC's masked reachability) and the
+// serve scheduler's packed queries, which release a finished source's
+// bit and seed a new query into it between levels. Both scan the
+// frontier on the rank's pool and replay it serially in chunk order,
+// and both overlap the owned expansion with the notification
+// exchange.
 //
 // One superstep, overlapped: a single adjacency scan relaxes ghost
 // neighbors and stages the owner notifications (so the exchange
@@ -30,13 +24,11 @@
 // preserves traversal order — so callers get the overlap for free
 // without a second edge traversal.
 //
-// The wire record is the caller's own `Notify` type, built at staging
-// time from the ghost's *post-scan* state so several relaxations of
-// one ghost in a level collapse into one record carrying the best
-// value. The stepper never adds a slot tag: a multi-slot caller puts
-// the slot in its record (SlotGid), a one-slot caller ships bare
-// records (BFS gids, SSSP {gid, dist}), and receive() maps a record
-// back to the (slot, vertex) it admits.
+// FrontierStepper's wire record is the caller's own `Notify` type,
+// built at staging time from the ghost's *post-scan* state so several
+// relaxations of one ghost in a level collapse into one record
+// carrying the best value (BFS gids, SSSP {gid, dist}); receive()
+// maps a record back to the owned vertex it admits.
 //
 // The invariant that makes the overlap safe lives here, once: the
 // DestBuckets' staging is stable from commit() until the next
@@ -61,44 +53,28 @@
 
 namespace xtra::graph {
 
-/// A frontier entry: the dense traversal-slot id plus the local vertex
-/// it activates. receive() returns v == kInvalidLid to admit nothing.
-struct SlotVertex {
-  count_t slot;
-  lid_t v;
-};
-
-/// Wire record of the serve scheduler's slot-keyed gid traversals:
-/// 16 bytes, the slot first.
-struct SlotGid {
-  count_t slot;
-  gid_t gid;
-};
-
-/// Persistent scratch + wire engine for a frontier traversal: the
-/// notification bucketing, the per-level candidate/touched lists, and
-/// the newly-reached (slot, vertex) dedup mask all reuse their buffers
-/// every level.
+/// Persistent scratch + wire engine for a one-source frontier
+/// traversal: the notification bucketing, the per-level
+/// candidate/touched lists, and the newly-reached dedup mask all reuse
+/// their buffers every level.
 ///
-/// Hook contract per step(comm, g, num_slots, frontier, next, ...):
-///  * nbrs(slot, v) — neighbor span (lids) to follow out of frontier
-///    vertex v
-///  * improves(slot, v, u) — read-only test: could the edge (v, u)
-///    improve u right now? (BFS: u unreached; SSSP: dist[v] + w <
-///    dist[u])
-///  * relax(slot, v, u) — apply the edge; returns whether u actually
+/// Hook contract per step(comm, g, frontier, next, ...):
+///  * nbrs(v) — neighbor span (lids) to follow out of frontier vertex v
+///  * improves(v, u) — read-only test: could the edge (v, u) improve u
+///    right now? (BFS: u unreached; SSSP: dist[v] + w < dist[u])
+///  * relax(v, u) — apply the edge; returns whether u actually
 ///    improved. Called at scan time for ghost u (the local ghost copy
 ///    absorbs the best value) and mid-flight for owned candidates (so
 ///    the marking work overlaps the wire). Must be monotone: a later
 ///    relax may only improve on an earlier one.
-///  * make_notify(slot, l) — wire record for touched ghost l, built
-///    after the scan (reads l's final post-scan state)
+///  * make_notify(l) — wire record for touched ghost l, built after
+///    the scan (reads l's final post-scan state)
 ///  * receive(notify) — apply an arrival on the owner; returns the
-///    (slot, owned lid) to add to the next frontier, or a kInvalidLid
-///    vertex when the arrival did not improve it.
+///    owned lid to add to the next frontier, or kInvalidLid when the
+///    arrival did not improve it.
 /// Newly improved owned vertices land in `next` (cleared first),
-/// deduplicated per slot: candidates in first-improvement scan order,
-/// then arrivals in exchange order.
+/// deduplicated: candidates in first-improvement scan order, then
+/// arrivals in exchange order.
 template <typename Notify>
 class FrontierStepper {
  public:
@@ -109,24 +85,18 @@ class FrontierStepper {
 
   template <typename Nbrs, typename Improves, typename Relax,
             typename MakeNotify, typename Receive>
-  void step(sim::Comm& comm, const DistGraph& g, count_t num_slots,
-            const std::vector<SlotVertex>& frontier,
-            std::vector<SlotVertex>& next, Nbrs&& nbrs, Improves&& improves,
-            Relax&& relax, MakeNotify&& make_notify, Receive&& receive) {
+  void step(sim::Comm& comm, const DistGraph& g,
+            const std::vector<lid_t>& frontier, std::vector<lid_t>& next,
+            Nbrs&& nbrs, Improves&& improves, Relax&& relax,
+            MakeNotify&& make_notify, Receive&& receive) {
     next.clear();
-    scanned_edges_ = 0;
-    const std::size_t stride = static_cast<std::size_t>(g.n_total());
-    const auto cell = [stride](count_t slot, lid_t l) {
-      return static_cast<std::size_t>(slot) * stride +
-             static_cast<std::size_t>(l);
-    };
-    // Lazily sized, stamp-cleared (slot, vertex) admission mask, one
-    // plane per slot: marked_[cell(s, l)] says l was already admitted
-    // for slot s this level (owned: into next; ghost: into the notify
-    // list), so duplicates collapse without a full per-level clear.
-    const std::size_t cells = static_cast<std::size_t>(num_slots) * stride;
-    if (marked_.size() < cells) marked_.resize(cells, 0);
-    for (const std::size_t c : stamped_) marked_[c] = 0;
+    // Lazily sized, stamp-cleared admission mask: marked_[l] says l
+    // was already admitted this level (owned: into next; ghost: into
+    // the notify list), so duplicates collapse without a full
+    // per-level clear.
+    if (marked_.size() < static_cast<std::size_t>(g.n_total()))
+      marked_.resize(static_cast<std::size_t>(g.n_total()), 0);
+    for (const lid_t l : stamped_) marked_[l] = 0;
     stamped_.clear();
     touched_.clear();
     cand_.clear();
@@ -138,34 +108,25 @@ class FrontierStepper {
     // candidate edges — owned and ghost alike pre-filtered by
     // improves() against the scan-start state — into per-chunk lists.
     // Nothing is relaxed, so concurrent chunks share only read-only
-    // state (improves is a read-only hook by contract). Each chunk
-    // also counts the neighbor entries it visits — the serve
-    // scheduler's compute billing input, a pure count and therefore
-    // identical at any thread width.
+    // state (improves is a read-only hook by contract).
     const count_t nf = static_cast<count_t>(frontier.size());
     const count_t nchunks = par::chunk_count(nf);
     if (static_cast<count_t>(scan_owned_.size()) < nchunks) {
       scan_owned_.resize(static_cast<std::size_t>(nchunks));
       scan_ghost_.resize(static_cast<std::size_t>(nchunks));
     }
-    scan_edges_.assign(static_cast<std::size_t>(nchunks), 0);
-    const auto scan_chunk = [&](count_t c, count_t lo, count_t hi) {
+    par::for_chunks(nf, [&](count_t c, count_t lo, count_t hi) {
       auto& owned = scan_owned_[static_cast<std::size_t>(c)];
       auto& ghost = scan_ghost_[static_cast<std::size_t>(c)];
-      count_t edges = 0;
       owned.clear();
       ghost.clear();
       for (count_t i = lo; i < hi; ++i) {
-        const SlotVertex e = frontier[static_cast<std::size_t>(i)];
-        for (const lid_t u : nbrs(e.slot, e.v)) {
-          ++edges;
-          if (!improves(e.slot, e.v, u)) continue;
-          (g.is_owned(u) ? owned : ghost).push_back({e.slot, e.v, u});
-        }
+        const lid_t v = frontier[static_cast<std::size_t>(i)];
+        for (const lid_t u : nbrs(v))
+          if (improves(v, u))
+            (g.is_owned(u) ? owned : ghost).push_back({v, u});
       }
-      scan_edges_[static_cast<std::size_t>(c)] = edges;
-    };
-    par::for_chunks(nf, scan_chunk);
+    });
     // Phase B (serial, chunk order): ghost candidates are replayed
     // through relax in exactly the order a single interleaved scan
     // visits them. Monotonicity makes the pre-filter exact: a ghost's
@@ -177,48 +138,30 @@ class FrontierStepper {
     // chunk order (owned state never moves during the scan), then
     // relax mid-flight below.
     for (count_t c = 0; c < nchunks; ++c) {
-      scanned_edges_ += scan_edges_[static_cast<std::size_t>(c)];
       for (const Cand& cd : scan_ghost_[static_cast<std::size_t>(c)])
-        if (relax(cd.slot, cd.v, cd.u) && !marked_[cell(cd.slot, cd.u)]) {
-          marked_[cell(cd.slot, cd.u)] = 1;
-          stamped_.push_back(cell(cd.slot, cd.u));
-          touched_.push_back({cd.slot, cd.u});
-        }
+        if (relax(cd.v, cd.u) && admit(cd.u)) touched_.push_back(cd.u);
       const auto& owned = scan_owned_[static_cast<std::size_t>(c)];
       cand_.insert(cand_.end(), owned.begin(), owned.end());
     }
     buckets_.begin(comm.size());
-    for (const SlotVertex& t : touched_) buckets_.count(g.owner_of(t.v));
+    for (const lid_t l : touched_) buckets_.count(g.owner_of(l));
     buckets_.commit();
-    for (const SlotVertex& t : touched_)
-      buckets_.push(g.owner_of(t.v), make_notify(t.slot, t.v));
+    for (const lid_t l : touched_)
+      buckets_.push(g.owner_of(l), make_notify(l));
     ex_.start_inplace(comm, buckets_);
 
     // Mid-flight: relax the owned candidates while the notifications
     // travel — first improvement admits the vertex, so the surviving
     // order equals the single interleaved scan's.
     for (const Cand& cd : cand_)
-      if (relax(cd.slot, cd.v, cd.u) && !marked_[cell(cd.slot, cd.u)]) {
-        marked_[cell(cd.slot, cd.u)] = 1;
-        stamped_.push_back(cell(cd.slot, cd.u));
-        next.push_back({cd.slot, cd.u});
-      }
-    const std::span<const Notify> arrivals = ex_.finish<Notify>(comm);
-    for (const Notify& n : arrivals) {
-      const SlotVertex a = receive(n);
-      if (a.v == kInvalidLid) continue;
-      XTRA_ASSERT(g.is_owned(a.v) && a.slot >= 0 && a.slot < num_slots);
-      if (!marked_[cell(a.slot, a.v)]) {
-        marked_[cell(a.slot, a.v)] = 1;
-        stamped_.push_back(cell(a.slot, a.v));
-        next.push_back(a);
-      }
+      if (relax(cd.v, cd.u) && admit(cd.u)) next.push_back(cd.u);
+    for (const Notify& n : ex_.finish<Notify>(comm)) {
+      const lid_t l = receive(n);
+      if (l == kInvalidLid) continue;
+      XTRA_ASSERT(g.is_owned(l));
+      if (admit(l)) next.push_back(l);
     }
   }
-
-  /// Neighbor entries visited by the last step(), summed over chunks —
-  /// deterministic at any thread width (a pure count in chunk order).
-  count_t scanned_edges() const { return scanned_edges_; }
 
   /// The wire engine, for stats readout and knob changes.
   comm::Exchanger& exchanger() { return ex_; }
@@ -226,22 +169,27 @@ class FrontierStepper {
 
  private:
   struct Cand {
-    count_t slot;
-    lid_t v;
-    lid_t u;
+    lid_t v;  ///< frontier vertex
+    lid_t u;  ///< neighbor it can improve
   };
+
+  /// First admission of l this level? Marks it if so.
+  bool admit(lid_t l) {
+    if (marked_[l]) return false;
+    marked_[l] = 1;
+    stamped_.push_back(l);
+    return true;
+  }
 
   comm::Exchanger ex_;
   comm::DestBuckets<Notify> buckets_;
-  std::vector<Cand> cand_;             ///< owned candidate edges
-  std::vector<SlotVertex> touched_;    ///< (slot, ghost) pairs to notify
-  std::vector<std::uint8_t> marked_;   ///< (slot, lid) admission mask
-  std::vector<std::size_t> stamped_;   ///< marked_ cells to clear
-  count_t scanned_edges_ = 0;
+  std::vector<Cand> cand_;            ///< owned candidate edges
+  std::vector<lid_t> touched_;        ///< ghosts to notify
+  std::vector<std::uint8_t> marked_;  ///< per-lid admission mask
+  std::vector<lid_t> stamped_;        ///< marked_ cells to clear
   /// Per-chunk phase-A scratch (persistent across levels).
   std::vector<std::vector<Cand>> scan_owned_;
   std::vector<std::vector<Cand>> scan_ghost_;
-  std::vector<count_t> scan_edges_;
 };
 
 /// Wire record of the bit-parallel BFS (MaskFrontierStepper): 16
@@ -267,7 +215,12 @@ struct MaskGid {
 ///
 /// `Record` is the wire record: MaskGid for any number of sources, or
 /// a bare gid_t for at most one source (the mask is implied), which
-/// ships exactly what FrontierStepper<gid_t> ships for a one-slot BFS.
+/// ships exactly what FrontierStepper<gid_t> ships for the same BFS.
+///
+/// Sources need not start together: release(s) ends source s between
+/// levels and seed() may then start a new traversal on bit s, which
+/// from there on spreads exactly as a fresh one-source BFS would. The
+/// serve scheduler runs each query slot as one such bit.
 ///
 /// Per step the scan runs on the rank's pool (read-only candidate
 /// collection) and the mask merge replays it serially in chunk order,
@@ -322,8 +275,29 @@ class MaskFrontierStepper {
     return true;
   }
 
+  /// Ends source s between steps: bit s leaves every seen and
+  /// frontier mask, and frontier vertices left with no source drop out
+  /// of the frontier in order, so s can be seeded afresh. Clears bit s
+  /// of blocked vertices too; traversals that block() release nothing.
+  void release(count_t s) {
+    const auto w = static_cast<std::size_t>(s / 64);
+    const std::uint64_t keep = ~(std::uint64_t{1} << (s % 64));
+    for (std::size_t c = w; c < seen_.size(); c += words_) seen_[c] &= keep;
+    std::size_t kept = 0;
+    for (const lid_t l : frontier_) {
+      cur_[cell(l) + w] &= keep;
+      if (!empty(cur_, l)) frontier_[kept++] = l;
+    }
+    frontier_.resize(kept);
+  }
+
   std::size_t words() const { return words_; }
   bool frontier_empty() const { return frontier_.empty(); }
+
+  /// Neighbor entries the last step() visited: the summed degree of
+  /// the frontier it expanded, whatever its sources — deterministic at
+  /// any thread width.
+  count_t scanned_edges() const { return scanned_edges_; }
 
   /// The words() mask words of the sources that first reached l this
   /// level; meaningful inside step()'s reached hook.
@@ -354,23 +328,30 @@ class MaskFrontierStepper {
       scan_owned_.resize(static_cast<std::size_t>(nchunks));
       scan_ghost_.resize(static_cast<std::size_t>(nchunks));
     }
+    scan_edges_.assign(static_cast<std::size_t>(nchunks), 0);
     par::for_chunks(nf, [&](count_t c, count_t lo, count_t hi) {
       auto& owned = scan_owned_[static_cast<std::size_t>(c)];
       auto& ghost = scan_ghost_[static_cast<std::size_t>(c)];
       owned.clear();
       ghost.clear();
+      count_t edges = 0;
       for (count_t i = lo; i < hi; ++i) {
         const lid_t v = frontier_[static_cast<std::size_t>(i)];
-        for (const lid_t u : nbrs(v))
+        const std::span<const lid_t> vs = nbrs(v);
+        edges += static_cast<count_t>(vs.size());
+        for (const lid_t u : vs)
           if (can_grow(v, u))
             (g.is_owned(u) ? owned : ghost).push_back({v, u});
       }
+      scan_edges_[static_cast<std::size_t>(c)] = edges;
     });
     // Phase B (serial, chunk order): merge the ghost candidates, so
     // the touched list is in first-gain order of one serial scan; a
     // candidate whose bits were taken earlier in the replay merges to
     // nothing. Owned candidates concatenate for the mid-flight merge.
+    scanned_edges_ = 0;
     for (count_t c = 0; c < nchunks; ++c) {
+      scanned_edges_ += scan_edges_[static_cast<std::size_t>(c)];
       for (const Cand& cd : scan_ghost_[static_cast<std::size_t>(c)])
         if (merge(cd.u, cur_.data() + cell(cd.v))) touched_.push_back(cd.u);
       const auto& owned = scan_owned_[static_cast<std::size_t>(c)];
@@ -477,9 +458,11 @@ class MaskFrontierStepper {
   std::vector<lid_t> next_;          ///< owned lids with a gain_ mask
   std::vector<lid_t> touched_;       ///< ghost lids with a gain_ mask
   std::vector<Cand> cand_;           ///< owned candidate edges
+  count_t scanned_edges_ = 0;
   /// Per-chunk phase-A scratch (persistent across levels).
   std::vector<std::vector<Cand>> scan_owned_;
   std::vector<std::vector<Cand>> scan_ghost_;
+  std::vector<count_t> scan_edges_;
 };
 
 }  // namespace xtra::graph

@@ -529,12 +529,14 @@ class Comm {
                     "alltoallv_bytes_finish without a pending start");
     Timer t;
     if constexpr (verify::kEnabled) {
+      // The published payload must be byte-identical to what start
+      // checksummed — it belonged to the wire the whole flight. Checked
+      // before the lockstep point, so a rank that throws here is gone
+      // from the barrier before any peer reads its payload.
+      world_->ledger().channel_verify(rank_, channel);
       // Extra (unbilled) lockstep point: catches ranks finishing
       // different channels at the same step before slot reads tear.
       vsync(verify::Op::kA2avFinish, channel, ch.elem, 0);
-      // The published payload must be byte-identical to what start
-      // checksummed — it belonged to the wire the whole flight.
-      world_->ledger().channel_verify(rank_, channel);
     }
     recv.resize(static_cast<std::size_t>(ch.total) * ch.elem);
     std::size_t out = 0;

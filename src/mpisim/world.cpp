@@ -1,6 +1,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "mpisim/comm.hpp"
 
@@ -12,9 +13,15 @@ void run_world(int nranks, const std::function<void(Comm&)>& fn) {
   detail::WorldState world(nranks);
   std::exception_ptr first_error;
   std::mutex error_mutex;
+  // Every rank's Comm outlives every rank thread: a peer may still read
+  // a rank's published channel state (an exchange it left open, e.g. a
+  // leak the end-of-world check reports) after that rank returned.
+  std::vector<Comm> comms;
+  comms.reserve(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) comms.emplace_back(&world, r);
 
   auto rank_main = [&](int rank) {
-    Comm comm(&world, rank);
+    Comm& comm = comms[static_cast<std::size_t>(rank)];
     try {
       fn(comm);
       // Leak + final-lockstep checks (no-op unless XTRA_VERIFY_COMM):

@@ -1,10 +1,11 @@
 // The serve subsystem's query model (DESIGN.md §9).
 //
 // A query is one tenant request against the partitioned graph. Every
-// kind rides the same machinery — a slot of the batched multi-source
-// frontier (graph::FrontierStepper) driven superstep by superstep
-// by serve::Scheduler — differing only in its level cap and in how
-// the per-level global mark counts fold into a result:
+// kind rides the same machinery — a slot, i.e. one source bit, of the
+// bit-parallel multi-source BFS (graph::MaskFrontierStepper) driven
+// superstep by superstep by serve::Scheduler — differing only in its
+// level cap and in how the per-level global mark counts fold into a
+// result:
 //
 //   kPointLookup  degree of the source vertex; occupies its slot for
 //                 one ledger superstep and never touches the frontier.

@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -15,8 +16,8 @@ namespace {
 constexpr count_t kNoQuery = -1;
 constexpr count_t kUncapped = std::numeric_limits<count_t>::max();
 
-/// Per-slot in-flight state. Everything here is rank-uniform except
-/// the level plane it indexes in the scheduler's `levels` array.
+/// Per-slot in-flight state, all rank-uniform. Slot s is mask bit s
+/// of the shared stepper.
 struct Slot {
   count_t query = kNoQuery;  ///< index into the query list
   count_t cap = kUncapped;   ///< retire when this many levels ran
@@ -57,20 +58,13 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
   stats_.num_queries = n;
   if (n == 0) return results;
 
-  graph::FrontierStepper<graph::SlotGid> stepper(
+  // Slot s is source bit s: a retiring traversal releases its bit
+  // and the next query admitted into the slot seeds it afresh.
+  graph::MaskFrontierStepper<graph::MaskGid> stepper(
       cfg_.engine.max_exchange_bytes);
-  const lid_t stride = g.n_total();
-  // Slot-major level planes, reset per admission (slot reuse).
-  std::vector<count_t> levels(
-      static_cast<std::size_t>(budget) * static_cast<std::size_t>(stride),
-      kUncapped);
-  const auto level_cell = [stride](count_t slot, lid_t l) {
-    return static_cast<std::size_t>(slot) * stride +
-           static_cast<std::size_t>(l);
-  };
+  stepper.reset(g, budget);
 
   std::vector<Slot> slots(static_cast<std::size_t>(budget));
-  std::vector<graph::SlotVertex> frontier, next;
   // Owner-local point-lookup payloads, folded into the next ledger.
   std::vector<count_t> aux(static_cast<std::size_t>(budget), 0);
   // Ledger layout: [0, budget) new global marks per slot,
@@ -128,18 +122,14 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
     // slot's global frontier size (1) and reached count (1) need no
     // collective. A cap of 0 retires at the next ledger superstep
     // with just the source counted.
-    std::fill(levels.begin() + static_cast<std::ptrdiff_t>(level_cell(s, 0)),
-              levels.begin() +
-                  static_cast<std::ptrdiff_t>(level_cell(s, 0) + stride),
-              kUncapped);
     sl.reached = 1;
     if (sl.cap > 0) {
       sl.frontier = 1;
       if (g.owner_of_gid(q.source) == comm.rank()) {
         const lid_t l = g.lid_of(q.source);
         XTRA_ASSERT(l != kInvalidLid);
-        levels[level_cell(s, l)] = 0;
-        frontier.push_back({s, l});
+        const bool seeded = stepper.seed(l, s);
+        XTRA_ASSERT(seeded);
       }
     }
   };
@@ -170,44 +160,28 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
     // One packed superstep. The sweep + exchange run only when some
     // slot actually has a frontier (rank-uniform knowledge: global
     // frontier sizes come from the previous ledger); a ledger-only
-    // superstep still bills alpha and delivers lookup payloads.
+    // superstep still bills alpha and delivers lookup payloads. Each
+    // owned vertex a level reaches counts once for every slot bit it
+    // gained.
     count_t total_frontier = 0;
     for (const Slot& sl : slots)
       if (sl.active()) total_frontier += sl.frontier;
+    ledger.assign(ix_bytes + 1, 0);
     count_t edges = 0;
     if (total_frontier > 0) {
       stepper.step(
-          comm, g, budget, frontier, next,
-          [&](count_t /*slot*/, lid_t v) { return g.arcs(v); },
-          [&](count_t slot, lid_t /*v*/, lid_t u) {
-            return levels[level_cell(slot, u)] == kUncapped;
-          },
-          [&](count_t slot, lid_t /*v*/, lid_t u) {
-            count_t& lv = levels[level_cell(slot, u)];
-            if (lv != kUncapped) return false;
-            lv = slots[static_cast<std::size_t>(slot)].level + 1;
-            return true;
-          },
-          [&](count_t slot, lid_t l) {
-            return graph::SlotGid{slot, g.gid_of(l)};
-          },
-          [&](const graph::SlotGid& rec) {
-            const lid_t l = g.lid_of(rec.gid);
-            XTRA_ASSERT(l != kInvalidLid && g.is_owned(l));
-            count_t& lv = levels[level_cell(rec.slot, l)];
-            if (lv != kUncapped)
-              return graph::SlotVertex{rec.slot, kInvalidLid};
-            lv = slots[static_cast<std::size_t>(rec.slot)].level + 1;
-            return graph::SlotVertex{rec.slot, l};
+          comm, g, [&](lid_t v) { return g.arcs(v); },
+          [&](std::span<const lid_t> owned, std::span<const lid_t>) {
+            for (const lid_t l : owned) {
+              const std::span<const std::uint64_t> gained = stepper.gained(l);
+              for (std::size_t w = 0; w < gained.size(); ++w)
+                for (std::uint64_t b = gained[w]; b != 0; b &= b - 1)
+                  ++ledger[w * 64 + static_cast<std::size_t>(
+                                        std::countr_zero(b))];
+            }
           });
       edges = stepper.scanned_edges();
-    } else {
-      next.clear();
     }
-
-    ledger.assign(ix_bytes + 1, 0);
-    for (const graph::SlotVertex& e : next)
-      ++ledger[static_cast<std::size_t>(e.slot)];
     for (count_t s = 0; s < budget; ++s) {
       ledger[static_cast<std::size_t>(budget + s)] =
           aux[static_cast<std::size_t>(s)];
@@ -254,16 +228,11 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
       r.score = sl.score;
       r.supersteps = sl.supersteps;
       r.finish_seconds = clock.now();
+      if (sl.cap > 0) stepper.release(s);  // seeded at admission
       sl.query = kNoQuery;
       --active;
       ++completed;
     }
-
-    // Drop retired slots' tail entries and roll the frontier.
-    frontier.clear();
-    for (const graph::SlotVertex& e : next)
-      if (slots[static_cast<std::size_t>(e.slot)].active())
-        frontier.push_back(e);
   }
 
   // Latency ledger, identical on every rank.

@@ -3,16 +3,18 @@
 //
 // The scheduler turns the batch engine into a serving system: an
 // admission queue of open-loop queries (serve::Query, arrival-ordered)
-// is packed into shared supersteps of ONE graph::FrontierStepper,
-// up to `slot_budget` concurrent slots. Each packed superstep is one
-// adjacency sweep + one exchange for every in-flight traversal, then
-// one ledger allreduce that carries, for every slot, the number of
-// vertices newly marked this level (plus the point-lookup degree
-// payload, the sweep's edge count, and the exchange's payload bytes).
+// is packed into shared supersteps of ONE bit-parallel
+// graph::MaskFrontierStepper, up to `slot_budget` concurrent slots,
+// slot s being mask bit s. Each packed superstep expands every
+// frontier vertex once for all the slots that reached it and ships
+// one {gid, mask} record per touched ghost, then runs one ledger
+// allreduce that carries, for every slot, the number of vertices
+// newly reached this level (plus the point-lookup degree payload, the
+// sweep's edge count, and the exchange's payload bytes).
 // From that single collective every rank uniformly:
 //   * advances the virtual clock (serve/clock.hpp),
 //   * retires slots whose frontier ran dry or whose level cap was
-//     reached — mid-run, freeing the slot immediately,
+//     reached — mid-run, releasing the slot's bit immediately,
 //   * backfills freed slots from the queue in arrival order, and
 //   * folds per-level counts into results (reached counts, RWR mass).
 //
@@ -39,9 +41,9 @@ struct ServeConfig {
   /// Transport knobs for the packed frontier exchange
   /// (max_exchange_bytes, num_threads).
   engine::Config engine;
-  /// Concurrent query slots: the packing width of a superstep. 1
-  /// degenerates into per-query serial execution (the bench twin the
-  /// CI contract compares against).
+  /// Concurrent query slots (mask bits): the packing width of a
+  /// superstep. 1 degenerates into per-query serial execution (the
+  /// bench twin the CI contract compares against).
   count_t slot_budget = 8;
   /// Restart probability of the truncated-RWR PPR scoring.
   double ppr_alpha = 0.15;

@@ -17,9 +17,11 @@
 #include "graph/bfs.hpp"
 #include "graph/dist.hpp"
 #include "graph/dist_graph.hpp"
+#include "graph/frontier.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
 #include "mpisim/comm.hpp"
+#include "util/parallel.hpp"
 
 namespace xtra::graph {
 namespace {
@@ -639,6 +641,124 @@ TEST_P(DistGraphRanks, StatsMatchHandComputed) {
     EXPECT_NEAR(s.avg_degree, 14.0 / 6.0, 1e-12);
     EXPECT_GE(s.approx_diameter, 2);
     EXPECT_LE(s.approx_diameter, 3);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// MaskFrontierStepper: release / re-seed and the scanned-edge count
+
+/// (ranks, threads): the stepper's scan runs on the rank's pool, so
+/// both widths must give the same reach and the same counts.
+class MaskStepperGrid
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+INSTANTIATE_TEST_SUITE_P(
+    RanksThreads, MaskStepperGrid,
+    ::testing::Combine(::testing::Values(1, 4), ::testing::Values(1, 4)),
+    [](const auto& inf) {
+      return "r" + std::to_string(std::get<0>(inf.param)) + "_t" +
+             std::to_string(std::get<1>(inf.param));
+    });
+
+/// Big enough that a level's frontier spans several pool chunks.
+EdgeList mask_stepper_graph() { return gen::erdos_renyi(12'000, 6, 21); }
+
+/// Seeds source s at gid `root` on its owner; false elsewhere.
+bool seed_gid(MaskFrontierStepper<MaskGid>& st, sim::Comm& comm,
+              const DistGraph& g, gid_t root, count_t s) {
+  if (g.owner_of_gid(root) != comm.rank()) return false;
+  return st.seed(g.lid_of(root), s);
+}
+
+TEST_P(MaskStepperGrid, ReleasedSourceReseedsLikeAFreshTraversal) {
+  const auto [nranks, threads] = GetParam();
+  const EdgeList el = mask_stepper_graph();
+  constexpr gid_t kFirst = 5, kOther = 77, kReseed = 1234;
+  sim::run_world(nranks, [&](sim::Comm& comm) {
+    par::ThreadScope scope(threads);
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 3));
+    const auto owned_bit = [&](const MaskFrontierStepper<MaskGid>& st,
+                               lid_t l, count_t s) {
+      return (st.gained(l)[0] >> s) & 1;
+    };
+
+    // Two sources; source 0 runs two levels, is released and re-seeded
+    // at kReseed while source 1 keeps going.
+    MaskFrontierStepper<MaskGid> st;
+    st.reset(g, 2);
+    seed_gid(st, comm, g, kFirst, 0);
+    seed_gid(st, comm, g, kOther, 1);
+    std::vector<count_t> lv0(g.n_local(), kUnreached);
+    std::vector<count_t> lv1(g.n_local(), kUnreached);
+    if (g.owner_of_gid(kOther) == comm.rank()) lv1[g.lid_of(kOther)] = 0;
+    count_t level = 0;      // levels source 1 has run
+    count_t reseeded = -1;  // level at which source 0 restarted
+    const auto step = [&] {
+      st.step(comm, g, [&](lid_t v) { return g.arcs(v); },
+              [&](std::span<const lid_t> owned, std::span<const lid_t>) {
+                for (const lid_t l : owned) {
+                  if (reseeded >= 0 && owned_bit(st, l, 0))
+                    lv0[l] = level + 1 - reseeded;
+                  if (owned_bit(st, l, 1)) lv1[l] = level + 1;
+                }
+              });
+      ++level;
+    };
+    step();
+    step();
+    st.release(0);
+    reseeded = level;
+    if (seed_gid(st, comm, g, kReseed, 0)) lv0[g.lid_of(kReseed)] = 0;
+    while (comm.allreduce_or(!st.frontier_empty())) step();
+
+    std::vector<count_t> ref;
+    bfs_levels(comm, g, kReseed, ref);
+    for (lid_t l = 0; l < g.n_local(); ++l)
+      ASSERT_EQ(lv0[l], ref[l]) << "gid " << g.gid_of(l);
+    bfs_levels(comm, g, kOther, ref);
+    for (lid_t l = 0; l < g.n_local(); ++l)
+      ASSERT_EQ(lv1[l], ref[l]) << "gid " << g.gid_of(l);
+
+    // Releasing a frontier's only source empties it on every rank.
+    MaskFrontierStepper<MaskGid> one;
+    one.reset(g, 1);
+    seed_gid(one, comm, g, kFirst, 0);
+    one.step(comm, g, [&](lid_t v) { return g.arcs(v); },
+             [](std::span<const lid_t>, std::span<const lid_t>) {});
+    one.release(0);
+    EXPECT_FALSE(comm.allreduce_or(!one.frontier_empty()));
+  });
+}
+
+TEST_P(MaskStepperGrid, OneSourceScannedEdgesAreTheFrontierDegreeSum) {
+  // A one-source step visits each frontier vertex's adjacency once,
+  // exactly the neighbour entries a one-traversal FrontierStepper
+  // (bfs_levels) expands at that level.
+  const auto [nranks, threads] = GetParam();
+  const EdgeList el = mask_stepper_graph();
+  constexpr gid_t kRoot = 42;
+  sim::run_world(nranks, [&](sim::Comm& comm) {
+    par::ThreadScope scope(threads);
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 3));
+    std::vector<count_t> ref;
+    bfs_levels(comm, g, kRoot, ref);
+    MaskFrontierStepper<MaskGid> st;
+    st.reset(g, 1);
+    seed_gid(st, comm, g, kRoot, 0);
+    count_t level = 0;
+    count_t total = 0;
+    while (comm.allreduce_or(!st.frontier_empty())) {
+      st.step(comm, g, [&](lid_t v) { return g.arcs(v); },
+              [](std::span<const lid_t>, std::span<const lid_t>) {});
+      count_t expected = 0;
+      for (lid_t l = 0; l < g.n_local(); ++l)
+        if (ref[l] == level) expected += g.degree(l);
+      EXPECT_EQ(st.scanned_edges(), expected) << "level " << level;
+      total += st.scanned_edges();
+      ++level;
+    }
+    EXPECT_GT(comm.allreduce_sum(total), 0);
   });
 }
 
