@@ -103,9 +103,8 @@ int main() {
       const auto gd = graph::build_dist_graph(comm, directed, dist);
       comm.barrier();
 
-      // The dense kernels run directly through engine::run so the one
-      // Config reaches every kernel (the legacy wrappers only accept
-      // their historical knob subsets).
+      // The dense kernels run directly through engine::run; the one
+      // Config reaches every kernel.
       const auto& as_info = analytics::detail::to_run_info;
       analytics::RunInfo infos[kAnalyticCount];
       infos[0] = analytics::harmonic_centrality(comm, g, 8, 5, cfg).info;

@@ -238,16 +238,15 @@ BENCHMARK(BM_HaloPrefetchOverlap)
     ->Args({8, 0})
     ->Args({16, 0});
 
-/// The dense analytics end to end through the legacy-named analytics::
-/// wrappers: PageRank, k-core and community-LP, one overlapped halo
-/// refresh per superstep. Bytes and collectives per superstep are the
-/// dense engine's wire cost; the engine twins below must not exceed
-/// the PageRank and community-LP rows.
+/// The dense analytics end to end through engine::run: PageRank,
+/// k-core and community-LP, one overlapped halo refresh per superstep.
+/// Bytes and collectives per superstep are the dense engine's wire
+/// cost.
 void BM_AnalyticsDense(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
   const int workload = static_cast<int>(state.range(1));
-  constexpr const char* kNames[] = {"pagerank_blocking", "kcore_blocking",
-                                    "commlp_uncoalesced"};
+  constexpr const char* kNames[] = {"pagerank_dense", "kcore_dense",
+                                    "commlp_dense"};
   const graph::EdgeList el =
       gen::erdos_renyi(8'000, 12, workload == 2 ? 7 : 5);
   CommRow row{kNames[workload], nranks, 0};
@@ -257,51 +256,18 @@ void BM_AnalyticsDense(benchmark::State& state) {
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
       comm.barrier();
       comm.reset_stats();
-      const analytics::RunInfo info =
-          workload == 0   ? analytics::pagerank(comm, g, 10).info
-          : workload == 1 ? analytics::kcore_approx(comm, g, 8).info
-                          : analytics::label_propagation(comm, g, 10).info;
-      const sim::CommStats world = comm.world_stats();
-      if (comm.rank() == 0) {
-        const auto iters = static_cast<double>(info.supersteps);
-        note_world(row, world, iters);
-      }
-    });
-  }
-  state.counters["bytes/iter"] = row.bytes_per_iter;
-  state.counters["colls/iter"] = row.collectives_per_iter;
-  record_row(row);
-}
-BENCHMARK(BM_AnalyticsDense)->Args({8, 0})->Args({8, 1})->Args({8, 2});
-
-/// Engine-vs-wrapper twins: PageRank and community-LP executed
-/// directly through engine::run (explicit program + Config) against
-/// the wrapper-driven rows above (pagerank_blocking /
-/// commlp_uncoalesced). The check script enforces the absolute
-/// contract that the direct rows move no more bytes and collectives
-/// per superstep than the wrapper rows — the wrappers must stay a
-/// zero-cost veneer over the engine. (The engine itself is pinned
-/// against the pre-engine hand-rolled kernels by the frozen baseline
-/// numbers those kernels recorded.)
-void BM_EngineTwin(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const bool commlp = state.range(1) != 0;
-  const graph::EdgeList el = gen::erdos_renyi(8'000, 12, commlp ? 7 : 5);
-  CommRow row{commlp ? "commlp_engine" : "pagerank_engine", nranks, 0};
-  for (auto _ : state) {
-    sim::run_world(nranks, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      comm.barrier();
-      comm.reset_stats();
       engine::Config cfg;
       engine::Stats st;
-      if (commlp) {
-        analytics::CommLpProgram p;
+      if (workload == 0) {
+        analytics::PageRankProgram p;
         cfg.max_supersteps = 10;
         st = engine::run(comm, g, p, cfg);
+      } else if (workload == 1) {
+        analytics::KCoreProgram p;
+        cfg.max_supersteps = 8;
+        st = engine::run(comm, g, p, cfg);
       } else {
-        analytics::PageRankProgram p;
+        analytics::CommLpProgram p;
         cfg.max_supersteps = 10;
         st = engine::run(comm, g, p, cfg);
       }
@@ -316,7 +282,7 @@ void BM_EngineTwin(benchmark::State& state) {
   state.counters["colls/iter"] = row.collectives_per_iter;
   record_row(row);
 }
-BENCHMARK(BM_EngineTwin)->Args({8, 0})->Args({8, 1});
+BENCHMARK(BM_AnalyticsDense)->Args({8, 0})->Args({8, 1})->Args({8, 2});
 
 /// The delta-capped SSSP frontier program: notification volume per
 /// superstep at two bucket widths (a tight delta runs more, smaller

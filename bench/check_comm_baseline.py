@@ -11,20 +11,11 @@ otherwise ignored — add them to the baseline with --update (rows are
 written sorted by (bench, nranks, max_send_bytes) so refreshes diff
 cleanly).
 
-The unified engine carries an absolute contract: the
-pagerank_engine / commlp_engine rows (kernels executed directly via
-engine::run with an explicit Config) must move no more bytes or
-collectives per superstep than the pagerank_blocking /
-commlp_uncoalesced rows, which run the same workload through the
-legacy-named analytics:: wrappers. Both paths execute the engine
-today, so this pins the *wrapper layer* against diverging from a
-direct engine::run (a wrapper that grows extra collectives or
-mis-maps a knob fails here); the guard against the engine itself
-regressing relative to the pre-engine hand-rolled kernels is the
-frozen baseline numbers, which were recorded from those kernels and
-verified drift-free at the migration.
+The dense analytics rows (pagerank_dense, kcore_dense, commlp_dense)
+run their programs through engine::run, so their frozen numbers pin
+the dense engine's wire cost per superstep.
 
-The MPI+X rows carry a second absolute contract: every *_tN row
+The MPI+X rows carry an absolute contract: every *_tN row
 (N > 1 intra-rank threads) must match its *_t1 twin EXACTLY on every
 wire metric — bytes and collectives. The thread
 width is a pure throughput knob by design (DESIGN.md §6); any drift
@@ -74,13 +65,6 @@ import sys
 
 BASELINE = pathlib.Path(__file__).parent / "baselines" / "comm_stats.json"
 COMPARED = ("bytes_per_iter", "collectives_per_iter")
-# Engine rows (direct engine::run) vs the legacy-named wrapper rows
-# running the same workload: pins the wrapper layer to a direct
-# engine::run (see the docstring). Keyed engine-row -> twin-row bench
-# name; nranks/max_send_bytes must match.
-ENGINE_TWINS = {"pagerank_engine": "pagerank_blocking",
-                "commlp_engine": "commlp_uncoalesced"}
-ENGINE_SLACK = 1.001  # strict equality modulo float formatting
 # MPI+X rows: "<workload>_threads_tN". N > 1 rows must equal the _t1
 # twin exactly on every wire metric (threads change timing only).
 THREAD_ROW = re.compile(r"^(.+_threads)_t(\d+)$")
@@ -169,33 +153,6 @@ def key_of(row):
 
 def serve_key_of(row):
     return (row["bench"], row["nranks"], row["slot_budget"])
-
-
-def check_engine_contract(current):
-    """Direct engine::run rows may move no more bytes/collectives per
-    superstep than the wrapper-driven twins on the same workload (the
-    wrapper layer must stay a zero-cost veneer over the engine)."""
-    failures = []
-    pairs = 0
-    for key, row in current.items():
-        twin_name = ENGINE_TWINS.get(key[0])
-        if twin_name is None:
-            continue
-        twin = current.get((twin_name, key[1], key[2]))
-        if twin is None:
-            failures.append(f"{key}: no {twin_name} twin row to compare "
-                            f"against")
-            continue
-        pairs += 1
-        for metric in ("bytes_per_iter", "collectives_per_iter"):
-            e, t = (r.get(metric, 0.0) for r in (row, twin))
-            if e > t * ENGINE_SLACK:
-                failures.append(
-                    f"{key}: {metric} {e:.2f} exceeds legacy twin "
-                    f"{twin_name}'s {t:.2f}")
-    if pairs == 0:
-        failures.append("no engine-twin pairs in the current run")
-    return failures
 
 
 def check_thread_contract(current):
@@ -441,7 +398,6 @@ def main():
     for key in sorted(set(current) - set(baseline)):
         print(f"note: new row not in baseline: {key}")
 
-    failures += check_engine_contract(current)
     failures += check_thread_contract(current)
 
     serving = ""
@@ -464,8 +420,7 @@ def main():
             print(f"  {f}")
         sys.exit(1)
     print(f"comm baseline check passed: {len(baseline)} rows within "
-          f"{args.tolerance:.0%}; engine-twin and thread-twin "
-          f"contracts held" + serving
+          f"{args.tolerance:.0%}; thread-twin contract held" + serving
           + parity)
 
 

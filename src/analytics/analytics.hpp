@@ -7,14 +7,17 @@
 // the paper.
 //
 // Every kernel executes through the unified vertex-program engine
-// (engine/engine.hpp): the preferred API is
+// (engine/engine.hpp):
 //   engine::run(comm, g, program, engine::Config{...})
 // with the program structs of analytics/programs.hpp, which inherits
-// every transport knob (chunk size, intra-rank threads) uniformly. The entry points below are kept as thin
-// wrappers — bit-identical to engine::run at their default knobs —
-// for callers of the historical per-kernel signatures; the composite
-// and engine-native kernels (harmonic centrality, SCC, SSSP, triangle
-// count) take a trailing `const engine::Config& cfg = {}`.
+// every transport knob (chunk size, intra-rank threads) uniformly.
+// PageRank, WCC, community LP and k-core are a single engine::run of
+// their program and have no entry point here. The functions below are
+// the kernels that add logic beyond one run — harmonic centrality's
+// source draw, SCC's trim and pivot BFS pair, SSSP's reach and
+// max-distance reductions, the triangle counter's one-superstep cap —
+// and take a trailing
+// `const engine::Config& cfg = {}`.
 //
 // Each run reports wall seconds and the bytes this rank sent (callers
 // aggregate via Comm::global_bytes_sent-style reductions).
@@ -34,53 +37,6 @@ struct RunInfo {
   count_t comm_bytes = 0;  ///< bytes sent by this rank
   count_t supersteps = 0;
 };
-
-/// PageRank (PR): up to `iters` damped power iterations over the
-/// undirected adjacency (the paper treats all edges as undirected).
-/// Each superstep's contribution exchange overlaps the interior
-/// update and is drained in-step (bit-identical to a blocking
-/// refresh). `tol` > 0 adds a residual-based stop
-/// (sum |rank' - rank| <= tol, one allreduce per superstep); 0 keeps
-/// the fixed-iteration contract.
-struct PageRankResult {
-  RunInfo info;
-  std::vector<double> rank;  ///< size n_total (ghost entries refreshed)
-  double sum = 0.0;          ///< global rank mass (~1.0)
-};
-PageRankResult pagerank(sim::Comm& comm, const graph::DistGraph& g,
-                        int iters = 20, double damping = 0.85,
-                        double tol = 0.0);
-
-/// Weakly connected components (WCC) via min-label hooking.
-struct ComponentsResult {
-  RunInfo info;
-  std::vector<gid_t> component;  ///< size n_total, component root gid
-  count_t num_components = 0;
-  count_t largest_size = 0;
-};
-ComponentsResult weakly_connected_components(sim::Comm& comm,
-                                             const graph::DistGraph& g);
-
-/// Label-propagation community detection (LP): up to `sweeps`
-/// synchronous majority-label rounds, one full halo refresh each.
-struct CommunityResult {
-  RunInfo info;
-  std::vector<gid_t> label;  ///< size n_total
-  count_t num_communities = 0;
-};
-CommunityResult label_propagation(sim::Comm& comm, const graph::DistGraph& g,
-                                  int sweeps = 10);
-
-/// Approximate k-core decomposition (KC): iterated synchronous
-/// neighborhood h-index (Lü et al.), which converges to the exact
-/// coreness; `rounds` caps the iteration count.
-struct KCoreResult {
-  RunInfo info;
-  std::vector<count_t> core;  ///< size n_total
-  count_t max_core = 0;
-};
-KCoreResult kcore_approx(sim::Comm& comm, const graph::DistGraph& g,
-                         int rounds = 20);
 
 /// Harmonic centrality (HC) of `num_sources` sampled vertices:
 /// HC(v) = sum_u 1/d(u,v). All sources advance as bits of ONE

@@ -8,7 +8,7 @@
 namespace xtra::analytics::detail {
 
 /// Scoped measurement of wall time and sent bytes into a RunInfo (for
-/// the composite wrappers that meter several engine runs plus glue).
+/// the composite kernels that meter several engine runs plus glue).
 class Meter {
  public:
   Meter(sim::Comm& comm, RunInfo& info)
@@ -27,7 +27,7 @@ class Meter {
   Timer timer_;
 };
 
-/// The legacy RunInfo triple of an engine run (single-run wrappers).
+/// The RunInfo triple of one engine run.
 inline RunInfo to_run_info(const engine::Stats& st) {
   RunInfo info;
   info.seconds = st.seconds;

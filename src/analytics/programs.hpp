@@ -8,8 +8,8 @@
 // contract): the engine owns the superstep loop, the halo plan, the
 // overlapped ghost refresh, and the convergence collectives;
 // the program owns only its per-vertex update and its result state.
-// The legacy analytics:: entry points in analytics.hpp are thin
-// wrappers over these, bit-identical at default knobs.
+// Callers run a program directly; the composite kernels of
+// analytics.hpp (harmonic, SCC, SSSP, triangles) run them for you.
 #pragma once
 
 #include <algorithm>

@@ -14,17 +14,17 @@
 //
 // The exchange is split into explicit start()/finish() halves so a
 // caller can kick off the wire transfer and run local compute before
-// draining it. start() snapshots the caller's payload into the
-// AsyncExchange handle (the caller's buffer is released the moment
-// start() returns) and posts the first phase; finish() drains the
-// in-flight phase, posts the next, and reassembles arrivals. The
-// blocking exchange() is a thin start+finish wrapper (minus the
-// payload snapshot — its caller's buffer is valid throughout), so both
-// paths share one implementation and produce byte-identical results
-// and identical wire accounting. Between start() and finish() any
-// blocking collectives may run, and other Exchangers may start, drain,
-// and finish their own exchanges: each started exchange acquires its
-// own substrate channel (up to sim::kMaxChannels in flight per rank).
+// draining it. start() reads the caller's buffer in place and posts
+// the first phase: the buffer belongs to the wire until finish()
+// returns and must stay valid and unmodified until then (a verifier
+// build checksums each posted phase again at its finish). finish() drains the in-flight
+// phase, posts the next, and reassembles arrivals. The blocking
+// exchange() is start+finish back to back, so both paths share one
+// implementation and produce byte-identical results and identical
+// wire accounting. Between start() and finish() any blocking
+// collectives may run, and other Exchangers may start, drain, and
+// finish their own exchanges: each started exchange acquires its own
+// substrate channel (up to sim::kMaxChannels in flight per rank).
 // finish() drains the phases in order, posting each successor before
 // it scatters the drained phase's arrivals into their final position.
 //
@@ -90,40 +90,6 @@ struct ExchangeStats {
   }
 };
 
-/// In-flight state of one started exchange. Owned by the Exchanger;
-/// it holds the snapshot of the caller's send payload (`staging_`),
-/// the per-destination layout, and the cursor of the phase currently
-/// on the wire, so nothing the caller owns needs to survive between
-/// start() and finish().
-class AsyncExchange {
- public:
-  bool active() const { return active_; }
-  /// Payload bytes currently in flight (total staged send payload).
-  count_t bytes_in_flight() const {
-    return active_ ? total_ * static_cast<count_t>(elem_) : 0;
-  }
-
- private:
-  friend class Exchanger;
-
-  std::vector<std::byte> staging_;   ///< owned payload snapshot (start())
-  std::vector<count_t> counts_;      ///< per-destination element counts
-  /// Prefix sums of counts_ with the self segment left out: the
-  /// remote-record index space the phase windows cut.
-  std::vector<count_t> remote_offsets_;
-  const std::byte* wire_ = nullptr;  ///< payload the phases slice from
-  std::size_t elem_ = 0;             ///< element size in bytes
-  count_t total_ = 0;                ///< total elements staged
-  count_t remote_ = 0;               ///< staged elements not for self
-  count_t self_lo_ = 0;              ///< payload index of the self segment
-  count_t self_count_ = 0;           ///< self-destined elements
-  count_t max_records_ = 0;          ///< per-phase record cap
-  count_t nphases_ = 0;              ///< agreed global phase count
-  count_t phase_ = 0;                ///< phase currently in flight
-  int channel_ = 0;                  ///< substrate channel
-  bool active_ = false;
-};
-
 class Exchanger {
  public:
   /// max_send_bytes == 0 means unbounded (one alltoallv per exchange);
@@ -154,10 +120,8 @@ class Exchanger {
                               std::vector<count_t>* recvcounts_out = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "wire records must be trivially copyable");
-    // Blocking path: the caller's buffer outlives the call, so the
-    // phases slice it directly — no payload snapshot.
     start_bytes(comm, reinterpret_cast<const std::byte*>(send), sizeof(T),
-                counts, StartMode::kBlocking);
+                counts, /*overlapped=*/false);
     finish_bytes(comm);
     if (recvcounts_out) *recvcounts_out = rcounts_;
     return {reinterpret_cast<const T*>(recv_bytes_.data()),
@@ -180,23 +144,17 @@ class Exchanger {
   }
 
   /// Collective: kick off an exchange and return immediately. The
-  /// payload is snapshotted into the AsyncExchange handle, so `send`
-  /// may be reused or destroyed as soon as this returns. Run local
-  /// compute, then drain with finish<T>(). Only one exchange may be in
-  /// flight per Exchanger (and per rank, substrate-wide).
+  /// phases slice `send` in place, so it must stay valid and
+  /// unmodified until finish<T>() returns (a persistent staging buffer
+  /// or DestBuckets member). Run local compute, then drain with
+  /// finish<T>(). Only one exchange may be in flight per Exchanger.
   template <typename T>
   void start(sim::Comm& comm, const T* send,
              const std::vector<count_t>& counts) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "wire records must be trivially copyable");
     start_bytes(comm, reinterpret_cast<const std::byte*>(send), sizeof(T),
-                counts, StartMode::kSnapshot);
-  }
-
-  template <typename T>
-  void start(sim::Comm& comm, const std::vector<T>& send,
-             const std::vector<count_t>& counts) {
-    start(comm, send.data(), counts);
+                counts, /*overlapped=*/true);
   }
 
   template <typename T>
@@ -204,32 +162,13 @@ class Exchanger {
     start(comm, buckets.records().data(), buckets.counts());
   }
 
-  /// start() without the payload snapshot, for callers whose send
-  /// buffer provably stays valid and unmodified until finish<T>()
-  /// returns (a persistent staging buffer or DestBuckets member).
-  /// Saves a full-payload copy per exchange on hot per-superstep
-  /// paths; when in doubt use start().
-  template <typename T>
-  void start_inplace(sim::Comm& comm, const T* send,
-                     const std::vector<count_t>& counts) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "wire records must be trivially copyable");
-    start_bytes(comm, reinterpret_cast<const std::byte*>(send), sizeof(T),
-                counts, StartMode::kAlias);
-  }
-
-  template <typename T>
-  void start_inplace(sim::Comm& comm, const DestBuckets<T>& buckets) {
-    start_inplace(comm, buckets.records().data(), buckets.counts());
-  }
-
-  /// Collective: drain the in-flight exchange started with start<T>().
+  /// Collective: drain the in-flight exchange started with start().
   /// T must match the started type. Returns the same grouped-by-source
   /// span the blocking exchange() would have.
   template <typename T>
   std::span<const T> finish(sim::Comm& comm,
                             std::vector<count_t>* recvcounts_out = nullptr) {
-    XTRA_ASSERT_MSG(pending_.elem_ == sizeof(T),
+    XTRA_ASSERT_MSG(pending_.elem == sizeof(T),
                     "finish<T> must match the started element type");
     finish_bytes(comm);
     if (recvcounts_out) *recvcounts_out = rcounts_;
@@ -237,30 +176,43 @@ class Exchanger {
             static_cast<std::size_t>(recv_total_)};
   }
 
-  bool in_flight() const { return pending_.active(); }
-  const AsyncExchange& pending() const { return pending_; }
+  bool in_flight() const { return pending_.active; }
 
   const ExchangeStats& stats() const { return stats_; }
   void reset_stats() { stats_ = ExchangeStats{}; }
 
  private:
-  /// How start_bytes treats the caller's payload: kBlocking and
-  /// kAlias slice it in place (it must outlive the finish half —
-  /// trivially true for the blocking wrapper); kSnapshot copies it
-  /// into the AsyncExchange staging. kAlias and kSnapshot count as
-  /// overlapped exchanges.
-  enum class StartMode { kBlocking, kSnapshot, kAlias };
+  /// In-flight state of one started exchange: the per-destination
+  /// layout of the caller's payload and the cursor of the phase
+  /// currently on the wire.
+  struct InFlight {
+    std::vector<count_t> counts;  ///< per-destination element counts
+    /// Prefix sums of counts with the self segment left out: the
+    /// remote-record index space the phase windows cut.
+    std::vector<count_t> remote_offsets;
+    const std::byte* wire = nullptr;  ///< the caller's payload
+    std::size_t elem = 0;             ///< element size in bytes
+    count_t remote = 0;               ///< staged elements not for self
+    count_t self_lo = 0;              ///< payload index of the self segment
+    count_t self_count = 0;           ///< self-destined elements
+    count_t max_records = 0;          ///< per-phase record cap
+    count_t nphases = 0;              ///< agreed global phase count
+    count_t phase = 0;                ///< phase currently in flight
+    int channel = 0;                  ///< substrate channel
+    bool active = false;
+  };
 
-  /// Untyped first half: stages the payload, agrees on the phase
-  /// count, and posts phase 0.
+  /// Untyped first half: lays out the payload, agrees on the phase
+  /// count, and posts phase 0. `overlapped` marks a start() (counted
+  /// in the overlap ledger) rather than the blocking exchange().
   void start_bytes(sim::Comm& comm, const std::byte* send, std::size_t elem,
-                   const std::vector<count_t>& counts, StartMode mode);
+                   const std::vector<count_t>& counts, bool overlapped);
   /// Untyped second half: drains every phase (posting each
   /// successor), leaving the result in recv_bytes_/recv_total_/rcounts_.
   void finish_bytes(sim::Comm& comm);
-  /// The phased (nphases_ > 1) drain loop of finish_bytes.
+  /// The phased (nphases > 1) drain loop of finish_bytes.
   void finish_phases(sim::Comm& comm);
-  /// Posts the remote-record window of phase pending_.phase_.
+  /// Posts the remote-record window of phase pending_.phase.
   void post_phase(sim::Comm& comm);
   /// Copies the self segment of the payload to recv_bytes_ at `at`.
   void copy_self(count_t at);
@@ -268,7 +220,7 @@ class Exchanger {
   count_t max_send_bytes_ = 0;
   const char* label_ = "comm::Exchanger";
   ExchangeStats stats_;
-  AsyncExchange pending_;  ///< in-flight state between start and finish
+  InFlight pending_;  ///< in-flight state between start and finish
 
   // Wire-side scratch, reused across calls.
   std::vector<std::byte> recv_bytes_;   ///< final grouped-by-source result

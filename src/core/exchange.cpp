@@ -6,10 +6,6 @@
 
 namespace xtra::core {
 
-void UpdateExchanger::configure(const Params& params) {
-  ex_.set_max_send_bytes(params.max_exchange_bytes);
-}
-
 void UpdateExchanger::run(sim::Comm& comm, const graph::DistGraph& g,
                           std::vector<part_t>& parts,
                           const std::vector<lid_t>& queue) {
@@ -39,8 +35,8 @@ void UpdateExchanger::start(sim::Comm& comm, const graph::DistGraph& g,
   }
 
   // buckets_ is not touched again until the next start()'s begin(),
-  // safely after the finish — slice it in place, no payload copy.
-  ex_.start_inplace(comm, buckets_);
+  // safely after the finish, so the exchange may read it in place.
+  ex_.start(comm, buckets_);
 }
 
 void UpdateExchanger::finish(sim::Comm& comm, const graph::DistGraph& g,

@@ -63,10 +63,8 @@ class UpdateExchanger {
   void finish(sim::Comm& comm, const graph::DistGraph& g,
               std::vector<part_t>& parts);
 
-  /// Apply the exchange knob of `params`: max_exchange_bytes. Results
-  /// are identical for any value.
-  void configure(const Params& params);
-
+  /// Cap each phase's send payload (0 = unbounded). Results are
+  /// identical for any value; same value required on every rank.
   void set_max_send_bytes(count_t bytes) { ex_.set_max_send_bytes(bytes); }
   // No-op; kept only because perfbench/e2e.cpp:358 calls it.
   void set_shard_policy(ShardPolicy) {}

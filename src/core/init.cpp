@@ -15,8 +15,7 @@ void sync_all_ghosts(sim::Comm& comm, const graph::DistGraph& g,
                      const Params& params, std::vector<part_t>& parts) {
   std::vector<lid_t> all(g.n_local());
   for (lid_t v = 0; v < g.n_local(); ++v) all[v] = v;
-  UpdateExchanger exchanger;
-  exchanger.configure(params);
+  UpdateExchanger exchanger(params.max_exchange_bytes);
   exchanger.run(comm, g, parts, all);
 }
 
@@ -59,8 +58,7 @@ std::vector<part_t> init_bfs_growing(sim::Comm& comm,
   }
   // Growth loops every superstep; keep one exchanger so its buffers
   // are reused across iterations.
-  UpdateExchanger exchanger;
-  exchanger.configure(params);
+  UpdateExchanger exchanger(params.max_exchange_bytes);
   exchanger.run(comm, g, parts, queue);
 
   Rng rng(params.seed, 0xB0075 + static_cast<std::uint64_t>(comm.rank()));

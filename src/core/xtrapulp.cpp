@@ -60,7 +60,7 @@ PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
   PhaseState st;
   st.nparts = params.nparts;
   st.nprocs = comm.size();
-  st.exchanger.configure(params);
+  st.exchanger.set_max_send_bytes(params.max_exchange_bytes);
   st.x = params.mult_x;
   st.y = params.mult_y;
   st.i_tot = std::max(params.outer_iters *

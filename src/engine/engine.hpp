@@ -2,9 +2,10 @@
 //
 // A kernel is a small *program* struct (its per-vertex update plus
 // init/epilogue hooks), `engine::Config` is the one knob bag (chunk
-// size, intra-rank threads, tolerance, superstep cap), and `engine::run(comm, g, program, cfg)` owns the superstep
-// loop — so every comm optimization the substrate grows is inherited
-// by every kernel at once, the way RFP's uniform interface hides the
+// size, intra-rank threads, tolerance, superstep cap), and
+// `engine::run(comm, g, program, cfg)` owns the superstep loop — so
+// every comm optimization the substrate grows is inherited by every
+// kernel at once, the way RFP's uniform interface hides the
 // transport-mode choice from its callers.
 //
 // Three execution modes, dispatched on the program's shape:
@@ -25,8 +26,7 @@
 // JSON-exportable. The concrete programs for the paper's six Fig-8
 // workloads plus the two engine-native ones (delta-capped SSSP,
 // query-based approximate triangle count) live in
-// analytics/programs.hpp; the legacy analytics:: entry points are
-// thin deprecated wrappers over them, bit-identical at default knobs.
+// analytics/programs.hpp; callers run them through engine::run.
 #pragma once
 
 #include <concepts>

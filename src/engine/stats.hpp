@@ -1,9 +1,9 @@
-// engine::Stats — the unified per-run measurement every vertex
-// program returns: the analytics RunInfo triple (wall seconds, bytes
-// this rank sent, supersteps) merged with the comm layer's
-// ExchangeStats ledger aggregated over every engine the run owned
-// (halo plan, frontier/census exchangers). JSON-exportable
-// for bench tooling.
+// engine::Stats — the per-run measurement engine::run returns for
+// every vertex program: wall seconds, bytes this rank sent and
+// supersteps (the triple the composite kernels' analytics::RunInfo
+// reports) merged with the comm layer's ExchangeStats ledger
+// aggregated over every engine the run owned (halo plan,
+// frontier/census exchangers). JSON-exportable for bench tooling.
 #pragma once
 
 #include <string>

@@ -32,7 +32,7 @@
 //
 // The invariant that makes the overlap safe lives here, once: the
 // DestBuckets' staging is stable from commit() until the next
-// begin(), so the exchange may slice it in place (start_inplace), and
+// begin(), so the exchange may slice it in place (Exchanger::start), and
 // only one exchange is in flight across the two passes.
 #pragma once
 
@@ -148,7 +148,7 @@ class FrontierStepper {
     buckets_.commit();
     for (const lid_t l : touched_)
       buckets_.push(g.owner_of(l), make_notify(l));
-    ex_.start_inplace(comm, buckets_);
+    ex_.start(comm, buckets_);
 
     // Mid-flight: relax the owned candidates while the notifications
     // travel — first improvement admits the vertex, so the surviving
@@ -371,7 +371,7 @@ class MaskFrontierStepper {
           else
             buckets_.push(g.owner_of(l), g.gid_of(l));
         }
-    ex_.start_inplace(comm, buckets_);
+    ex_.start(comm, buckets_);
 
     // Mid-flight: merge the owned candidates while the records travel.
     for (const Cand& cd : cand_)

@@ -65,9 +65,9 @@ class HaloPlan {
   void prefetch_next(sim::Comm& comm, const std::vector<T>& vals) {
     XTRA_ASSERT_MSG(!ex_.in_flight(), "a prefetch is already in flight");
     // The staging holds the gathered copy and is not touched again
-    // until the next gather (after the finish), so the exchange can
-    // slice it in place — no second payload copy.
-    ex_.start_inplace(comm, gather(vals), send_counts_);
+    // until the next gather (after the finish), so the exchange may
+    // read it in place.
+    ex_.start(comm, gather(vals), send_counts_);
   }
 
   /// Collective: drain the in-flight prefetch and scatter its arrivals
@@ -150,7 +150,7 @@ class HaloPlan {
 
  private:
   /// Gather the shipped values into the staging an in-flight prefetch
-  /// aliases (start_inplace) until its finish.
+  /// slices in place until its finish.
   template <typename T>
   const T* gather(const std::vector<T>& vals) {
     T* send = scratch_.as<T>(send_lids_.size());

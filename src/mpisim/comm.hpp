@@ -344,67 +344,6 @@ class Comm {
     return recv;
   }
 
-  /// Untyped MPI_Alltoallv over elements of `elem_size` bytes — the
-  /// primitive the comm layer's Exchanger builds on. Semantics match
-  /// the typed overload above, but the receive buffer is a reusable
-  /// byte vector (resized, so steady-state callers keep its capacity).
-  /// Returns the number of elements received.
-  count_t alltoallv_bytes(const void* send, std::size_t elem_size,
-                          const std::vector<count_t>& sendcounts,
-                          std::vector<std::byte>& recv,
-                          std::vector<count_t>* recvcounts_out = nullptr) {
-    vguard("alltoallv_bytes");
-    XTRA_ASSERT(sendcounts.size() == static_cast<std::size_t>(size()));
-    Timer t;
-#ifndef NDEBUG
-    count_t send_total = 0;
-    for (const count_t c : sendcounts) send_total += c;
-    XTRA_ASSERT_MSG(send_total == 0 || send != nullptr,
-                    "alltoallv_bytes needs a send buffer when counts > 0");
-#endif
-    world_->slot(rank_) = send;
-    world_->aux_slot(rank_) = sendcounts.data();
-    vsync(verify::Op::kAlltoallvBytes, -1, elem_size,
-          vhash_counts(sendcounts));
-
-    std::vector<count_t> recvcounts(static_cast<std::size_t>(size()));
-    count_t total = 0;
-    for (int r = 0; r < size(); ++r) {
-      const auto* counts = static_cast<const count_t*>(world_->aux_slot(r));
-      recvcounts[static_cast<std::size_t>(r)] = counts[rank_];
-      total += counts[rank_];
-    }
-    recv.resize(static_cast<std::size_t>(total) * elem_size);
-    std::size_t out = 0;
-    for (int r = 0; r < size(); ++r) {
-      const auto* counts = static_cast<const count_t*>(world_->aux_slot(r));
-      if (counts[rank_] == 0) continue;
-      count_t offset = 0;
-      for (int q = 0; q < rank_; ++q) offset += counts[q];
-      const auto* src = static_cast<const std::byte*>(world_->slot(r)) +
-                        static_cast<std::size_t>(offset) * elem_size;
-      const std::size_t len =
-          static_cast<std::size_t>(counts[rank_]) * elem_size;
-      std::memcpy(recv.data() + out, src, len);
-      out += len;
-    }
-    world_->sync();
-
-    count_t bytes = 0;
-    count_t msgs = 0;
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      if (sendcounts[static_cast<std::size_t>(r)] > 0) {
-        bytes += sendcounts[static_cast<std::size_t>(r)] *
-                 static_cast<count_t>(elem_size);
-        ++msgs;
-      }
-    }
-    note(bytes, msgs, t);
-    if (recvcounts_out) *recvcounts_out = std::move(recvcounts);
-    return total;
-  }
-
   static constexpr int max_channels() { return kMaxChannels; }
 
   /// Lowest channel with no exchange in flight on this rank. Because
@@ -438,8 +377,9 @@ class Comm {
     throw std::runtime_error(msg);
   }
 
-  /// Nonblocking half of alltoallv_bytes (MPI_Ialltoallv post) on a
-  /// tagged channel. Publishes this rank's send buffer and
+  /// Untyped MPI_Ialltoallv post over elements of `elem_size` bytes —
+  /// the primitive the comm layer's Exchanger builds on — on a tagged
+  /// channel (semantics of the typed alltoallv). Publishes this rank's send buffer and
   /// per-destination counts, then returns the number of elements that
   /// will arrive. `send` must stay valid and unmodified until the
   /// matching alltoallv_bytes_finish returns (the counts are copied

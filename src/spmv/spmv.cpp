@@ -231,8 +231,8 @@ SpmvStats DistSpmv::run(sim::Comm& comm, int iters) {
     // the halo import.
     for (std::size_t i = 0; i < x_send_index_.size(); ++i)
       xsend[i] = x[static_cast<std::size_t>(x_send_index_[i])];
-    // xsend is untouched until the finish below: in-place, no copy.
-    ex_.start_inplace(comm, xsend.data(), x_send_counts_);
+    // xsend is untouched until the finish below, as start() requires.
+    ex_.start(comm, xsend.data(), x_send_counts_);
     for (std::size_t i = 0; i < x_self_dst_.size(); ++i)
       xcol[static_cast<std::size_t>(x_self_dst_[i])] =
           x[static_cast<std::size_t>(x_self_src_[i])];

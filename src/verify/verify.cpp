@@ -15,7 +15,6 @@ const char* op_name(Op op) {
     case Op::kAllreduce: return "allreduce";
     case Op::kAlltoall: return "alltoall";
     case Op::kAlltoallv: return "alltoallv";
-    case Op::kAlltoallvBytes: return "alltoallv_bytes";
     case Op::kA2avStart: return "alltoallv_bytes_start";
     case Op::kA2avFinish: return "alltoallv_bytes_finish";
     case Op::kGatherv: return "gatherv";

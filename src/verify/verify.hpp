@@ -85,7 +85,6 @@ enum class Op : std::uint8_t {
   kAllreduce,
   kAlltoall,
   kAlltoallv,
-  kAlltoallvBytes,
   kA2avStart,
   kA2avFinish,
   kGatherv,

@@ -55,11 +55,12 @@ TEST_P(AnalyticsRanks, PageRankMassConservedAndConsistent) {
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 5));
-    const PageRankResult pr = pagerank(comm, g, 20);
+    PageRankProgram pr;
+    const engine::Stats st = engine::run(comm, g, pr, {.max_supersteps = 20});
     EXPECT_NEAR(pr.sum, 1.0, 1e-9);
     for (lid_t v = 0; v < g.n_local(); ++v) EXPECT_GT(pr.rank[v], 0.0);
-    EXPECT_EQ(pr.info.supersteps, 20);
-    EXPECT_GT(pr.info.seconds, 0.0);
+    EXPECT_EQ(st.supersteps, 20);
+    EXPECT_GT(st.seconds, 0.0);
   });
 }
 
@@ -70,7 +71,8 @@ TEST(PageRank, StarHubDominates) {
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::block(el.n, 2));
-    const PageRankResult pr = pagerank(comm, g, 30);
+    PageRankProgram pr;
+    engine::run(comm, g, pr, {.max_supersteps = 30});
     // The hub holds lid for gid 0 on rank 0.
     if (comm.rank() == 0) {
       const lid_t hub = g.lid_of(0);
@@ -91,7 +93,8 @@ TEST_P(AnalyticsRanks, PageRankRankCountInvariant) {
   std::vector<double> ref;
   sim::run_world(1, [&](sim::Comm& comm) {
     const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 1));
-    const auto pr = pagerank(comm, g, 10);
+    PageRankProgram pr;
+    engine::run(comm, g, pr, {.max_supersteps = 10});
     ref.assign(el.n, 0.0);
     for (lid_t v = 0; v < g.n_local(); ++v) ref[g.gid_of(v)] = pr.rank[v];
   });
@@ -99,7 +102,8 @@ TEST_P(AnalyticsRanks, PageRankRankCountInvariant) {
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 7));
-    const auto pr = pagerank(comm, g, 10);
+    PageRankProgram pr;
+    engine::run(comm, g, pr, {.max_supersteps = 10});
     for (lid_t v = 0; v < g.n_local(); ++v)
       EXPECT_NEAR(pr.rank[v], ref[g.gid_of(v)], 1e-12);
   });
@@ -123,7 +127,8 @@ TEST_P(AnalyticsRanks, WccFindsPlantedComponents) {
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 3));
-    const ComponentsResult r = weakly_connected_components(comm, g);
+    WccProgram r;
+    engine::run(comm, g, r);
     EXPECT_EQ(r.num_components, 3);
     EXPECT_EQ(r.largest_size, 30);
     // Component labels are the min gid of the component.
@@ -141,7 +146,8 @@ TEST(Wcc, SingletonVerticesAreComponents) {
   el.edges = {{0, 1}};
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
-    const ComponentsResult r = weakly_connected_components(comm, g);
+    WccProgram r;
+    engine::run(comm, g, r);
     EXPECT_EQ(r.num_components, 4);  // {0,1}, {2}, {3}, {4}
     EXPECT_EQ(r.largest_size, 2);
   });
@@ -161,7 +167,8 @@ TEST_P(AnalyticsRanks, LpRecoversCliqueCommunities) {
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 4));
-    const CommunityResult r = label_propagation(comm, g, 10);
+    CommLpProgram r;
+    engine::run(comm, g, r, {.max_supersteps = 10});
     EXPECT_EQ(r.num_communities, 2);
     for (lid_t v = 0; v < g.n_local(); ++v)
       EXPECT_EQ(r.label[v], g.gid_of(v) < 20 ? 0u : 20u);
@@ -185,7 +192,8 @@ TEST_P(AnalyticsRanks, KcoreExactOnCliquePlusPath) {
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 8));
-    const KCoreResult r = kcore_approx(comm, g, 30);
+    KCoreProgram r;
+    engine::run(comm, g, r, {.max_supersteps = 30});
     EXPECT_EQ(r.max_core, 4);
     for (lid_t v = 0; v < g.n_local(); ++v) {
       const gid_t gid = g.gid_of(v);
@@ -200,7 +208,8 @@ TEST(Kcore, CycleIsTwoCore) {
   for (gid_t v = 0; v < 8; ++v) el.edges.push_back({v, (v + 1) % 8});
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
-    const KCoreResult r = kcore_approx(comm, g, 20);
+    KCoreProgram r;
+    engine::run(comm, g, r, {.max_supersteps = 20});
     EXPECT_EQ(r.max_core, 2);
   });
 }
@@ -309,8 +318,9 @@ TEST(PartitionSensitivity, GoodPartitionReducesPageRankComm) {
     // Random layout.
     const DistGraph g_rand =
         build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    const auto pr1 = pagerank(comm, g_rand, 10);
-    const count_t b1 = comm.allreduce_sum(pr1.info.comm_bytes);
+    PageRankProgram pr1;
+    const count_t b1 = comm.allreduce_sum(
+        engine::run(comm, g_rand, pr1, {.max_supersteps = 10}).comm_bytes);
 
     // XtraPuLP layout: partition into 4 parts, redistribute by part.
     core::Params params;
@@ -321,8 +331,9 @@ TEST(PartitionSensitivity, GoodPartitionReducesPageRankComm) {
                                                      global.end());
     const DistGraph g_part = build_dist_graph(
         comm, el, VertexDist::explicit_map(el.n, 4, owners));
-    const auto pr2 = pagerank(comm, g_part, 10);
-    const count_t b2 = comm.allreduce_sum(pr2.info.comm_bytes);
+    PageRankProgram pr2;
+    const count_t b2 = comm.allreduce_sum(
+        engine::run(comm, g_part, pr2, {.max_supersteps = 10}).comm_bytes);
     if (comm.rank() == 0) {
       bytes_random = b1;
       bytes_partitioned = b2;

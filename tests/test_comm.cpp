@@ -172,17 +172,11 @@ TEST_P(PhasedBounds, StartFinishBitIdenticalToBlocking) {
         comm.alltoallv(send, counts, &expect_rcounts);
 
     Exchanger ex(bound);
-    ex.start(comm, send, counts);
+    ex.start(comm, send.data(), counts);
     EXPECT_TRUE(ex.in_flight());
-    EXPECT_EQ(ex.pending().bytes_in_flight(),
-              static_cast<count_t>(send.size() * sizeof(std::uint64_t)));
-    // The handle owns a snapshot: the caller's buffer is dead the
-    // moment start() returns...
-    std::fill(send.begin(), send.end(), 0xDEADBEEFu);
-    send.clear();
-    send.shrink_to_fit();
-    // ...and blocking collectives may run while the exchange (all of
-    // its phases) is still draining.
+    // The phases read `send` in place until finish; blocking
+    // collectives may run while the exchange (all of its phases) is
+    // still draining.
     EXPECT_EQ(comm.allreduce_sum<count_t>(1),
               static_cast<count_t>(nranks));
     std::vector<count_t> rcounts;
@@ -193,6 +187,8 @@ TEST_P(PhasedBounds, StartFinishBitIdenticalToBlocking) {
     // Identical result for any bound, plus the overlap ledger.
     EXPECT_EQ(ex.stats().exchanges, 1);
     EXPECT_EQ(ex.stats().overlapped, 1);
+    EXPECT_EQ(ex.stats().max_inflight_bytes,
+              static_cast<count_t>(send.size() * sizeof(std::uint64_t)));
     EXPECT_GT(ex.stats().start_seconds + ex.stats().finish_seconds, 0.0);
   });
 }
@@ -216,7 +212,7 @@ TEST(Exchanger, SplitAndBlockingAgreeOnStatsAndBytes) {
     Exchanger split(bound);
     comm.barrier();
     comm.reset_stats();
-    split.start(comm, send, counts);
+    split.start(comm, send.data(), counts);
     const auto b = split.finish<std::uint64_t>(comm);
     EXPECT_EQ(std::vector<std::uint64_t>(b.begin(), b.end()), expect);
     // Same wire bytes, same number of collectives: overlap is free.
@@ -360,7 +356,7 @@ TEST(Exchanger, AllEmptyBoundedExchangeSkipsTheWire) {
               static_cast<count_t>(sizeof(count_t)));
 
     Exchanger split(64);
-    split.start(comm, send, counts);
+    split.start(comm, send.data(), counts);
     (void)comm.allreduce_sum<count_t>(1);
     const auto got2 = split.finish<std::uint64_t>(comm, &rcounts);
     EXPECT_TRUE(got2.empty());
@@ -392,7 +388,7 @@ TEST(Exchanger, SelfRecordsCostNoPhases) {
       std::vector<count_t> rcounts;
       std::span<const std::uint64_t> got;
       if (split) {
-        ex.start(comm, send, counts);
+        ex.start(comm, send.data(), counts);
         got = ex.finish<std::uint64_t>(comm, &rcounts);
       } else {
         got = ex.exchange(comm, send, counts, &rcounts);
@@ -662,7 +658,7 @@ TEST(UpdateExchangerSendRanks, SendBufferMatchesPerArcOwnerWalk) {
 
             per_arc_send_buffer(g, comm.rank(), nranks, lid_tables,
                                 ref_parts, queue, ref);
-            ref_ex.start_inplace(comm, ref);
+            ref_ex.start(comm, ref);
             for (const core::PartUpdate& rec :
                  ref_ex.finish<core::PartUpdate>(comm)) {
               ASSERT_NE(rec.slot, kInvalidLid);

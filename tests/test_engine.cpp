@@ -1,5 +1,5 @@
 // Tests for the unified vertex-program engine (src/engine/): the
-// wrapper-vs-engine bit-identity matrix across the transport knobs
+// default-knob bit-identity matrix across the transport knobs
 // ({chunk size} x {intra-rank threads}), the overlapped halo superstep
 // against a blocking refresh, hand-rolled blocking references for
 // PageRank and k-core, the exact dense and frontier wire ledgers, the
@@ -69,9 +69,9 @@ std::string cfg_name(const engine::Config& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// Wrapper-vs-engine bit-identity across the knob matrix. WCC and
-// k-core contract to unique fixpoints (min label, exact coreness), so
-// every cell must reproduce the default-knob wrapper bit for bit.
+// Bit-identity across the knob matrix. WCC and k-core contract to
+// unique fixpoints (min label, exact coreness), so every cell must
+// reproduce the default-knob run bit for bit.
 
 TEST(EngineMatrix, WccBitIdenticalAcrossAllKnobs) {
   const EdgeList el = gen::community_graph(2'000, 10, 0.7, 2.3, 5);
@@ -80,7 +80,8 @@ TEST(EngineMatrix, WccBitIdenticalAcrossAllKnobs) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    const ComponentsResult r = weakly_connected_components(comm, g);
+    WccProgram r;
+    engine::run(comm, g, r);
     const auto global = by_gid(comm, g, r.component);
     if (comm.rank() == 0) {
       ref = global;
@@ -110,7 +111,8 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, 4, 5));
-    const KCoreResult r = kcore_approx(comm, g, 40);
+    KCoreProgram r;
+    engine::run(comm, g, r, {.max_supersteps = 40});
     const auto global = by_gid(comm, g, r.core);
     if (comm.rank() == 0) ref = global;
   });
@@ -132,7 +134,7 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
 
 // Community LP's majority vote is trajectory-dependent, so the
 // bit-identity across knobs also pins the read schedule: every cell
-// must match the wrapper and recover the planted communities.
+// must match the default-knob run and recover the planted communities.
 TEST(EngineMatrix, CommLpBitIdenticalAcrossAllKnobs) {
   EdgeList el;
   el.n = 40;
@@ -144,7 +146,8 @@ TEST(EngineMatrix, CommLpBitIdenticalAcrossAllKnobs) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, 4, 4));
-    const CommunityResult r = label_propagation(comm, g, 10);
+    CommLpProgram r;
+    engine::run(comm, g, r, {.max_supersteps = 10});
     const auto global = by_gid(comm, g, r.label);
     if (comm.rank() == 0) ref = global;
   });
@@ -176,7 +179,8 @@ TEST(EngineMatrix, PageRankChunkBitIdentical) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    const PageRankResult r = pagerank(comm, g, 12);
+    PageRankProgram r;
+    engine::run(comm, g, r, {.max_supersteps = 12});
     std::vector<double> global(g.n_global(), 0.0);
     for (lid_t v = 0; v < g.n_local(); ++v)
       global[g.gid_of(v)] = r.rank[v];
@@ -737,7 +741,7 @@ TEST(HaloOverlap, ParallelSuperstepBitIdenticalToSerial) {
 // ---------------------------------------------------------------------------
 // Hand-rolled blocking references: the pre-engine formulations of
 // PageRank and k-core, one blocking halo refresh per superstep. The
-// engine-run wrappers must reproduce them bit for bit.
+// engine runs must reproduce them bit for bit.
 
 /// Contributions + dangling mass in one lid-order pass, blocking halo
 /// refresh, allreduce, update; a final refresh of the ghost ranks.
@@ -781,11 +785,14 @@ TEST(EngineDense, PageRankBitIdenticalToBlockingReference) {
     const std::vector<double> ref_rank =
         blocking_pagerank(comm, g, kIters, kDamping);
 
-    const auto pr = pagerank(comm, g, kIters, kDamping);
+    PageRankProgram pr;
+    pr.damping = kDamping;
+    const engine::Stats st =
+        engine::run(comm, g, pr, {.max_supersteps = kIters});
     ASSERT_EQ(pr.rank.size(), ref_rank.size());
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_EQ(pr.rank[v], ref_rank[v]) << "lid " << v;  // bit-identical
-    EXPECT_EQ(pr.info.supersteps, kIters);
+    EXPECT_EQ(st.supersteps, kIters);
   });
 }
 
@@ -899,7 +906,8 @@ TEST(EngineDense, KcoreBitIdenticalToBlockingReference) {
       }
     }
 
-    const auto kc = kcore_approx(comm, g, kRounds);
+    KCoreProgram kc;
+    engine::run(comm, g, kc, {.max_supersteps = kRounds});
     ASSERT_EQ(kc.core.size(), ref.size());
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_EQ(kc.core[v], ref[v]) << "lid " << v;
@@ -1109,17 +1117,17 @@ TEST(EngineConfig, FromParamsMapsEveryKnob) {
   EXPECT_EQ(cfg.max_supersteps, engine::Config::kUnbounded);
 }
 
-// Legacy zero-iteration contract: a cap of 0 runs no supersteps and
-// returns the seed state (wrappers clamp negatives the same way).
+// Zero-iteration contract: a cap of 0 runs no supersteps and returns
+// the seed state, for fixed-iteration and converging programs alike.
 TEST(EngineConfig, ZeroSuperstepCapRunsNone) {
   const EdgeList el = gen::erdos_renyi(200, 4, 3);
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_dist_graph(comm, el, VertexDist::block(el.n, 2));
-    const PageRankResult pr = pagerank(comm, g, 0);
-    EXPECT_EQ(pr.info.supersteps, 0);
+    PageRankProgram pr;
+    EXPECT_EQ(engine::run(comm, g, pr, {.max_supersteps = 0}).supersteps, 0);
     EXPECT_NEAR(pr.sum, 1.0, 1e-12);  // uniform seed ranks, mass intact
-    const KCoreResult kc = kcore_approx(comm, g, -1);
-    EXPECT_EQ(kc.info.supersteps, 0);
+    KCoreProgram kc;
+    EXPECT_EQ(engine::run(comm, g, kc, {.max_supersteps = 0}).supersteps, 0);
     for (lid_t v = 0; v < g.n_local(); ++v)
       EXPECT_EQ(kc.core[v], g.degree(v));  // degree upper bound untouched
   });
@@ -1249,7 +1257,7 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
       TriangleCountProgram p;
       p.sample_cap = 64;
       engine::Config cfg;
-      cfg.max_supersteps = 1;  // single staging superstep, as the wrapper
+      cfg.max_supersteps = 1;  // single staging superstep, as triangle_count
       cfg.num_threads = threads;
       const engine::Stats st = engine::run(comm, g, p, cfg);
       auto wire = wire_ledger(st);

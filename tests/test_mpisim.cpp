@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -14,6 +15,14 @@ namespace xtra::sim {
 namespace {
 
 class WorldSizes : public ::testing::TestWithParam<int> {};
+
+/// The raw bytes of a typed buffer, to compare a typed alltoallv
+/// reference against the untyped nonblocking pair's arrivals.
+template <typename T>
+std::vector<std::byte> bytes_of(const std::vector<T>& v) {
+  const auto* p = reinterpret_cast<const std::byte*>(v.data());
+  return {p, p + v.size() * sizeof(T)};
+}
 
 INSTANTIATE_TEST_SUITE_P(Ranks, WorldSizes, ::testing::Values(1, 2, 3, 4, 8),
                          [](const auto& inf) {
@@ -213,9 +222,9 @@ TEST_P(WorldSizes, NonblockingAlltoallvMatchesBlocking) {
                        static_cast<std::uint64_t>(i));
     }
     std::vector<count_t> expect_rcounts;
-    std::vector<std::byte> expect;
-    const count_t expect_total = comm.alltoallv_bytes(
-        send.data(), sizeof(std::uint64_t), counts, expect, &expect_rcounts);
+    const std::vector<std::uint64_t> expect =
+        comm.alltoallv(send, counts, &expect_rcounts);
+    const auto expect_total = static_cast<count_t>(expect.size());
 
     EXPECT_FALSE(comm.alltoallv_in_flight());
     const count_t announced = comm.alltoallv_bytes_start(
@@ -233,7 +242,7 @@ TEST_P(WorldSizes, NonblockingAlltoallvMatchesBlocking) {
     EXPECT_FALSE(comm.alltoallv_in_flight());
     EXPECT_EQ(total, expect_total);
     EXPECT_EQ(rcounts, expect_rcounts);
-    EXPECT_EQ(recv, expect);
+    EXPECT_EQ(recv, bytes_of(expect));
   });
 }
 
@@ -246,8 +255,7 @@ TEST_P(WorldSizes, NonblockingAlltoallvBillsLikeBlocking) {
 
     comm.barrier();
     comm.reset_stats();
-    (void)comm.alltoallv_bytes(send.data(), sizeof(std::uint64_t), counts,
-                               recv);
+    (void)comm.alltoallv(send, counts);
     const CommStats blocking = comm.stats();
 
     comm.barrier();
@@ -363,8 +371,8 @@ TEST_P(WorldSizes, ChannelsCarryConcurrentExchanges) {
                              static_cast<std::uint64_t>(comm.rank()) * 1'000 +
                              static_cast<std::uint64_t>(i));
       }
-      (void)comm.alltoallv_bytes(sends[c].data(), sizeof(std::uint64_t),
-                                 counts[c], expect[c], &expect_rcounts[c]);
+      expect[c] = bytes_of(comm.alltoallv(sends[c], counts[c],
+                                          &expect_rcounts[c]));
     }
 
     std::array<int, kChans> chan{};

@@ -282,7 +282,7 @@ std::vector<part_t> replay_partition(sim::Comm& comm, const DistGraph& g,
   PhaseState st;
   st.nparts = params.nparts;
   st.nprocs = comm.size();
-  st.exchanger.configure(params);
+  st.exchanger.set_max_send_bytes(params.max_exchange_bytes);
   st.x = params.mult_x;
   st.y = params.mult_y;
   st.i_tot = params.outer_iters * (params.bal_iters + params.ref_iters);

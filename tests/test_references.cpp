@@ -13,6 +13,8 @@
 #include <set>
 
 #include "analytics/analytics.hpp"
+#include "analytics/programs.hpp"
+#include "engine/engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/dist_graph.hpp"
 #include "mpisim/comm.hpp"
@@ -178,7 +180,8 @@ TEST_P(RefRanks, WccMatchesUnionFind) {
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
         comm, el, VertexDist::random(el.n, nranks, 3));
-    const ComponentsResult r = weakly_connected_components(comm, g);
+    WccProgram r;
+    engine::run(comm, g, r);
     EXPECT_EQ(r.num_components, static_cast<count_t>(sizes.size()));
     EXPECT_EQ(r.largest_size, ref_largest);
   });
@@ -192,7 +195,8 @@ TEST_P(RefRanks, KcoreMatchesPeeling) {
     const auto g = graph::build_dist_graph(
         comm, el, VertexDist::random(el.n, nranks, 5));
     // Enough rounds for full h-index convergence.
-    const KCoreResult r = kcore_approx(comm, g, 200);
+    KCoreProgram r;
+    engine::run(comm, g, r, {.max_supersteps = 200});
     for (lid_t v = 0; v < g.n_local(); ++v)
       EXPECT_EQ(r.core[v], ref[g.gid_of(v)]) << "gid " << g.gid_of(v);
   });
@@ -239,7 +243,8 @@ TEST_P(RefRanks, PageRankSumsToOneOnDisconnectedGraph) {
   sim::run_world(nranks, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
         comm, el, VertexDist::block(el.n, nranks));
-    const PageRankResult pr = pagerank(comm, g, 30);
+    PageRankProgram pr;
+    engine::run(comm, g, pr, {.max_supersteps = 30});
     EXPECT_NEAR(pr.sum, 1.0, 1e-9);
   });
 }

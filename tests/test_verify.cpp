@@ -10,7 +10,9 @@
 // diagnostics) run in every build mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -146,6 +148,27 @@ TEST(VerifyAliasing, MutatedInFlightPayloadDetectedAtFinish) {
   expect_contains(msg, "aliased-exchange");
 }
 
+// Exchanger::start reads the caller's buffer in place until finish, so
+// the substrate's in-flight checksum is the guard against a caller
+// that reuses it early — single-phase and phased alike — and the
+// error names the Exchanger that started the exchange.
+TEST(VerifyAliasing, MutatedExchangerSendBufferNamesItsLabel) {
+  SKIP_WITHOUT_VERIFIER();
+  for (const count_t bound : {count_t(0), count_t(2 * sizeof(std::uint64_t))}) {
+    const std::string msg = protocol_error_of(2, [&](Comm& comm) {
+      comm::Exchanger ex(bound);
+      ex.set_label("mutated-exchanger");
+      const std::vector<count_t> counts{2, 2};
+      std::vector<std::uint64_t> send(4, 7);
+      ex.start(comm, send.data(), counts);
+      if (comm.rank() == 0) std::fill(send.begin(), send.end(), 0x5a5a5a5au);
+      (void)ex.finish<std::uint64_t>(comm);
+    });
+    expect_contains(msg, "in-flight send payload mutated");
+    expect_contains(msg, "mutated-exchanger");
+  }
+}
+
 // --- Thread-context guard ---------------------------------------------
 
 TEST(VerifyThreadGuard, CommInsideParallelRegionThrows) {
@@ -198,7 +221,7 @@ TEST(VerifyCleanRun, ExchangerMatrixRunsCleanUnderVerifier) {
         for (int s = 0; s < n; ++s)
           expect_total += s + comm.rank() + 1;
         ASSERT_EQ(static_cast<count_t>(recv.size()), expect_total);
-        ex.start(comm, send, counts);
+        ex.start(comm, send.data(), counts);
         (void)ex.finish<std::uint64_t>(comm);
       }
     });
